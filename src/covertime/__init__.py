@@ -13,7 +13,6 @@ from .bounds import (
     default_matthews_sets,
     greedy_packing,
     matthews_from_oracle,
-    matthews_lower,
     psi_bound,
 )
 from .errors import (
@@ -58,7 +57,6 @@ from .generators import (
 from .graphs import (
     ComponentView,
     MultiGraph,
-    add_edge,
     connected_components,
     from_edge_list,
     largest_component,
@@ -67,7 +65,6 @@ from .graphs import (
 )
 from .resistance import (
     DiameterResult,
-    HittingMatrix,
     ResistanceOracle,
     hitting_time,
     resistance_diameter,

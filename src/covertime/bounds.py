@@ -21,13 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ContractViolation
-from .resistance import HittingMatrix, ResistanceOracle
-
-# Closed-ball membership tolerance: solver residuals are ~1e-10, so exact
-# boundary cases (integer radii on paths, rational radii on cycles) must
-# not flip on rounding noise. Applied identically everywhere.
-BALL_RTOL = 1e-9
-BALL_ATOL = 1e-12
+from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle
 
 LEVEL_HARD_CAP = 40
 
@@ -79,6 +73,9 @@ class BoundReport:
     upper_clean: float     # constant-free scaling statistic
     kklv_lower: float      # certified covering-number lower bound
     matthews_lower: float | None = None
+    # original ids of the resistance-diameter pair; kept out of to_dict so
+    # the report bytes carry only bounds
+    diameter_pair: tuple[int, int] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -242,38 +239,15 @@ def _dedupe_sets(candidate_sets: Iterable[Sequence[int]]) -> list[tuple[int, ...
     return out
 
 
-def matthews_lower(
-    hit: HittingMatrix,
+def matthews_from_oracle(
+    oracle: ResistanceOracle,
     candidate_sets: Iterable[Sequence[int]],
 ) -> tuple[float, tuple[int, ...]]:
     """max over candidate sets A of ln|A| * min_{u != v in A} E_u[tau_v].
 
     Every candidate yields a valid lower bound on the worst-start cover
-    time; the best one is returned together with its set.
-    """
-    sets = _dedupe_sets(candidate_sets)
-    if not sets:
-        raise ContractViolation("matthews_lower needs a candidate set with >= 2 vertices")
-    comp = hit.component
-    best_val = -1.0
-    best_set: tuple[int, ...] = ()
-    for cand in sets:
-        locs = [comp.to_local(x) for x in cand]
-        sub = hit.values[np.ix_(locs, locs)].copy()
-        np.fill_diagonal(sub, np.inf)
-        val = math.log(len(cand)) * float(sub.min())
-        if val > best_val:
-            best_val = val
-            best_set = cand
-    return best_val, best_set
-
-
-def matthews_from_oracle(
-    oracle: ResistanceOracle,
-    candidate_sets: Iterable[Sequence[int]],
-) -> tuple[float, tuple[int, ...]]:
-    """Same bound as matthews_lower without materializing all-pairs hitting
-    times: within one candidate set,
+    time; the best one is returned together with its set. All-pairs hitting
+    times are never materialized: within one candidate set,
     E_u[tau_v] = |E| R(u,v) + (S_v - S_u)/2 with S_x = sum_w d_w R(x, w),
     so only the candidate rows of the resistance matrix are needed."""
     sets = _dedupe_sets(candidate_sets)

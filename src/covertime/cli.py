@@ -13,11 +13,9 @@ import csv
 import json
 import sys
 
-from .bounds import greedy_packing, psi_bound, default_matthews_sets, matthews_from_oracle
 from .errors import CovertimeError
 from .experiments import (
-    CELL_DENSE_LIMIT,
-    MATTHEWS_SET_CAP,
+    compute_bound_report,
     edge_addition_suite,
     evolution_suite,
     gw_scaling_suite,
@@ -38,7 +36,7 @@ from .graphs import (
     load_edge_list,
     to_edge_list_text,
 )
-from .resistance import ResistanceOracle, resistance_diameter
+from .resistance import DENSE_LIMIT
 from .walks import simulate
 
 
@@ -125,16 +123,9 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 
 def _cmd_bound(args) -> int:
-    comp = _component(args)
-    oracle = ResistanceOracle(comp, dense_limit=args.dense_limit)
-    diam = resistance_diameter(oracle, k_exact=args.k_exact)
-    profile = greedy_packing(oracle, diam.value, i_max=args.i_max)
-    report = psi_bound(profile, comp.graph.edge_total, r_provenance=diam.provenance())
-    if comp.size >= 2:
-        sets = default_matthews_sets(profile, diam.pair, set_cap=MATTHEWS_SET_CAP)
-        report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
-    else:
-        report.matthews_lower = 0.0
+    report = compute_bound_report(
+        _component(args), dense_limit=args.dense_limit, i_max=args.i_max
+    )
     payload = report.to_dict()
     rows = [[lvl["i"], lvl["radius"], lvl["size"], lvl["alpha"]] for lvl in payload["levels"]]
     _emit(args, payload, rows, ["i", "radius", "size", "alpha"])
@@ -274,8 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_source(p_bound)
     _add_global_flags(p_bound, suppress=True)
     p_bound.add_argument("--i-max", type=int, default=None)
-    p_bound.add_argument("--dense-limit", type=int, default=CELL_DENSE_LIMIT)
-    p_bound.add_argument("--k-exact", type=int, default=4096)
+    p_bound.add_argument(
+        "--dense-limit", type=int, default=DENSE_LIMIT,
+        help=f"largest component size factored densely, at most {DENSE_LIMIT}; "
+        "above it R is a sweep lower bound",
+    )
     p_bound.set_defaults(fn=_cmd_bound)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo walk functionals")

@@ -23,7 +23,7 @@ from .bounds import (
 from .errors import ContractViolation, DegenerateModelError
 from .generators import gnp, uniform_labeled_tree
 from .graphs import ComponentView, MultiGraph, connected_components
-from .resistance import ResistanceOracle, resistance_diameter
+from .resistance import DENSE_LIMIT, ResistanceOracle, resistance_diameter
 from .rng import derive_seed
 from .walks import (
     WORST_START_LIMIT,
@@ -31,33 +31,26 @@ from .walks import (
     simulate,
 )
 
-# Dense factorizations win below this size; above it the sparse path is
-# exact too and much faster on the near-tree components these suites
-# produce. Purely a performance knob, never a semantics one.
-CELL_DENSE_LIMIT = 1024
 MATTHEWS_SET_CAP = 2048
 
 
 def compute_bound_report(
     component: ComponentView,
     *,
-    dense_limit: int = CELL_DENSE_LIMIT,
-    k_exact: int = 4096,
+    dense_limit: int = DENSE_LIMIT,
     i_max: int | None = None,
-    with_matthews: bool = True,
-    matthews_set_cap: int | None = MATTHEWS_SET_CAP,
 ) -> BoundReport:
     """Full bound pipeline: oracle, diameter, packing, bounds, Matthews."""
     oracle = ResistanceOracle(component, dense_limit=dense_limit)
-    diam = resistance_diameter(oracle, k_exact=k_exact)
+    diam = resistance_diameter(oracle)
     profile = greedy_packing(oracle, diam.value, i_max=i_max)
     report = psi_bound(profile, component.graph.edge_total, r_provenance=diam.provenance())
-    if with_matthews:
-        if component.size >= 2:
-            sets = default_matthews_sets(profile, diam.pair, set_cap=matthews_set_cap)
-            report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
-        else:
-            report.matthews_lower = 0.0
+    report.diameter_pair = diam.pair
+    if component.size >= 2:
+        sets = default_matthews_sets(profile, diam.pair, set_cap=MATTHEWS_SET_CAP)
+        report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
+    else:
+        report.matthews_lower = 0.0
     return report
 
 
@@ -109,9 +102,6 @@ def evaluate_cell(
     *,
     trials: int,
     master_seed: int,
-    dense_limit: int = CELL_DENSE_LIMIT,
-    k_exact: int = 4096,
-    matthews_set_cap: int | None = MATTHEWS_SET_CAP,
 ) -> CellResult:
     """Bounds plus simulated cover time for one component.
 
@@ -119,15 +109,7 @@ def evaluate_cell(
     start from the smaller endpoint of the resistance-diameter pair, a
     deterministic heuristic lower bound on the worst start.
     """
-    oracle = ResistanceOracle(component, dense_limit=dense_limit)
-    diam = resistance_diameter(oracle, k_exact=k_exact)
-    profile = greedy_packing(oracle, diam.value)
-    report = psi_bound(profile, component.graph.edge_total, r_provenance=diam.provenance())
-    if component.size >= 2:
-        sets = default_matthews_sets(profile, diam.pair, set_cap=matthews_set_cap)
-        matthews = matthews_from_oracle(oracle, sets)[0]
-    else:
-        matthews = 0.0
+    report = compute_bound_report(component)
     if component.size <= WORST_START_LIMIT:
         est = simulate(
             component, "cover", start_policy="worst_over_all_starts",
@@ -135,16 +117,16 @@ def evaluate_cell(
         )
     else:
         est = simulate(
-            component, "cover", start_policy="fixed", start=min(diam.pair),
+            component, "cover", start_policy="fixed", start=min(report.diameter_pair),
             trials=trials, master_seed=master_seed, keep_samples=False,
         )
     return CellResult(
         size=component.size,
         edge_total=component.graph.edge_total,
-        R=diam.value,
-        r_exact=diam.exact,
+        R=report.R,
+        r_exact=report.r_provenance["mode"] == "exact",
         kklv_lower=report.kklv_lower,
-        matthews_lower=matthews,
+        matthews_lower=report.matthews_lower,
         upper_clean=report.upper_clean,
         upper_theorem=report.upper_theorem,
         cover_mean=est.mean,

@@ -236,11 +236,6 @@ def largest_component(g: MultiGraph) -> ComponentView:
     return connected_components(g)[0]
 
 
-def add_edge(g: MultiGraph, u: int, v: int, multiplicity: int = 1) -> MultiGraph:
-    """Functional form of MultiGraph.add_edge."""
-    return g.add_edge(u, v, multiplicity)
-
-
 def from_edge_list(data: str | bytes | IO) -> MultiGraph:
     """Parse the edge-list interchange format.
 

@@ -3,13 +3,16 @@
 Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
 metric. All queries go through one factorization of the Laplacian grounded
-at the component's smallest vertex id: a dense Cholesky factorization up
-to ``dense_limit`` vertices and a sparse LU factorization beyond that.
+at the component's smallest vertex id. Up to ``DENSE_LIMIT`` vertices (a
+caller may lower the limit, never raise it) that is a dense Cholesky
+factorization whose full inverse gives every row and an exact resistance
+diameter. Above it, where the k^2 inverse no longer fits in memory, it is
+a sparse LU factorization that solves rows on demand, and the diameter is
+a farthest-point sweep lower bound.
 """
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -20,9 +23,16 @@ import scipy.sparse.linalg
 from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
 
-DENSE_LIMIT_DEFAULT = 4096
-EXACT_DIAMETER_DEFAULT = 4096
+DENSE_LIMIT = 4096
 _SOLVE_BLOCK = 256
+_SWEEP_ROUNDS = 8
+
+# Closed-ball membership tolerance: solver residuals are ~1e-10, so exact
+# boundary cases (integer radii on paths, rational radii on cycles) must
+# not flip on rounding noise. Applied identically everywhere, including to
+# ties at the resistance diameter.
+BALL_RTOL = 1e-9
+BALL_ATOL = 1e-12
 
 
 class DiameterResult(NamedTuple):
@@ -48,9 +58,16 @@ class ResistanceOracle:
     component. ``resistances_from`` and the diameter search trigger a
     one-off computation of the grounded inverse's diagonal (full inverse
     in the dense regime), after which row queries are cheap.
+
+    ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
+    rejected before anything is allocated.
     """
 
-    def __init__(self, component: ComponentView, dense_limit: int = DENSE_LIMIT_DEFAULT) -> None:
+    def __init__(self, component: ComponentView, dense_limit: int = DENSE_LIMIT) -> None:
+        if dense_limit > DENSE_LIMIT:
+            raise ContractViolation(
+                f"dense_limit {dense_limit} exceeds DENSE_LIMIT {DENSE_LIMIT}"
+            )
         self.component = component
         g = component.graph
         self.size = g.vertex_count
@@ -187,34 +204,27 @@ class ResistanceOracle:
         return out
 
     def _all_pairs_max(self) -> tuple[float, tuple[int, int]]:
+        """Max pairwise resistance and, among the pairs within the ball
+        tolerance of it, the lexicographically smallest sorted pair, so the
+        pair does not depend on round-off. Dense oracles only."""
         k = self.size
-        diag = self.diag_local()
-        best = -1.0
-        best_pair = (0, 0)
-        if self.dense:
-            M = self._grounded_inverse()
-            for start in range(0, k, _SOLVE_BLOCK):
-                stop = min(start + _SOLVE_BLOCK, k)
-                block = diag[start:stop, None] + diag[None, :] - 2.0 * M[start:stop]
-                flat = int(np.argmax(block))
-                val = float(block.flat[flat])
-                if val > best:
-                    best = val
-                    best_pair = (start + flat // k, flat % k)
-        else:
-            for start in range(0, k, _SOLVE_BLOCK):
-                block_ids = list(range(start, min(start + _SOLVE_BLOCK, k)))
-                sols = self._solve_block(block_ids)
-                rows = np.empty((len(block_ids), k))
-                for j, v in enumerate(block_ids):
-                    rows[j] = sols[v, j] + diag - 2.0 * sols[:, j]
-                flat = int(np.argmax(rows))
-                val = float(rows.flat[flat])
-                if val > best:
-                    best = val
-                    best_pair = (start + flat // k, flat % k)
-        a, b = best_pair
-        return max(best, 0.0), (min(a, b), max(a, b))
+        M = self._grounded_inverse()
+        diag = self._diag
+        row_top = np.empty(k)
+        col_top = np.full(k, -np.inf)
+        for start in range(0, k, _SOLVE_BLOCK):
+            stop = start + _SOLVE_BLOCK
+            block = diag[start:stop, None] + diag[None, :] - 2.0 * M[start:stop]
+            row_top[start:stop] = block.max(axis=1)
+            np.maximum(col_top, block.max(axis=0), out=col_top)
+        best = float(row_top.max())
+        floor = best - (best * BALL_RTOL + BALL_ATOL)
+        # the smallest endpoint of any tied pair, then its smallest partner;
+        # rows and columns both count, as M is symmetric only to round-off
+        a = int(np.flatnonzero((row_top >= floor) | (col_top >= floor))[0])
+        ties = (diag[a] + diag - 2.0 * M[a] >= floor) | (diag + diag[a] - 2.0 * M[:, a] >= floor)
+        ties[a] = False
+        return max(best, 0.0), (a, int(np.flatnonzero(ties)[0]))
 
     # -- public API (original ids) -----------------------------------------
 
@@ -247,28 +257,24 @@ def _bfs_eccentricity(g: MultiGraph, source: int) -> int:
     return int(dist.max())
 
 
-def resistance_diameter(
-    oracle: ResistanceOracle,
-    k_exact: int = EXACT_DIAMETER_DEFAULT,
-    sweep_rounds: int = 8,
-) -> DiameterResult:
-    """Max pairwise resistance: exact for size <= k_exact, else a certified
-    lower bound from iterated farthest-point sweeps (flagged approximate,
-    together with 2 * BFS-eccentricity as an upper bracket on R through
-    the graph-distance bound)."""
+def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
+    """Max pairwise resistance: exact when the oracle holds the dense
+    inverse, else a certified lower bound from iterated farthest-point
+    sweeps (flagged approximate, together with 2 * BFS-eccentricity as an
+    upper bracket on R through the graph-distance bound)."""
     comp = oracle.component
     k = oracle.size
     if k == 1:
         v = comp.to_original(0)
         return DiameterResult(0.0, (v, v), True, None)
-    if k <= k_exact:
+    if oracle.dense:
         val, (a, b) = oracle._all_pairs_max()
         return DiameterResult(val, (comp.to_original(a), comp.to_original(b)), True, None)
     best = -1.0
     best_pair = (0, 0)
     current = 0
     visited_starts = set()
-    for _ in range(sweep_rounds):
+    for _ in range(_SWEEP_ROUNDS):
         if current in visited_starts:
             break
         visited_starts.add(current)
@@ -305,36 +311,3 @@ def hitting_time(oracle: ResistanceOracle, u: int, v: int) -> float:
     d = oracle.degrees_local()
     r_uv = float(ru[b])
     return float(0.5 * np.dot(d, r_uv + rv - ru))
-
-
-@dataclass
-class HittingMatrix:
-    """Dense all-pairs expected hitting times for one component."""
-
-    component: ComponentView
-    values: np.ndarray  # (k, k), local ids; values[a, b] = E_a[tau_b]
-
-    @classmethod
-    def from_oracle(cls, oracle: ResistanceOracle, limit: int = 2048) -> "HittingMatrix":
-        k = oracle.size
-        if k > limit:
-            raise ContractViolation(
-                f"HittingMatrix materialization capped at {limit} vertices, got {k}"
-            )
-        if k == 1:
-            return cls(oracle.component, np.zeros((1, 1)))
-        M = (
-            oracle._grounded_inverse()
-            if oracle.dense
-            else np.column_stack([oracle._col(j) for j in range(k)])
-        )
-        diag = np.ascontiguousarray(np.diag(M))
-        R = diag[:, None] + diag[None, :] - 2.0 * M
-        d = oracle.degrees_local()
-        S = R @ d
-        H = oracle.edge_total * R + 0.5 * (S[None, :] - S[:, None])
-        np.fill_diagonal(H, 0.0)
-        return cls(oracle.component, H)
-
-    def hitting(self, u: int, v: int) -> float:
-        return float(self.values[self.component.to_local(u), self.component.to_local(v)])

@@ -52,16 +52,6 @@ def trial_keys(master_seed: int, count: int) -> np.ndarray:
     return mix64(base + idx * _U_GOLDEN)
 
 
-def trial_key(master_seed: int, index: int) -> int:
-    base = mix64_int(master_seed)
-    return mix64_int((base + index * GOLDEN) & _MASK)
-
-
-def step_values(keys: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Stream value for each (key, step) pair; both uint64 arrays."""
-    return mix64(keys + t * _U_GOLDEN)
-
-
 def stream_chunk(key: int, t0: int, count: int) -> np.ndarray:
     """Values of one stream at steps t0..t0+count-1."""
     t = np.arange(t0, t0 + count, dtype=np.uint64)

@@ -20,7 +20,6 @@ from .graphs import ComponentView
 from .rng import mix64, stream_chunk, trial_keys
 from .resistance import ResistanceOracle, resistance_diameter
 
-_U_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MASK = (1 << 64) - 1
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
 _CHUNK = 4096

@@ -2,18 +2,20 @@
 
 Everything here is deliberately computed by a different route than the
 package under test: resistances via the Moore-Penrose pseudoinverse of
-the full Laplacian, hitting times via the one-step equations, covering
-numbers via exhaustive set cover, cover times via closed forms, and
-branching-process size laws via convolution.
+the full Laplacian, hitting times via the one-step equations or the
+all-pairs hitting matrix (the cross-check of the package's row-based
+Matthews bound), covering numbers via exhaustive set cover, cover times
+via closed forms, and branching-process size laws via convolution.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from covertime import MultiGraph
+from covertime import ComponentView, ContractViolation, MultiGraph
 
 
 def laplacian(g: MultiGraph) -> np.ndarray:
@@ -34,6 +36,66 @@ def resistance_matrix_pinv(g: MultiGraph) -> np.ndarray:
     Lp = np.linalg.pinv(laplacian(g))
     d = np.diag(Lp)
     return d[:, None] + d[None, :] - 2 * Lp
+
+
+@dataclass
+class HittingMatrix:
+    """Dense all-pairs expected hitting times for one component, from the
+    pseudoinverse resistances: H[a, b] = |E| R(a,b) + (S_b - S_a)/2 with
+    S_x = sum_w d_w R(x, w)."""
+
+    component: ComponentView
+    values: np.ndarray  # (k, k), local ids; values[a, b] = E_a[tau_b]
+
+    @classmethod
+    def from_component(cls, component: ComponentView) -> "HittingMatrix":
+        g = component.graph
+        R = resistance_matrix_pinv(g)
+        S = R @ g.degrees.astype(np.float64)
+        H = g.edge_total * R + 0.5 * (S[None, :] - S[:, None])
+        np.fill_diagonal(H, 0.0)
+        return cls(component, H)
+
+    def hitting(self, u: int, v: int) -> float:
+        return float(self.values[self.component.to_local(u), self.component.to_local(v)])
+
+
+def matthews_lower(hit: HittingMatrix, candidate_sets) -> tuple[float, tuple[int, ...]]:
+    """max over candidate sets A of ln|A| * min_{u != v in A} E_u[tau_v],
+    read off the all-pairs hitting matrix; returns the first best set."""
+    sets = []
+    for cand in candidate_sets:
+        key = tuple(sorted(set(int(x) for x in cand)))
+        if len(key) >= 2 and key not in sets:
+            sets.append(key)
+    if not sets:
+        raise ContractViolation("matthews_lower needs a candidate set with >= 2 vertices")
+    best_val, best_set = -1.0, ()
+    for cand in sets:
+        locs = [hit.component.to_local(x) for x in cand]
+        sub = hit.values[np.ix_(locs, locs)].copy()
+        np.fill_diagonal(sub, np.inf)
+        val = math.log(len(cand)) * float(sub.min())
+        if val > best_val:
+            best_val, best_set = val, cand
+    return best_val, best_set
+
+
+def bfs_distances(g: MultiGraph, src: int) -> list[int]:
+    """Hop distances from src; multiplicities are ignored, matching
+    unit-length edges."""
+    dist = [-1] * g.vertex_count
+    dist[src] = 0
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, _ in g.adjacency[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
 
 
 def cycle_resistance(n: int, k: int) -> float:

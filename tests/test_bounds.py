@@ -9,7 +9,6 @@ from covertime import (
     ContractViolation,
     CoveringLevel,
     CoveringProfile,
-    HittingMatrix,
     MultiGraph,
     ResistanceOracle,
     compute_bound_report,
@@ -18,7 +17,6 @@ from covertime import (
     exact_cover_time_worst,
     greedy_packing,
     matthews_from_oracle,
-    matthews_lower,
     path_graph,
     psi_bound,
     resistance_diameter,
@@ -192,17 +190,16 @@ class TestMatthews:
     def test_p3_pair(self):
         g = path_graph(3)
         comp = ComponentView.whole(g)
-        oracle = ResistanceOracle(comp)
-        hm = HittingMatrix.from_oracle(oracle)
-        val, best = matthews_lower(hm, [(0, 2)])
+        hm = oc.HittingMatrix.from_component(comp)
+        val, best = oc.matthews_lower(hm, [(0, 2)])
         assert val == pytest.approx(math.log(2) * 4.0, rel=1e-9)
         assert best == (0, 2)
         assert val <= 5.0  # worst-start cover time of the path
 
     def test_k2(self):
         g = MultiGraph(2, [(0, 1)])
-        hm = HittingMatrix.from_oracle(ResistanceOracle(ComponentView.whole(g)))
-        val, _ = matthews_lower(hm, [(0, 1)])
+        hm = oc.HittingMatrix.from_component(ComponentView.whole(g))
+        val, _ = oc.matthews_lower(hm, [(0, 1)])
         assert val == pytest.approx(math.log(2), rel=1e-9)
         assert val <= 1.0
 
@@ -214,12 +211,12 @@ class TestMatthews:
                                                loops=int(rng.integers(0, 2)))
             comp = ComponentView.whole(g)
             oracle = ResistanceOracle(comp)
-            hm = HittingMatrix.from_oracle(oracle)
+            hm = oc.HittingMatrix.from_component(comp)
             sets = [tuple(range(g.vertex_count))]
             diam = resistance_diameter(oracle)
             if diam.pair[0] != diam.pair[1]:
                 sets.append(diam.pair)
-            val, _ = matthews_lower(hm, sets)
+            val, _ = oc.matthews_lower(hm, sets)
             assert val <= exact_cover_time_worst(comp) + 1e-9
 
     def test_oracle_path_matches_matrix_path(self):
@@ -230,17 +227,17 @@ class TestMatthews:
         profile = greedy_packing(oracle)
         diam = resistance_diameter(oracle)
         sets = default_matthews_sets(profile, diam.pair)
-        hm = HittingMatrix.from_oracle(oracle)
-        v1, s1 = matthews_lower(hm, sets)
+        hm = oc.HittingMatrix.from_component(comp)
+        v1, s1 = oc.matthews_lower(hm, sets)
         v2, s2 = matthews_from_oracle(oracle, sets)
         assert v1 == pytest.approx(v2, rel=1e-9)
         assert s1 == s2
 
     def test_no_valid_set_rejected(self):
         g = MultiGraph(2, [(0, 1)])
-        hm = HittingMatrix.from_oracle(ResistanceOracle(ComponentView.whole(g)))
+        hm = oc.HittingMatrix.from_component(ComponentView.whole(g))
         with pytest.raises(ContractViolation):
-            matthews_lower(hm, [(0,)])
+            oc.matthews_lower(hm, [(0,)])
 
 
 class TestOrderingChain:

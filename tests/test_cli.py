@@ -4,7 +4,14 @@ import sys
 
 import pytest
 
-from covertime import from_edge_list
+from covertime import (
+    compute_bound_report,
+    connected_components,
+    from_edge_list,
+    path_graph,
+    to_edge_list_text,
+    uniform_labeled_tree,
+)
 from covertime.cli import main
 
 
@@ -56,6 +63,21 @@ class TestBoundCommand:
         assert payload["R"] == 0.0
         assert payload["upper_theorem"] == 0.0
         assert payload["kklv_lower"] == 0.0
+
+    @pytest.mark.parametrize("flags, kwargs", [([], {}),
+                                               (["--dense-limit", "16"], {"dense_limit": 16})])
+    def test_stdout_is_the_library_report(self, flags, kwargs, capsys):
+        rc = main(["--seed", "3", "bound", "--model", "tree", "--k", "40", *flags])
+        assert rc == 0
+        comp = connected_components(uniform_labeled_tree(40, 3))[0]
+        report = compute_bound_report(comp, **kwargs)
+        assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
+
+    def test_dense_limit_above_cap_exit_2(self, tmp_path, capsys):
+        edges = tmp_path / "p3.txt"
+        edges.write_text(to_edge_list_text(path_graph(3)))
+        assert main(["bound", "--edges", str(edges), "--dense-limit", "50000"]) == 2
+        assert "dense_limit" in capsys.readouterr().err
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "two.txt"

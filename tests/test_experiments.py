@@ -5,6 +5,7 @@ import pytest
 from covertime import (
     ComponentView,
     ContractViolation,
+    compute_bound_report,
     cooper_frieze_phi,
     cycle_graph,
     edge_addition_suite,
@@ -14,6 +15,8 @@ from covertime import (
     fit_loglog,
     gw_scaling_suite,
     path_graph,
+    simulate,
+    uniform_labeled_tree,
 )
 
 
@@ -51,10 +54,25 @@ class TestEvaluateCell:
         assert abs(cell.cover_mean - exact) <= 3 * cell.cover_std_err
 
     def test_two_vertex_tree_cover_is_one(self):
-        from covertime import uniform_labeled_tree
         comp = ComponentView.whole(uniform_labeled_tree(2, 0))
         cell = evaluate_cell(comp, trials=200, master_seed=3)
         assert cell.cover_mean == 1.0 and cell.cover_std_err == 0.0
+
+    def test_cell_bounds_are_the_bound_report(self):
+        comp = ComponentView.whole(uniform_labeled_tree(100, 7))
+        cell = evaluate_cell(comp, trials=20, master_seed=4)
+        report = compute_bound_report(comp)
+        assert cell.R == report.R
+        assert cell.r_exact == (report.r_provenance["mode"] == "exact")
+        assert cell.kklv_lower == report.kklv_lower
+        assert cell.matthews_lower == report.matthews_lower
+        assert cell.upper_clean == report.upper_clean
+        assert cell.upper_theorem == report.upper_theorem
+        # above the worst-start limit the walk starts at the diameter pair
+        est = simulate(comp, "cover", start_policy="fixed", start=min(report.diameter_pair),
+                       trials=20, master_seed=4, keep_samples=False)
+        assert cell.start_policy == est.start_policy == f"fixed({min(report.diameter_pair)})"
+        assert cell.cover_mean == est.mean
 
     def test_cell_dict_keys_stable(self):
         cell = evaluate_cell(ComponentView.whole(path_graph(5)), trials=500, master_seed=2)

@@ -8,7 +8,6 @@ from covertime import (
     EdgeListParseError,
     MultiGraph,
     VertexRangeError,
-    add_edge,
     connected_components,
     from_edge_list,
     to_edge_list_text,
@@ -117,7 +116,7 @@ class TestAddEdge:
         assert g.edge_total == 3
 
     def test_double_edge(self):
-        g = add_edge(from_edge_list("0 1"), 0, 1)
+        g = from_edge_list("0 1").add_edge(0, 1)
         assert g.degrees.tolist() == [2, 2]
         assert g.multiplicity(0, 1) == 2
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 import oracles as oc
 from covertime import (
     ComponentView,
-    HittingMatrix,
     MultiGraph,
     ResistanceOracle,
     VertexRangeError,
@@ -15,6 +14,7 @@ from covertime import (
     hitting_time,
     path_graph,
     resistance_diameter,
+    uniform_labeled_tree,
 )
 
 
@@ -88,7 +88,7 @@ class TestDiameter:
     def test_sweep_lower_bound_flagged(self):
         g = path_graph(40)
         o = oracle_for(g, dense_limit=8)
-        d = resistance_diameter(o, k_exact=8)
+        d = resistance_diameter(o)
         assert not d.exact
         assert d.value <= 39.0 + 1e-9
         # on a path the first sweep already finds the endpoints
@@ -98,9 +98,29 @@ class TestDiameter:
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(5)
         g = oc.random_connected_multigraph(rng, 40, extra_edges=20, loops=3, max_multiplicity=2)
-        dd = resistance_diameter(oracle_for(g, dense_limit=4096))
-        ds = resistance_diameter(oracle_for(g, dense_limit=8))
-        assert ds.value == pytest.approx(dd.value, rel=1e-9)
+        dense = oracle_for(g)
+        sparse = oracle_for(g, dense_limit=8)
+        assert dense.dense and not sparse.dense
+        n = g.vertex_count
+        for u in range(n):
+            assert np.allclose(sparse.resistances_from(u), dense.resistances_from(u),
+                               rtol=1e-9, atol=1e-12)
+        assert np.allclose(sparse.rows_from_locals(range(n)),
+                           dense.rows_from_locals(range(n)), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_tree_tie_break_is_smallest_bfs_pair(self, k):
+        # on a tree R is the hop distance, so the diameter pair must be the
+        # lexicographically smallest pair at maximal BFS distance
+        for s in range(10):
+            g = uniform_labeled_tree(k, s)
+            hops = np.array([oc.bfs_distances(g, u) for u in range(k)])
+            top = hops.max()
+            want = min((u, v) for u in range(k) for v in range(u + 1, k)
+                       if hops[u, v] == top)
+            d = resistance_diameter(oracle_for(g))
+            assert d.value == pytest.approx(top, abs=1e-9)
+            assert d.pair == want, (k, s)
 
 
 class TestHitting:
@@ -157,7 +177,7 @@ class TestHitting:
         rng = np.random.default_rng(8)
         g = oc.random_connected_multigraph(rng, 12, extra_edges=8, loops=2)
         o = oracle_for(g)
-        hm = HittingMatrix.from_oracle(o)
+        hm = oc.HittingMatrix.from_component(ComponentView.whole(g))
         for u in range(12):
             for v in range(12):
                 assert hm.hitting(u, v) == pytest.approx(
@@ -195,20 +215,8 @@ def test_metric_axioms(g):
 def test_resistance_below_graph_distance(g):
     o = oracle_for(g)
     n = g.vertex_count
-    # BFS distances ignore multiplicities, matching unit-length edges
-    adj = g.adjacency
     for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        frontier = [src]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y, _ in adj[x]:
-                    if dist[y] < 0:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
+        dist = oc.bfs_distances(g, src)
         row = o.resistances_from(src)
         for v in range(n):
             assert row[v] <= dist[v] + 1e-9
