@@ -79,7 +79,6 @@ from .walks import (
     local_time_tail_check,
     simulate,
     trace_local_times,
-    worst_start_heuristic,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -137,7 +137,9 @@ class ResistanceOracle:
             k = self.size
             M = np.zeros((k, k), dtype=np.float64)
             if k > 1:
-                M[1:, 1:] = scipy.linalg.cho_solve(self._factor, np.eye(k - 1))
+                # solve in place in a Fortran-ordered identity: one k^2 buffer fewer
+                eye = np.eye(k - 1, order="F")
+                M[1:, 1:] = scipy.linalg.cho_solve(self._factor, eye, overwrite_b=True)
             with self._lock:
                 if self._M is None:
                     self._diag = np.ascontiguousarray(np.diag(M))

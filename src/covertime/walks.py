@@ -1,10 +1,21 @@
 """Simple-random-walk simulation and exact small-instance cover times.
 
 Monte Carlo estimates use one counter-based random stream per trial (see
-``rng``), making every estimate a pure function of (graph, parameters,
-master_seed) regardless of batching or worker count. Two engines, a
-vectorized one for wide trial counts and a scalar one for long walks,
-consume identical streams and therefore produce identical trajectories.
+``rng``), so every estimate is a pure function of (graph, parameters,
+master_seed) whatever the batching or engine. Each engine has one stepping
+loop, and each quantity is a stop rule that the loop consults:
+
+* vector (``simulate`` at trials >= VECTOR_THRESHOLD except blanket, and
+  the local-time tail): ``_walk_vector`` steps all active trials at once
+  and asks the rule which are done; the rule keeps per-trial state
+  (visited rows, phase, visit counts). Trials run in slices that keep
+  cover's visited matrix under ``_VISITED_BYTES``.
+* scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
+  (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions
+  to the rule, which returns the index of the stopping step or None.
+
+On both engines a walk not stopped by step ``step_cap`` raises
+StepLimitExceeded.
 """
 from __future__ import annotations
 
@@ -18,11 +29,13 @@ import numpy as np
 from .errors import ContractViolation, StepLimitExceeded
 from .graphs import ComponentView
 from .rng import mix64, stream_chunk, trial_keys
-from .resistance import ResistanceOracle, resistance_diameter
+from .resistance import ResistanceOracle
 
 _MASK = (1 << 64) - 1
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
+_FIRST_CHUNK = 256
 _CHUNK = 4096
+_VISITED_BYTES = 1 << 26
 VECTOR_THRESHOLD = 256
 WORST_START_LIMIT = 64
 
@@ -65,197 +78,246 @@ def _step_vals(keys: np.ndarray, t: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vector engine
+# vector engine: rules see the positions of the active trials after a step
 
 
-def _cover_vector(graph, starts, keys, need_return, cap):
+def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
+    """One value per trial, stepping all trials until the rule stops each;
+    make_rule(starts) builds the rule of one slice of trials, which holds
+    row_bytes bytes per trial."""
     offsets, flat, degrees = graph.walk_tables()
-    k = graph.vertex_count
-    T = len(starts)
-    samples = np.zeros(T, dtype=np.int64)
-    if k == 1:
-        return samples
     degs_u = degrees.astype(np.uint64)
-    visited = np.zeros((T, k), dtype=bool)
-    visited[np.arange(T), starts] = True
-    idx = np.arange(T)
-    pos = starts.astype(np.int64).copy()
-    unvis = np.full(T, k - 1, dtype=np.int64)
-    start_a = starts.astype(np.int64).copy()
-    keys_a = keys.copy()
-    t = 0
-    while idx.size:
-        r = _step_vals(keys_a, t)
-        step = (r % degs_u[pos]).astype(np.int64)
-        pos = flat[offsets[pos] + step]
-        t += 1
-        fresh = ~visited[idx, pos]
-        if fresh.any():
-            visited[idx[fresh], pos[fresh]] = True
-            unvis -= fresh
-        done = (unvis == 0) & (pos == start_a) if need_return else unvis == 0
-        if done.any():
-            samples[idx[done]] = t
-            keep = ~done
-            idx, pos, unvis = idx[keep], pos[keep], unvis[keep]
-            start_a, keys_a = start_a[keep], keys_a[keep]
-        if t > cap:
-            raise StepLimitExceeded(f"cover walk exceeded {cap} steps")
-    return samples
-
-
-def _hitting_vector(graph, starts, keys, target, second, cap):
-    offsets, flat, degrees = graph.walk_tables()
-    T = len(starts)
-    samples = np.zeros(T, dtype=np.int64)
-    degs_u = degrees.astype(np.uint64)
-    idx = np.arange(T)
-    pos = starts.astype(np.int64).copy()
-    keys_a = keys.copy()
-    phase = np.zeros(T, dtype=bool)
-    t = 0
-    while idx.size:
-        r = _step_vals(keys_a, t)
-        step = (r % degs_u[pos]).astype(np.int64)
-        pos = flat[offsets[pos] + step]
-        t += 1
-        if second is None:
-            done = pos == target
-        else:
-            phase |= pos == target
-            done = phase & (pos == second)
-        if done.any():
-            samples[idx[done]] = t
-            keep = ~done
-            idx, pos, keys_a, phase = idx[keep], pos[keep], keys_a[keep], phase[keep]
-        if t > cap:
-            raise StepLimitExceeded(f"hitting walk exceeded {cap} steps")
-    return samples
-
-
-def _tail_vector(graph, keys, u_local, v_local, target_visits, cap):
-    """Walks from u until the visit count at u reaches target_visits;
-    returns the visit counts at v at that stopping time."""
-    offsets, flat, degrees = graph.walk_tables()
     T = len(keys)
     out = np.zeros(T, dtype=np.int64)
-    if target_visits <= 1:
-        return out
-    degs_u = degrees.astype(np.uint64)
-    idx = np.arange(T)
-    pos = np.full(T, u_local, dtype=np.int64)
-    cu = np.ones(T, dtype=np.int64)
-    cv = np.zeros(T, dtype=np.int64)
-    keys_a = keys.copy()
-    t = 0
-    while idx.size:
-        r = _step_vals(keys_a, t)
-        step = (r % degs_u[pos]).astype(np.int64)
-        pos = flat[offsets[pos] + step]
-        t += 1
-        cu += pos == u_local
-        cv += pos == v_local
-        done = cu >= target_visits
-        if done.any():
-            out[idx[done]] = cv[done]
-            keep = ~done
-            idx, pos, cu, cv, keys_a = idx[keep], pos[keep], cu[keep], cv[keep], keys_a[keep]
-        if t > cap:
-            raise StepLimitExceeded(f"local-time walk exceeded {cap} steps")
+    width = max(1, _VISITED_BYTES // row_bytes) if row_bytes else T
+    for lo in range(0, T, width):
+        pos, keys_a = starts[lo:lo + width], keys[lo:lo + width]
+        part = out[lo:lo + width]
+        idx = np.arange(len(pos))
+        rule = make_rule(pos)
+        t = 0
+        while idx.size:
+            r = _step_vals(keys_a, t)
+            pos = flat[offsets[pos] + (r % degs_u[pos]).astype(np.int64)]
+            t += 1
+            done = rule.step(idx, pos)
+            if done.any():
+                part[idx[done]] = rule.value(t, done)
+                keep = ~done
+                idx, pos, keys_a = idx[keep], pos[keep], keys_a[keep]
+                rule.keep(keep)
+            if t > cap:
+                raise StepLimitExceeded(f"walk exceeded {cap} steps")
     return out
 
 
+class _VisitedRows:
+    """Cover: a trial is done once its visited row is full and, for
+    cover_return, it stands on its start again."""
+
+    def __init__(self, k, starts, need_return):
+        T = len(starts)
+        self.visited = np.zeros((T, k), dtype=bool)
+        self.visited[np.arange(T), starts] = True
+        self.unvis = np.full(T, k - 1, dtype=np.int64)
+        self.home = starts if need_return else None
+
+    def step(self, idx, pos):
+        fresh = ~self.visited[idx, pos]
+        if fresh.any():
+            self.visited[idx[fresh], pos[fresh]] = True
+            self.unvis -= fresh
+        if self.home is None:
+            return self.unvis == 0
+        return (self.unvis == 0) & (pos == self.home)
+
+    def value(self, t, done):
+        return t
+
+    def keep(self, keep):
+        self.unvis = self.unvis[keep]
+        if self.home is not None:
+            self.home = self.home[keep]
+
+
+class _WaypointRows:
+    """Hitting (one waypoint) or commute (target, then back at the start)."""
+
+    def __init__(self, waypoints, T):
+        self.waypoints = waypoints
+        self.phase = np.zeros(T, dtype=bool)
+
+    def step(self, idx, pos):
+        if len(self.waypoints) == 1:
+            return pos == self.waypoints[0]
+        self.phase |= pos == self.waypoints[0]
+        return self.phase & (pos == self.waypoints[1])
+
+    def value(self, t, done):
+        return t
+
+    def keep(self, keep):
+        self.phase = self.phase[keep]
+
+
+class _TailRows:
+    """Local-time tail: walks from u stop when their visits to u reach
+    target and report their visits to v."""
+
+    def __init__(self, u, v, target, T):
+        self.u, self.v, self.target = u, v, target
+        self.cu = np.ones(T, dtype=np.int64)
+        self.cv = np.zeros(T, dtype=np.int64)
+
+    def step(self, idx, pos):
+        self.cu += pos == self.u
+        self.cv += pos == self.v
+        return self.cu >= self.target
+
+    def value(self, t, done):
+        return self.cv[done]
+
+    def keep(self, keep):
+        self.cu, self.cv = self.cu[keep], self.cv[keep]
+
+
 # ---------------------------------------------------------------------------
-# scalar engine (identical streams, faster for few long walks)
+# scalar engine: rules see one chunk of positions of one walk
 
 
-def _cover_scalar(graph, start, key, need_return, cap):
+def _walk_scalar(graph, start, key, rule, cap):
+    """Stopping time of one walk from start under the rule."""
     offsets, flat, degs = graph.walk_tables_py()
-    k = graph.vertex_count
-    if k == 1:
-        return 0
-    visited = bytearray(k)
-    visited[start] = 1
-    unvis = k - 1
-    pos = start
-    t = 0
+    if degs[start] == 0:
+        raise ContractViolation("walk cannot move from an isolated vertex")
+    pos, t, n = start, 0, _FIRST_CHUNK
     while True:
-        for r in stream_chunk(key, t, _CHUNK).tolist():
-            pos = flat[offsets[pos] + r % degs[pos]]
-            t += 1
-            if visited[pos] == 0:
-                visited[pos] = 1
-                unvis -= 1
-                if unvis == 0 and not need_return:
-                    return t
-            elif unvis == 0 and need_return and pos == start:
-                return t
+        steps = stream_chunk(key, t, n).tolist()
+        path = [pos := flat[offsets[pos] + r % degs[pos]] for r in steps]
+        i = rule(np.array(path))
+        t += n if i is None else i + 1
         if t > cap:
-            raise StepLimitExceeded(f"cover walk exceeded {cap} steps")
+            raise StepLimitExceeded(f"walk exceeded {cap} steps")
+        if i is not None:
+            return t
+        n = min(2 * n, _CHUNK)
 
 
-def _hitting_scalar(graph, start, key, target, second, cap):
-    offsets, flat, degs = graph.walk_tables_py()
-    pos = start
-    t = 0
-    phase = False
-    while True:
-        for r in stream_chunk(key, t, _CHUNK).tolist():
-            pos = flat[offsets[pos] + r % degs[pos]]
-            t += 1
-            if not phase and pos == target:
-                if second is None:
-                    return t
-                phase = True
-            elif phase and pos == second:
-                return t
-        if t > cap:
-            raise StepLimitExceeded(f"hitting walk exceeded {cap} steps")
+class _Unvisited:
+    """Cover: done at the step that visits the last unvisited vertex or,
+    for cover_return, at the first return to the start after it."""
+
+    def __init__(self, k, start, need_return):
+        self.visited = np.zeros(k, dtype=bool)
+        self.visited[start] = True
+        self.unvis = k - 1
+        self.home = start if need_return else None
+
+    def __call__(self, path):
+        i = 0
+        if self.unvis:
+            fresh = np.flatnonzero(~self.visited[path])
+            new, first = np.unique(path[fresh], return_index=True)
+            if len(new) < self.unvis:
+                self.visited[new] = True
+                self.unvis -= len(new)
+                return None
+            self.unvis = 0
+            i = int(fresh[first].max())
+            if self.home is None:
+                return i
+        back = np.flatnonzero(path[i:] == self.home)
+        return i + int(back[0]) if back.size else None
 
 
-def _blanket_scalar(graph, start, key, cap):
-    """First time all local times are positive and within a factor of 2.
+class _WaypointScan:
+    """Hitting or commute: done at the first visit to the last waypoint
+    after the earlier ones, each strictly later than the one before."""
 
-    The start counts as a visit at time 0. Tracked with a lazy min-heap of
-    (visits, vertex) entries; entries go stale when a vertex is revisited.
+    def __init__(self, waypoints):
+        self.todo = list(waypoints)
+
+    def __call__(self, path):
+        i = 0
+        while (hits := np.flatnonzero(path[i:] == self.todo[0])).size:
+            i += int(hits[0])
+            del self.todo[0]
+            if not self.todo:
+                return i
+            i += 1
+        return None
+
+
+class _Blanket:
+    """Blanket: done at the first time all local times are positive and
+    within a factor of 2 (the start counts as a visit at time 0).
+
+    Until cover, visits are counted per chunk; after it, local times are
+    tracked step by step with a lazy min-heap of (local time, vertex,
+    visits) entries, which go stale when their vertex is revisited.
     """
-    offsets, flat, degs = graph.walk_tables_py()
-    k = graph.vertex_count
-    if k == 1:
-        return 0
-    counts = [0] * k
-    counts[start] = 1
-    unvis = k - 1
-    pos = start
-    t = 0
-    heap: list[tuple[float, int, int]] = []
-    max_l = 0.0
-    covered = False
-    while True:
-        for r in stream_chunk(key, t, _CHUNK).tolist():
-            pos = flat[offsets[pos] + r % degs[pos]]
-            t += 1
+
+    def __init__(self, graph, start):
+        self.degs = graph.degrees.tolist()
+        self.cover = _Unvisited(graph.vertex_count, start, False)
+        self.counts = np.zeros(graph.vertex_count, dtype=np.int64)
+        self.counts[start] = 1
+        self.heap = None
+
+    def __call__(self, path):
+        i = 0
+        if self.heap is None:
+            i = self.cover(path)
+            if i is None:
+                self.counts += np.bincount(path, minlength=len(self.degs))
+                return None
+            # counts before the covering step, which the loop below takes
+            self.counts = (self.counts + np.bincount(path[:i], minlength=len(self.degs))).tolist()
+            self.heap = [(c / d, vv, c) for vv, (c, d) in enumerate(zip(self.counts, self.degs))]
+            heapq.heapify(self.heap)
+            self.max_l = max(entry[0] for entry in self.heap)
+        counts, heap, degs, max_l = self.counts, self.heap, self.degs, self.max_l
+        for j, pos in enumerate(path[i:].tolist(), i):
             c = counts[pos] + 1
             counts[pos] = c
-            if c == 1:
-                unvis -= 1
-                if unvis == 0:
-                    covered = True
-                    heap = [(counts[vv] / degs[vv], vv, counts[vv]) for vv in range(k)]
-                    heapq.heapify(heap)
-                    max_l = max(entry[0] for entry in heap)
-            elif covered:
-                loc = c / degs[pos]
-                if loc > max_l:
-                    max_l = loc
-                heapq.heappush(heap, (loc, pos, c))
-            if covered:
-                while heap[0][2] != counts[heap[0][1]]:
-                    heapq.heappop(heap)
-                if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
-                    return t
-        if t > cap:
-            raise StepLimitExceeded(f"blanket walk exceeded {cap} steps")
+            loc = c / degs[pos]
+            if loc > max_l:
+                max_l = loc
+            heapq.heappush(heap, (loc, pos, c))
+            while heap[0][2] != counts[heap[0][1]]:
+                heapq.heappop(heap)
+            if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
+                return j
+        self.max_l = max_l
+        return None
+
+
+class _Checkpoints:
+    """Trace: copies the visit counts at each checkpoint time (sorted) and
+    stops at the last one."""
+
+    def __init__(self, k, start, checkpoints):
+        self.cps = checkpoints
+        self.counts = np.zeros(k, dtype=np.int64)
+        self.counts[start] = 1
+        self.out = np.zeros((len(checkpoints), k), dtype=np.int64)
+        self.t = self.j = 0
+        self(np.zeros(0, dtype=np.int64))  # the checkpoints at time 0
+
+    def __call__(self, path):
+        k = len(self.counts)
+        i = 0
+        while self.j < len(self.cps) and self.cps[self.j] - self.t <= len(path):
+            c = self.cps[self.j] - self.t
+            self.counts += np.bincount(path[i:c], minlength=k)
+            self.out[self.j] = self.counts
+            self.j += 1
+            i = c
+        if self.j == len(self.cps):
+            return i - 1
+        self.counts += np.bincount(path[i:], minlength=k)
+        self.t += len(path)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -269,26 +331,28 @@ def _stationary_starts(graph, keys) -> np.ndarray:
     return np.searchsorted(cum, r.astype(np.int64), side="right").astype(np.int64)
 
 
-def _run_batch(graph, quantity, starts, keys, target, second, cap):
-    """Dispatch one batch of trials to the right engine."""
-    T = len(keys)
-    if quantity == "blanket":
-        return np.array(
-            [_blanket_scalar(graph, int(starts[i]), int(keys[i]), cap) for i in range(T)],
-            dtype=np.int64,
-        )
-    if quantity in ("cover", "cover_return"):
+def _run_batch(graph, quantity, starts, keys, waypoints, cap):
+    """Samples of one batch of trials, on the engine the quantity and the
+    trial count select."""
+    k = graph.vertex_count
+    row_bytes = 0
+    if waypoints is not None:
+        vector_rule = lambda s: _WaypointRows(waypoints, len(s))
+        scalar_rule = lambda s: _WaypointScan(waypoints)
+    elif k == 1:
+        return np.zeros(len(keys), dtype=np.int64)
+    elif quantity == "blanket":
+        vector_rule, scalar_rule = None, lambda s: _Blanket(graph, s)
+    else:
         need_return = quantity == "cover_return"
-        if T >= VECTOR_THRESHOLD:
-            return _cover_vector(graph, starts, keys, need_return, cap)
-        return np.array(
-            [_cover_scalar(graph, int(starts[i]), int(keys[i]), need_return, cap) for i in range(T)],
-            dtype=np.int64,
-        )
-    if T >= VECTOR_THRESHOLD:
-        return _hitting_vector(graph, starts, keys, target, second, cap)
+        vector_rule = lambda s: _VisitedRows(k, s, need_return)
+        scalar_rule = lambda s: _Unvisited(k, s, need_return)
+        row_bytes = k
+    if vector_rule is not None and len(keys) >= VECTOR_THRESHOLD:
+        return _walk_vector(graph, starts, keys, vector_rule, cap, row_bytes)
     return np.array(
-        [_hitting_scalar(graph, int(starts[i]), int(keys[i]), target, second, cap) for i in range(T)],
+        [_walk_scalar(graph, s, key, scalar_rule(s), cap)
+         for s, key in zip(starts.tolist(), keys.tolist())],
         dtype=np.int64,
     )
 
@@ -316,7 +380,8 @@ def simulate(
     start_policy is one of "fixed" (requires start), "stationary" (start
     drawn from the degree distribution per trial), or
     "worst_over_all_starts" (size <= 64 only: runs the full trial set from
-    every start and reports the maximum mean).
+    every start and reports the maximum mean). Hitting and commute always
+    start at u.
     """
     if quantity not in QUANTITIES:
         raise ContractViolation(f"unknown quantity {quantity!r}")
@@ -326,6 +391,7 @@ def simulate(
     k = g.vertex_count
     cap = step_cap if step_cap is not None else _default_cap(component)
     keys = trial_keys(master_seed, trials)
+    waypoints, extra = None, {}
 
     if quantity in ("hitting", "commute"):
         if u is None or v is None:
@@ -336,96 +402,37 @@ def simulate(
             raise ContractViolation("commute requires u != v")
         if g.degree(a) == 0:
             raise ContractViolation("walk cannot move from an isolated vertex")
-        target, second = (b, None) if quantity == "hitting" else (b, a)
-        starts = np.full(trials, a, dtype=np.int64)
-        samples = _run_batch(g, quantity, starts, keys, target, second, cap)
-        return _make_estimate(
-            quantity, f"fixed({u})", samples, trials, master_seed, keep_samples,
-            start=u, u=u, v=v,
-        )
-
-    if k > 1 and int(g.degrees.min()) == 0:
+        waypoints = (b,) if quantity == "hitting" else (b, a)
+        start_policy, start, extra = "fixed", u, {"u": u, "v": v}
+    elif k > 1 and int(g.degrees.min()) == 0:
         raise ContractViolation("component has an isolated vertex; walk is stuck")
+
+    def run(s_local):
+        """Samples from s_local, or from per-trial stationary starts if None."""
+        starts = np.full(trials, s_local, dtype=np.int64) if s_local is not None \
+            else _stationary_starts(g, keys)
+        return _run_batch(g, quantity, starts, keys, waypoints, cap)
 
     if start_policy in ("worst", "worst_over_all_starts"):
         if k > WORST_START_LIMIT:
             raise ContractViolation(
                 f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
             )
-        best = None
-        for s_local in range(k):
-            starts = np.full(trials, s_local, dtype=np.int64)
-            samples = _run_batch(g, quantity, starts, keys, None, None, cap)
-            mean = float(samples.mean())
-            if best is None or mean > best[0]:
-                best = (mean, s_local, samples)
-        _, s_local, samples = best
-        return _make_estimate(
-            quantity, "worst_over_all_starts", samples, trials, master_seed,
-            keep_samples, start=component.to_original(s_local),
-        )
-
-    if start_policy == "stationary":
-        starts = _stationary_starts(g, keys)
-        samples = _run_batch(g, quantity, starts, keys, None, None, cap)
-        return _make_estimate(
-            quantity, "stationary", samples, trials, master_seed, keep_samples,
-        )
-
-    if start_policy != "fixed":
+        # the first start with the largest mean
+        samples, s_local = max(((run(s), s) for s in range(k)), key=lambda r: float(r[0].mean()))
+        policy, start = "worst_over_all_starts", component.to_original(s_local)
+    elif start_policy == "stationary":
+        samples, policy, start = run(None), "stationary", None
+    elif start_policy != "fixed":
         raise ContractViolation(f"unknown start_policy {start_policy!r}")
-    if start is None:
+    elif start is None:
         raise ContractViolation("fixed start_policy requires start")
-    s_local = component.to_local(start)
-    starts = np.full(trials, s_local, dtype=np.int64)
-    samples = _run_batch(g, quantity, starts, keys, None, None, cap)
-    return _make_estimate(
-        quantity, f"fixed({start})", samples, trials, master_seed, keep_samples,
-        start=start,
-    )
-
-
-def worst_start_heuristic(
-    component: ComponentView,
-    quantity: str = "cover",
-    *,
-    trials: int = 1000,
-    master_seed: int = 0,
-    keep_samples: bool = True,
-    step_cap: int | None = None,
-) -> WalkEstimate:
-    """Heuristic stand-in for worst_over_all_starts on large components:
-    run the trial set from both endpoints of the resistance-diameter pair
-    and report the larger mean. Always a lower bound on the worst-start
-    value, and labeled as such in the policy string."""
-    if quantity not in ("cover", "cover_return", "blanket"):
-        raise ContractViolation("worst-start heuristic applies to cover-type quantities")
-    diam = resistance_diameter(ResistanceOracle(component))
-    best = None
-    for start in sorted(set(diam.pair)):
-        est = simulate(
-            component, quantity, start_policy="fixed", start=start,
-            trials=trials, master_seed=master_seed, keep_samples=keep_samples,
-            step_cap=step_cap,
-        )
-        if best is None or est.mean > best.mean:
-            best = est
-    best.start_policy = f"diameter_endpoint_max({best.start}); heuristic lower bound on worst start"
-    return best
-
-
-def _make_estimate(quantity, policy, samples, trials, master_seed, keep, **extra):
-    mean = float(samples.mean())
+    else:
+        samples, policy = run(component.to_local(start)), f"fixed({start})"
     std_err = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return WalkEstimate(
-        quantity=quantity,
-        start_policy=policy,
-        mean=mean,
-        std_err=std_err,
-        trials=trials,
-        master_seed=master_seed,
-        samples=samples if keep else None,
-        **extra,
+        quantity, policy, float(samples.mean()), std_err, trials, master_seed,
+        samples if keep_samples else None, start, **extra,
     )
 
 
@@ -520,7 +527,11 @@ def local_time_tail_check(
     target = max(1, math.ceil(k_level * d_u - 1e-9))
     cap = step_cap if step_cap is not None else _default_cap(component) * max(1, target)
     keys = trial_keys(master_seed, trials)
-    cv = _tail_vector(g, keys, a, b, target, cap)
+    if target > 1:
+        cv = _walk_vector(g, np.full(trials, a, dtype=np.int64), keys,
+                          lambda s: _TailRows(a, b, target, len(s)), cap)
+    else:
+        cv = np.zeros(trials, dtype=np.int64)
     gap = target / d_u - cv / d_v
     r_uv = ResistanceOracle(component).resistance(u, v)
     points = []
@@ -551,30 +562,15 @@ def trace_local_times(
     master_seed: int,
     trial: int = 0,
 ) -> LocalTimeTrace:
+    """Visit counts at each checkpoint time of one walk (trial `trial` of
+    master_seed), the start counting as a visit at time 0."""
     g = component.graph
-    offsets, flat, degs = g.walk_tables_py()
-    k = g.vertex_count
     cps = tuple(sorted(int(c) for c in checkpoints))
     if cps and cps[0] < 0:
         raise ContractViolation("checkpoints must be >= 0")
     key = int(trial_keys(master_seed, trial + 1)[-1])
-    counts = np.zeros(k, dtype=np.int64)
-    pos = component.to_local(start)
-    counts[pos] += 1
-    out = np.zeros((len(cps), k), dtype=np.int64)
-    t = 0
-    cp_iter = 0
-    while cp_iter < len(cps) and cps[cp_iter] == 0:
-        out[cp_iter] = counts
-        cp_iter += 1
-    while cp_iter < len(cps):
-        for r in stream_chunk(key, t, _CHUNK).tolist():
-            pos = flat[offsets[pos] + r % degs[pos]]
-            t += 1
-            counts[pos] += 1
-            while cp_iter < len(cps) and cps[cp_iter] == t:
-                out[cp_iter] = counts
-                cp_iter += 1
-            if cp_iter == len(cps):
-                break
-    return LocalTimeTrace(cps, out, g.degrees.copy())
+    s = component.to_local(start)
+    rule = _Checkpoints(g.vertex_count, s, cps)
+    if rule.j < len(cps):
+        _walk_scalar(g, s, key, rule, cps[-1])
+    return LocalTimeTrace(cps, rule.out, g.degrees.copy())

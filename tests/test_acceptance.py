@@ -9,6 +9,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from scipy.stats import chi2
 
 import oracles as oc
@@ -146,6 +147,7 @@ def _corpus():
     yield "torus100", percolate(BaseGraphSpec.torus(100, 2, 0.55), 7)[1], 10
 
 
+@pytest.mark.slow
 def test_criterion_04_bound_sandwich_corpus():
     failures = []
     sizes = []
@@ -234,6 +236,7 @@ def test_criterion_08_critical_window_band():
     assert ok
 
 
+@pytest.mark.slow
 def test_criterion_09_tree_scaling_band():
     rep = gw_scaling_suite([256, 1024, 4096], seeds=20, trials=8, master_seed=2026)
     ok = 1.3 <= rep.fitted_exponent <= 1.7 and rep.all_cells_sandwiched()

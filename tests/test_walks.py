@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from covertime import (
     ContractViolation,
     MultiGraph,
     ResistanceOracle,
+    StepLimitExceeded,
     complete_graph,
+    connected_components,
     cycle_graph,
     exact_cover_time,
     exact_cover_time_worst,
@@ -22,6 +25,7 @@ from covertime import (
     trace_local_times,
     uniform_labeled_tree,
 )
+from covertime import walks
 
 
 def comp(g: MultiGraph) -> ComponentView:
@@ -97,12 +101,31 @@ class TestSimulateCover:
                 bad += 1
         assert bad <= 1
 
-    def test_engines_agree_exactly(self):
+    @pytest.mark.parametrize("quantity", ["cover", "cover_return", "hitting", "commute"])
+    def test_engines_agree_exactly(self, quantity):
         # scalar (trials < threshold) and vector engines share streams
         c = comp(cycle_graph(6))
-        lo = simulate(c, "cover", start_policy="fixed", start=0, trials=50, master_seed=9)
-        hi = simulate(c, "cover", start_policy="fixed", start=0, trials=500, master_seed=9)
+        kw = dict(start=0, u=0, v=3) if quantity in ("hitting", "commute") else dict(start=0)
+        lo = simulate(c, quantity, trials=50, master_seed=9, **kw)
+        hi = simulate(c, quantity, trials=500, master_seed=9, **kw)
         assert np.array_equal(lo.samples, hi.samples[:50])
+
+    def test_vector_slices_agree(self, monkeypatch):
+        # the visited matrix is bounded by running trials in slices
+        c = comp(cycle_graph(9))
+        whole = simulate(c, "cover_return", start=2, trials=700, master_seed=4)
+        monkeypatch.setattr(walks, "_VISITED_BYTES", 9 * 100)
+        sliced = simulate(c, "cover_return", start=2, trials=700, master_seed=4)
+        assert np.array_equal(whole.samples, sliced.samples)
+
+    @pytest.mark.parametrize("trials", [50, 300])
+    def test_step_cap_is_exact_on_both_engines(self, trials):
+        c = comp(path_graph(12))
+        longest = int(simulate(c, "cover", start=5, trials=trials, master_seed=3).samples.max())
+        capped = simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest)
+        assert int(capped.samples.max()) == longest
+        with pytest.raises(StepLimitExceeded):
+            simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest - 1)
 
     def test_reruns_bit_exact(self):
         c = comp(star_graph(5))
@@ -187,17 +210,6 @@ class TestOtherQuantities:
         assert est.to_dict()["start_policy"] == "fixed(0)"
 
 
-class TestWorstStartHeuristic:
-    def test_labeled_and_bounded_by_true_worst(self):
-        from covertime import worst_start_heuristic
-        c = comp(path_graph(9))
-        est = worst_start_heuristic(c, trials=2000, master_seed=21)
-        assert "heuristic lower bound" in est.start_policy
-        # diameter endpoints of a path are its ends; true worst is the middle
-        true_worst = exact_cover_time_worst(c)
-        assert est.mean <= true_worst + 3 * est.std_err
-
-
 class TestLocalTimeTail:
     def test_lambda_zero_trivial(self):
         pts = local_time_tail_check(comp(path_graph(3)), 0, 2, 4.0, [0.0],
@@ -229,3 +241,92 @@ class TestLocalTimeTrace:
         lt = tr.local_times()
         assert lt.shape == (1, 4)
         assert lt[0, 0] == tr.visit_counts[0, 0] / 3
+
+    def test_single_vertex_component(self):
+        c = connected_components(MultiGraph(1, []))[0]
+        tr = trace_local_times(c, 0, [0, 0], master_seed=0)
+        assert tr.visit_counts.tolist() == [[1], [1]]
+        with pytest.raises(ContractViolation):
+            trace_local_times(c, 0, [0, 5], master_seed=0)
+
+
+# sha256 of sample arrays for each quantity, engine and start policy: a
+# change to an engine or a stop rule must reproduce them bit for bit.
+_LOOPY = comp(MultiGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0),
+                             (0, 3, 2), (2, 2), (5, 1)]))
+_PATH100 = comp(path_graph(100))  # walks that cross several scalar chunks
+
+
+def _sim(c, quantity, trials, seed, **kw):
+    return simulate(c, quantity, trials=trials, master_seed=seed, **kw).samples
+
+
+PINNED = {
+    "cover-scalar": (
+        lambda: _sim(_LOOPY, "cover", 100, 1, start=2),
+        "293ffad7c761f3cd9d3ca560f01bc21670ddc6ca0e72fecbffd07d80fc278994"),
+    "cover-vector": (
+        lambda: _sim(_LOOPY, "cover", 300, 1, start=2),
+        "e86e317452b6b1f21240c93775b53baf9e5d02b7b95a9effb598833fb35c67fd"),
+    "cover-long-scalar": (
+        lambda: _sim(_PATH100, "cover", 6, 2, start=40),
+        "136c23a3aeec82e9b54c1f6bbb2630660262e79224e1d7afe5f2e326a71c4e9b"),
+    "cover-long-vector": (
+        lambda: _sim(_PATH100, "cover", 256, 2, start=40),
+        "b3ac1f357440a05d5014fb60f6eccb543ea09c5d06c51787d80cd95917358497"),
+    "cover_return-scalar": (
+        lambda: _sim(_LOOPY, "cover_return", 100, 3, start=6),
+        "12936a3dafebb4a423e3178c66e1bf9dc4afce6d9d005b618a5e81ef79191e67"),
+    "cover_return-vector": (
+        lambda: _sim(_LOOPY, "cover_return", 300, 3, start=6),
+        "a89beb81b9d4e6ca66bcfe10fb0b3ce062acac1f943e1fef721b1d202eab49ea"),
+    "cover-stationary-scalar": (
+        lambda: _sim(_LOOPY, "cover", 100, 4, start_policy="stationary"),
+        "f0bb42bf1e53165d390f616f7a1c5f5575e1aaf7e104f8f4f9eb90ad8f0f4bf9"),
+    "cover-stationary-vector": (
+        lambda: _sim(_LOOPY, "cover", 400, 4, start_policy="stationary"),
+        "1a2b053cc78defc34af70def56240f4879ff2c07693a63d3dd387323a5d902b3"),
+    "cover-worst": (
+        lambda: _sim(_LOOPY, "cover", 50, 5, start_policy="worst_over_all_starts"),
+        "5336aa0a24358eb998304cdd02ca167d46ad3cdc93182c685bf402c1e82b73c9"),
+    "hitting-scalar": (
+        lambda: _sim(_LOOPY, "hitting", 100, 6, u=0, v=4),
+        "918b4e1f6cf803413650d0d0358b4feb07d1776f29c50e032e0dc76beffd2fee"),
+    "hitting-vector": (
+        lambda: _sim(_LOOPY, "hitting", 300, 6, u=0, v=4),
+        "ba7908058afc870dfa07b73098a9d7314e02ce74f63bebbbc0e02d027b7078dc"),
+    "return-scalar": (
+        lambda: _sim(_LOOPY, "hitting", 100, 7, u=2, v=2),
+        "e3655e5b71e2ca813f45238e7d563046eaaac0ebe65aff1ad1252226313de987"),
+    "commute-scalar": (
+        lambda: _sim(_LOOPY, "commute", 100, 8, u=1, v=6),
+        "bcea1e616c452a6093feb55cc25f2b30395f95790c0122bd7a7dfd9ff66963fb"),
+    "commute-vector": (
+        lambda: _sim(_LOOPY, "commute", 300, 8, u=1, v=6),
+        "f6ce01661b6fcad7ee05a3f80d3245f988e96090b7ec1b573672f858fbec3e11"),
+    "commute-long-scalar": (
+        lambda: _sim(_PATH100, "commute", 4, 9, u=0, v=99),
+        "24c7f76f09662968184b9652559e7bd2fa3d71badd453f99b0b99648ce8bf02d"),
+    "blanket": (
+        lambda: _sim(_LOOPY, "blanket", 60, 10, start=0),
+        "5a811734a58352ba03ceab8064ff76aa264dd51b99064e66a1cca352a8cbc2d5"),
+    "blanket-long": (
+        lambda: _sim(comp(path_graph(30)), "blanket", 5, 11, start=0),
+        "2b50be7a13c000a45f8fd4f2eea9a844a5c102fd5017be731fa4469a80ab6813"),
+    "trace": (
+        lambda: trace_local_times(_LOOPY, 3, [0, 3, 3, 255, 256, 257, 5000, 12000],
+                                  master_seed=12, trial=2).visit_counts,
+        "351753477ec27b6af2a942bb78ec1ab7648429092ea54520d679daf8185ce034"),
+    "tail": (
+        lambda: [np.float64(p.empirical_prob).view(np.int64) for p in
+                 local_time_tail_check(_LOOPY, 0, 4, 6.0, [0.5, 1.0, 2.0],
+                                       trials=3000, master_seed=13)],
+        "832f6f06ffde34d23accbc7195e086cfa2f901060a1431fbc5a826577f00e68c"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_pinned_samples(case):
+    compute, expected = PINNED[case]
+    data = np.ascontiguousarray(compute(), dtype="<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == expected
