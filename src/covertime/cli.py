@@ -3,8 +3,8 @@
 Subcommands: bound, simulate, evolution, gw-scaling, edge-add, generate.
 Global flags: --seed, --trials, --json PATH, --csv PATH, --threads N.
 Exit codes: 0 success, 2 input contract violation, 3 assertion failure in
-exact mode. --threads affects wall time only; output bytes never depend
-on it.
+exact mode. --threads is accepted for compatibility and ignored: suites
+run their cells one after another.
 """
 from __future__ import annotations
 
@@ -161,7 +161,6 @@ def _cmd_evolution(args) -> int:
         args.seed,
         lam=args.lam,
         eps_power=args.eps_power,
-        threads=args.threads,
     )
     payload = report.to_dict()
     rows = [
@@ -180,7 +179,6 @@ def _cmd_gw_scaling(args) -> int:
         args.seeds,
         args.trials,
         args.seed,
-        threads=args.threads,
     )
     payload = report.to_dict()
     rows = [
@@ -248,7 +246,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--csv", help="write tabular rows to this path",
                    **({"default": d} if suppress else {"default": None}))
     p.add_argument("--threads", type=int,
-                   help="worker threads; affects speed only, never results",
+                   help="ignored; suites run their cells one after another",
                    **({"default": d} if suppress else {"default": 1}))
 
 

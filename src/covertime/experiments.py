@@ -1,13 +1,12 @@
 """Experiment orchestration: bound reports, scaling suites, edge addition.
 
-Suites fan out over (size, seed) cells; each cell is a pure function of
-the master seed, so reports are byte-identical across reruns and across
-worker counts. Thread counts affect wall time only.
+Suites run their (size, seed) cells one after another in one process;
+each cell is a pure function of the master seed, so reports are
+byte-identical across reruns.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -226,6 +225,9 @@ def cooper_frieze_phi(c: float) -> float:
     return c * x * (2.0 - x) / (4.0 * (c * x - math.log(c)))
 
 
+_REGIME_NAMES = {"a": "subcritical", "b": "critical", "c": "supercritical"}
+
+
 def _regime_settings(regime: str, n: int, lam: float, eps_power: float):
     if regime == "a":
         eps = n ** (-eps_power)
@@ -243,12 +245,57 @@ def _regime_settings(regime: str, n: int, lam: float, eps_power: float):
     return p, law
 
 
-def _run_cells(cell_fn: Callable, keys: list, threads: int) -> dict:
-    if threads <= 1:
-        return {key: cell_fn(key) for key in keys}
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(cell_fn, keys))
-    return dict(zip(keys, results))
+def _scaling_suite(
+    x_grid: Sequence[int],
+    seeds: int,
+    cell: Callable[[int, int], CellResult | None],
+    law: Callable[[int], float],
+    abscissa: Callable[[int], float],
+    reference: Callable[[int], float] | None,
+    *,
+    regime: str,
+    x_name: str,
+    params: dict,
+    master_seed: int,
+) -> ScalingReport:
+    """Serial loop shared by both scaling suites: ``cell(x, s)`` for every grid
+    point and seed index in grid order (None marks an unusable sample), a
+    row of per-x medians, and the log-log fit of median cover time against
+    ``abscissa(x)``."""
+    rows = []
+    cells = []
+    for x in x_grid:
+        got = []
+        for s in range(seeds):
+            result = cell(x, s)
+            if result is not None:
+                got.append(result)
+                cells.append({x_name: x, "seed_index": s, **result.to_dict()})
+        if not got:
+            raise DegenerateModelError(f"no usable component at {x_name}={x}")
+        rows.append(
+            ScalingRow(
+                x=x,
+                seeds=len(got),
+                median_cover=float(np.median([c.cover_mean for c in got])),
+                median_upper_clean=float(np.median([c.upper_clean for c in got])),
+                median_kklv_lower=float(np.median([c.kklv_lower for c in got])),
+                median_upper_theorem=float(np.median([c.upper_theorem for c in got])),
+                law=law(x),
+                reference=None if reference is None else reference(x),
+            )
+        )
+    slope, ci = fit_loglog([abscissa(row.x) for row in rows], [row.median_cover for row in rows])
+    return ScalingReport(
+        regime=regime,
+        x_name=x_name,
+        params=params,
+        rows=rows,
+        fitted_exponent=slope,
+        fitted_ci=ci,
+        master_seed=master_seed,
+        cells=cells,
+    )
 
 
 def evolution_suite(
@@ -260,7 +307,6 @@ def evolution_suite(
     *,
     lam: float = 0.0,
     eps_power: float = 0.25,
-    threads: int = 1,
 ) -> ScalingReport:
     """Largest-component cover-time scaling for the three density regimes:
     (a) below the window, (b) inside it, (c) above it. The predicted law
@@ -270,9 +316,10 @@ def evolution_suite(
         raise ContractViolation("n_grid needs >= 3 points")
     if seeds < 1 or trials < 1:
         raise ContractViolation("seeds and trials must be >= 1")
+    if regime not in _REGIME_NAMES:
+        raise ContractViolation(f"unknown regime {regime!r}")
 
-    def cell(key):
-        n, s = key
+    def cell(n, s):
         p, _ = _regime_settings(regime, n, lam, eps_power)
         g = gnp(n, p, derive_seed(master_seed, 101, n, s))
         comp = connected_components(g)[0]
@@ -282,40 +329,16 @@ def evolution_suite(
             comp, trials=trials, master_seed=derive_seed(master_seed, 202, n, s)
         )
 
-    keys = [(n, s) for n in n_grid for s in range(seeds)]
-    results = _run_cells(cell, keys, threads)
-    rows = []
-    cells = []
-    medians = []
-    for n in n_grid:
-        got = [results[(n, s)] for s in range(seeds) if results[(n, s)] is not None]
-        if not got:
-            raise DegenerateModelError(f"no usable component at n={n}")
-        covers = np.array([c.cover_mean for c in got])
-        _, law = _regime_settings(regime, n, lam, eps_power)
-        reference = None
-        if regime == "c":
-            eps = n ** (-eps_power)
-            reference = cooper_frieze_phi(1.0 + eps) * n * math.log(n) ** 2
-        rows.append(
-            ScalingRow(
-                x=n,
-                seeds=len(got),
-                median_cover=float(np.median(covers)),
-                median_upper_clean=float(np.median([c.upper_clean for c in got])),
-                median_kklv_lower=float(np.median([c.kklv_lower for c in got])),
-                median_upper_theorem=float(np.median([c.upper_theorem for c in got])),
-                law=law,
-                reference=reference,
-            )
-        )
-        medians.append(float(np.median(covers)))
-        for s in range(seeds):
-            if results[(n, s)] is not None:
-                cells.append({"n": n, "seed_index": s, **results[(n, s)].to_dict()})
-    slope, ci = fit_loglog([row.law for row in rows], medians)
-    return ScalingReport(
-        regime={"a": "subcritical", "b": "critical", "c": "supercritical"}[regime],
+    def law(n):
+        return _regime_settings(regime, n, lam, eps_power)[1]
+
+    def cooper_frieze_reference(n):
+        return cooper_frieze_phi(1.0 + n ** (-eps_power)) * n * math.log(n) ** 2
+
+    return _scaling_suite(
+        n_grid, seeds, cell, law, law,
+        cooper_frieze_reference if regime == "c" else None,
+        regime=_REGIME_NAMES[regime],
         x_name="n",
         params={
             "regime": regime,
@@ -325,11 +348,7 @@ def evolution_suite(
             "lambda": float(lam),
             "eps_power": float(eps_power),
         },
-        rows=rows,
-        fitted_exponent=slope,
-        fitted_ci=ci,
         master_seed=master_seed,
-        cells=cells,
     )
 
 
@@ -338,46 +357,23 @@ def gw_scaling_suite(
     seeds: int,
     trials: int,
     master_seed: int,
-    *,
-    threads: int = 1,
 ) -> ScalingReport:
     """Cover-time scaling on uniform labeled trees; the predicted law is
     k^(3/2)."""
     if len(k_grid) < 3:
         raise ContractViolation("k_grid needs >= 3 points")
+    if seeds < 1 or trials < 1:
+        raise ContractViolation("seeds and trials must be >= 1")
 
-    def cell(key):
-        k, s = key
+    def cell(k, s):
         tree = uniform_labeled_tree(k, derive_seed(master_seed, 303, k, s))
         comp = connected_components(tree)[0]
         return evaluate_cell(
             comp, trials=trials, master_seed=derive_seed(master_seed, 404, k, s)
         )
 
-    keys = [(k, s) for k in k_grid for s in range(seeds)]
-    results = _run_cells(cell, keys, threads)
-    rows = []
-    cells = []
-    medians = []
-    for k in k_grid:
-        got = [results[(k, s)] for s in range(seeds)]
-        covers = np.array([c.cover_mean for c in got])
-        rows.append(
-            ScalingRow(
-                x=k,
-                seeds=seeds,
-                median_cover=float(np.median(covers)),
-                median_upper_clean=float(np.median([c.upper_clean for c in got])),
-                median_kklv_lower=float(np.median([c.kklv_lower for c in got])),
-                median_upper_theorem=float(np.median([c.upper_theorem for c in got])),
-                law=float(k) ** 1.5,
-            )
-        )
-        medians.append(float(np.median(covers)))
-        for s in range(seeds):
-            cells.append({"k": k, "seed_index": s, **results[(k, s)].to_dict()})
-    slope, ci = fit_loglog([float(k) for k in k_grid], medians)
-    return ScalingReport(
+    return _scaling_suite(
+        k_grid, seeds, cell, lambda k: float(k) ** 1.5, float, None,
         regime="gw_tree",
         x_name="k",
         params={
@@ -385,11 +381,7 @@ def gw_scaling_suite(
             "seeds": int(seeds),
             "trials": int(trials),
         },
-        rows=rows,
-        fitted_exponent=slope,
-        fitted_ci=ci,
         master_seed=master_seed,
-        cells=cells,
     )
 
 

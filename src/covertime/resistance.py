@@ -2,17 +2,16 @@
 
 Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
-metric. All queries go through one factorization of the Laplacian grounded
-at the component's smallest vertex id. Up to ``DENSE_LIMIT`` vertices (a
-caller may lower the limit, never raise it) that is a dense Cholesky
-factorization whose full inverse gives every row and an exact resistance
-diameter. Above it, where the k^2 inverse no longer fits in memory, it is
-a sparse LU factorization that solves rows on demand, and the diameter is
-a farthest-point sweep lower bound.
+metric. All queries go through the Laplacian grounded at the component's
+smallest vertex id. Up to ``DENSE_LIMIT`` vertices (a caller may lower the
+limit, never raise it) the oracle computes the full grounded inverse once,
+by dense Cholesky, and keeps only that inverse: it gives every row and an
+exact resistance diameter. Above it, where the k^2 inverse no longer fits
+in memory, a sparse LU factorization solves rows on demand, and the
+diameter is a farthest-point sweep lower bound.
 """
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -35,6 +34,11 @@ BALL_RTOL = 1e-9
 BALL_ATOL = 1e-12
 
 
+def _tie_floor(best: float) -> float:
+    """Smallest value that counts as tied with the maximum ``best``."""
+    return best - (best * BALL_RTOL + BALL_ATOL)
+
+
 class DiameterResult(NamedTuple):
     value: float
     pair: tuple[int, int]
@@ -55,9 +59,10 @@ class ResistanceOracle:
 
     Public methods take original (parent-graph) vertex ids. The grounded
     vertex is local index 0, i.e. the smallest original id in the
-    component. ``resistances_from`` and the diameter search trigger a
-    one-off computation of the grounded inverse's diagonal (full inverse
-    in the dense regime), after which row queries are cheap.
+    component. A dense oracle computes the grounded inverse M and its
+    diagonal in the constructor and holds nothing else. A sparse oracle
+    holds the LU factor, caches the columns it solves, and computes the
+    diagonal on the first ``resistances_from`` or diameter query.
 
     ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
     rejected before anything is allocated.
@@ -78,12 +83,6 @@ class ResistanceOracle:
         self._cols: dict[int, np.ndarray] = {}
         self._diag: np.ndarray | None = None
         self._M: np.ndarray | None = None
-        # queries are read-only after construction except for these caches
-        self._lock = threading.Lock()
-        if k == 1:
-            self._factor = None
-            self._lu = None
-            return
         rows, cols, vals = [], [], []
         for u, v, m in g.edges:
             if u == v:
@@ -93,17 +92,23 @@ class ResistanceOracle:
             vals += [-float(m), -float(m), float(m), float(m)]
         lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsc()
         grounded = lap[1:, 1:]
-        if self.dense:
-            self._factor = scipy.linalg.cho_factor(grounded.toarray(), lower=True)
-            self._lu = None
-        else:
-            self._factor = None
+        if not self.dense:
             self._lu = scipy.sparse.linalg.splu(grounded.tocsc())
+            return
+        # factor and solve in place, and drop the factor before M is
+        # allocated: at most two k^2 arrays are live at once
+        chol = scipy.linalg.cholesky(grounded.toarray(order="F"), lower=True, overwrite_a=True)
+        inv = scipy.linalg.cho_solve((chol, True), np.eye(k - 1, order="F"), overwrite_b=True)
+        del chol
+        self._M = np.zeros((k, k), dtype=np.float64)
+        self._M[1:, 1:] = inv
+        self._diag = np.ascontiguousarray(np.diag(self._M))
 
     # -- local-id internals -------------------------------------------------
 
     def _solve_block(self, locals_: Sequence[int]) -> np.ndarray:
-        """Columns of the grounded inverse, embedded to full size (k, b)."""
+        """Columns of the grounded inverse, embedded to full size (k, b).
+        Sparse oracles only."""
         k = self.size
         out = np.zeros((k, len(locals_)), dtype=np.float64)
         nonground = [(j, v) for j, v in enumerate(locals_) if v != 0]
@@ -112,63 +117,41 @@ class ResistanceOracle:
         rhs = np.zeros((k - 1, len(nonground)), dtype=np.float64)
         for slot, (_, v) in enumerate(nonground):
             rhs[v - 1, slot] = 1.0
-        if self.dense:
-            sol = scipy.linalg.cho_solve(self._factor, rhs)
-        else:
-            sol = self._lu.solve(rhs)
-            if sol.ndim == 1:
-                sol = sol[:, None]
+        sol = self._lu.solve(rhs)
+        if sol.ndim == 1:
+            sol = sol[:, None]
         for slot, (j, _) in enumerate(nonground):
             out[1:, j] = sol[:, slot]
         return out
 
     def _col(self, v: int, cache: bool = True) -> np.ndarray:
+        """Column v of the grounded inverse; row v of M on the dense path
+        (equal by symmetry, and the same bytes the row queries read)."""
+        if self._M is not None:
+            return self._M[v]
         hit = self._cols.get(v)
         if hit is not None:
             return hit
         col = self._solve_block([v])[:, 0]
         if cache:
-            with self._lock:
-                self._cols.setdefault(v, col)
+            self._cols[v] = col
         return col
-
-    def _grounded_inverse(self) -> np.ndarray:
-        if self._M is None:
-            k = self.size
-            M = np.zeros((k, k), dtype=np.float64)
-            if k > 1:
-                # solve in place in a Fortran-ordered identity: one k^2 buffer fewer
-                eye = np.eye(k - 1, order="F")
-                M[1:, 1:] = scipy.linalg.cho_solve(self._factor, eye, overwrite_b=True)
-            with self._lock:
-                if self._M is None:
-                    self._diag = np.ascontiguousarray(np.diag(M))
-                    self._M = M
-        return self._M
 
     def diag_local(self) -> np.ndarray:
         """Diagonal of the grounded inverse (R to the ground vertex)."""
         if self._diag is None:
-            if self.dense:
-                self._grounded_inverse()
-            else:
-                k = self.size
-                diag = np.zeros(k, dtype=np.float64)
-                for start in range(1, k, _SOLVE_BLOCK):
-                    block = list(range(start, min(start + _SOLVE_BLOCK, k)))
-                    sol = self._solve_block(block)
-                    diag[block] = sol[block, range(len(block))]
-                with self._lock:
-                    if self._diag is None:
-                        self._diag = diag
+            k = self.size
+            diag = np.zeros(k, dtype=np.float64)
+            for start in range(1, k, _SOLVE_BLOCK):
+                block = list(range(start, min(start + _SOLVE_BLOCK, k)))
+                sol = self._solve_block(block)
+                diag[block] = sol[block, range(len(block))]
+            self._diag = diag
         return self._diag
 
     def resistance_local(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
-        if self._M is not None:
-            M = self._M
-            return float(M[a, a] + M[b, b] - 2.0 * M[a, b])
         if self._diag is not None:
             col = self._col(a)
             return float(col[a] + self._diag[b] - 2.0 * col[b])
@@ -178,30 +161,23 @@ class ResistanceOracle:
 
     def resistances_from_local(self, a: int, cache: bool = True) -> np.ndarray:
         """R(a, w) for every w in the component, as a length-k vector."""
-        if self.size == 1:
-            return np.zeros(1)
-        if self.dense:
-            M = self._grounded_inverse()
-            return M[a, a] + self._diag - 2.0 * M[a]
         diag = self.diag_local()
         col = self._col(a, cache=cache)
         return col[a] + diag - 2.0 * col
 
     def rows_from_locals(self, locals_: Sequence[int]) -> np.ndarray:
         """Stacked resistance rows, shape (len(locals_), k)."""
-        if self.dense:
-            return np.stack([self.resistances_from_local(a) for a in locals_])
         diag = self.diag_local()
-        out = np.empty((len(locals_), self.size), dtype=np.float64)
-        pending = [(j, v) for j, v in enumerate(locals_) if v not in self._cols]
-        for start in range(0, len(pending), _SOLVE_BLOCK):
-            chunk = pending[start:start + _SOLVE_BLOCK]
-            sols = self._solve_block([v for _, v in chunk])
-            with self._lock:
-                for slot, (_, v) in enumerate(chunk):
+        if not self.dense:
+            pending = [v for v in locals_ if v not in self._cols]
+            for start in range(0, len(pending), _SOLVE_BLOCK):
+                chunk = pending[start:start + _SOLVE_BLOCK]
+                sols = self._solve_block(chunk)
+                for slot, v in enumerate(chunk):
                     self._cols.setdefault(v, sols[:, slot])
+        out = np.empty((len(locals_), self.size), dtype=np.float64)
         for j, v in enumerate(locals_):
-            col = self._cols[v]
+            col = self._col(v)
             out[j] = col[v] + diag - 2.0 * col
         return out
 
@@ -210,7 +186,7 @@ class ResistanceOracle:
         tolerance of it, the lexicographically smallest sorted pair, so the
         pair does not depend on round-off. Dense oracles only."""
         k = self.size
-        M = self._grounded_inverse()
+        M = self._M
         diag = self._diag
         row_top = np.empty(k)
         col_top = np.full(k, -np.inf)
@@ -220,7 +196,7 @@ class ResistanceOracle:
             row_top[start:stop] = block.max(axis=1)
             np.maximum(col_top, block.max(axis=0), out=col_top)
         best = float(row_top.max())
-        floor = best - (best * BALL_RTOL + BALL_ATOL)
+        floor = _tie_floor(best)
         # the smallest endpoint of any tied pair, then its smallest partner;
         # rows and columns both count, as M is symmetric only to round-off
         a = int(np.flatnonzero((row_top >= floor) | (col_top >= floor))[0])
@@ -272,24 +248,27 @@ def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
     if oracle.dense:
         val, (a, b) = oracle._all_pairs_max()
         return DiameterResult(val, (comp.to_original(a), comp.to_original(b)), True, None)
-    best = -1.0
-    best_pair = (0, 0)
+    # each sweep goes to the smallest id tied with its row maximum; the
+    # result is the largest row maximum and the smallest sweep pair tied
+    # with it, so neither depends on round-off
+    best = 0.0
+    sweeps = []
     current = 0
-    visited_starts = set()
     for _ in range(_SWEEP_ROUNDS):
-        if current in visited_starts:
+        if any(start == current for start, _, _ in sweeps):
             break
-        visited_starts.add(current)
         row = oracle.resistances_from_local(current)
-        far = int(np.argmax(row))
-        val = float(row[far])
-        if val > best:
-            best = val
-            best_pair = (min(current, far), max(current, far))
+        top = float(row.max())
+        far = int(np.flatnonzero(row >= _tie_floor(top))[0])
+        sweeps.append((current, far, float(row[far])))
+        best = max(best, top)
         current = far
+    best_pair = min(
+        (min(a, b), max(a, b)) for a, b, val in sweeps if val >= _tie_floor(best)
+    )
     diam_upper = 2 * _bfs_eccentricity(comp.graph, best_pair[0])
     return DiameterResult(
-        max(best, 0.0),
+        best,
         (comp.to_original(best_pair[0]), comp.to_original(best_pair[1])),
         False,
         diam_upper,

@@ -327,6 +327,8 @@ class _Checkpoints:
 def _stationary_starts(graph, keys) -> np.ndarray:
     offsets, _, degrees = graph.walk_tables()
     cum = np.cumsum(degrees)
+    if cum[-1] == 0:  # a single loopless vertex: no degree mass to sample
+        return np.zeros(len(keys), dtype=np.int64)
     r = mix64(keys ^ _STATIONARY_SALT) % np.uint64(int(cum[-1]))
     return np.searchsorted(cum, r.astype(np.int64), side="right").astype(np.int64)
 

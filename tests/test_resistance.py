@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from covertime import (
     resistance_diameter,
     uniform_labeled_tree,
 )
+from covertime import resistance
 
 
 def oracle_for(g: MultiGraph, **kw) -> ResistanceOracle:
@@ -119,6 +122,28 @@ class TestDiameter:
             want = min((u, v) for u in range(k) for v in range(u + 1, k)
                        if hops[u, v] == top)
             d = resistance_diameter(oracle_for(g))
+            assert d.value == pytest.approx(top, abs=1e-9)
+            assert d.pair == want, (k, s)
+
+    @pytest.mark.parametrize("k", [64, 128, 256])
+    def test_tree_sweep_tie_break_matches_bfs_sweeps(self, k):
+        # the same farthest-point sweeps on exact hop distances: each sweep
+        # goes to the smallest id at maximal distance, and the pair is the
+        # smallest sweep pair at the largest distance found
+        for s in range(10):
+            g = uniform_labeled_tree(k, s)
+            sweeps, current = [], 0
+            for _ in range(resistance._SWEEP_ROUNDS):
+                if current in [a for a, _, _ in sweeps]:
+                    break
+                hops = np.array(oc.bfs_distances(g, current))
+                far = int(np.argmax(hops))
+                sweeps.append((current, far, int(hops[far])))
+                current = far
+            top = max(h for _, _, h in sweeps)
+            want = min((min(a, b), max(a, b)) for a, b, h in sweeps if h == top)
+            d = resistance_diameter(oracle_for(g, dense_limit=8))
+            assert not d.exact
             assert d.value == pytest.approx(top, abs=1e-9)
             assert d.pair == want, (k, s)
 
@@ -229,3 +254,20 @@ def test_matches_pinv_oracle(g):
     R = oc.resistance_matrix_pinv(g)
     for u in range(g.vertex_count):
         assert np.allclose(o.resistances_from(u), R[u], atol=1e-8)
+
+
+def test_dense_oracle_memory():
+    # the dense oracle peaks at two k^2 arrays (factor + inverse) and keeps one
+    k = 1500
+    comp = ComponentView.whole(uniform_labeled_tree(k, 0))
+    tracemalloc.start()
+    try:
+        o = ResistanceOracle(comp)
+        o.resistances_from(0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = k * k * 8
+    assert o.dense
+    assert peak <= 2.5 * square, peak / square
+    assert retained <= 1.25 * square, retained / square

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,15 @@ class TestSimulateCover:
                        trials=500, master_seed=4)
         assert est.start_policy == "stationary"
         assert abs(est.mean - 10.0) < 1.0  # cycle cover is start-independent
+
+    @pytest.mark.parametrize("trials", [3, 300])
+    def test_stationary_single_vertex(self, trials):
+        # a loopless vertex has no degree mass; no division by zero may occur
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate(comp(MultiGraph(1)), "cover", start_policy="stationary",
+                           trials=trials, master_seed=4)
+        assert est.mean == 0.0 and est.samples.tolist() == [0] * trials
 
 
 class TestOtherQuantities:
