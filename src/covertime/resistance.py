@@ -2,20 +2,26 @@
 
 Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
-metric. All queries go through the Laplacian grounded at the component's
-smallest vertex id. Up to ``DENSE_LIMIT`` vertices (a caller may lower the
-limit, never raise it) the oracle computes the full grounded inverse once,
-by dense Cholesky, and keeps only that inverse: it gives every row and an
-exact resistance diameter. Above it, where the k^2 inverse no longer fits
-in memory, a sparse LU factorization solves rows on demand, and the
-diameter is a farthest-point sweep lower bound.
+metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
+never raise it) the oracle builds the full resistance matrix R once and
+keeps only R: it gives every row and an exact resistance diameter.
+Resistance adds along the edges of a tree hanging from a cut vertex, so
+only the 2-core needs a linear solve: the constructor peels the hanging
+trees, inverts the core's grounded Laplacian in place (LAPACK ``potrf``
+then ``potri``), and fills the rows of the tree vertices from their
+parents' rows by tree distance. On a tree the core is the ground vertex
+alone, and R is the hop distance (times 1/m along an m-fold edge) with no
+solve at all. Above the limit, where a k^2 matrix no longer fits in
+memory, a sparse LU factorization of the Laplacian grounded at the
+smallest vertex id solves rows on demand, and the diameter is a
+farthest-point sweep lower bound.
 """
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -25,6 +31,9 @@ from .graphs import ComponentView, MultiGraph
 DENSE_LIMIT = 4096
 _SOLVE_BLOCK = 256
 _SWEEP_ROUNDS = 8
+# rows per block when the dense path assembles R; the block temporaries
+# stay a small fraction of one k^2 array
+_FILL_BLOCK = 64
 
 # Closed-ball membership tolerance: solver residuals are ~1e-10, so exact
 # boundary cases (integer radii on paths, rational radii on cycles) must
@@ -57,12 +66,13 @@ class DiameterResult(NamedTuple):
 class ResistanceOracle:
     """Pairwise effective-resistance queries on one connected component.
 
-    Public methods take original (parent-graph) vertex ids. The grounded
-    vertex is local index 0, i.e. the smallest original id in the
-    component. A dense oracle computes the grounded inverse M and its
-    diagonal in the constructor and holds nothing else. A sparse oracle
-    holds the LU factor, caches the columns it solves, and computes the
-    diagonal on the first ``resistances_from`` or diameter query.
+    Public methods take original (parent-graph) vertex ids; local ids are
+    positions in ``component.vertices``. A dense oracle builds the full
+    resistance matrix R in the constructor and holds nothing else (R is
+    read-only and exactly symmetric, and every row query reads it). A sparse
+    oracle holds the LU factor of the Laplacian grounded at local 0, caches
+    the columns it solves, and computes the grounded diagonal on the first
+    row or diameter query.
 
     ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
     rejected before anything is allocated.
@@ -82,7 +92,10 @@ class ResistanceOracle:
         self.dense = k <= dense_limit
         self._cols: dict[int, np.ndarray] = {}
         self._diag: np.ndarray | None = None
-        self._M: np.ndarray | None = None
+        self._R: np.ndarray | None = None
+        if self.dense:
+            self._R = _dense_resistances(g)
+            return
         rows, cols, vals = [], [], []
         for u, v, m in g.edges:
             if u == v:
@@ -91,18 +104,7 @@ class ResistanceOracle:
             cols += [v, u, u, v]
             vals += [-float(m), -float(m), float(m), float(m)]
         lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsc()
-        grounded = lap[1:, 1:]
-        if not self.dense:
-            self._lu = scipy.sparse.linalg.splu(grounded.tocsc())
-            return
-        # factor and solve in place, and drop the factor before M is
-        # allocated: at most two k^2 arrays are live at once
-        chol = scipy.linalg.cholesky(grounded.toarray(order="F"), lower=True, overwrite_a=True)
-        inv = scipy.linalg.cho_solve((chol, True), np.eye(k - 1, order="F"), overwrite_b=True)
-        del chol
-        self._M = np.zeros((k, k), dtype=np.float64)
-        self._M[1:, 1:] = inv
-        self._diag = np.ascontiguousarray(np.diag(self._M))
+        self._lu = scipy.sparse.linalg.splu(lap[1:, 1:].tocsc())
 
     # -- local-id internals -------------------------------------------------
 
@@ -125,10 +127,7 @@ class ResistanceOracle:
         return out
 
     def _col(self, v: int, cache: bool = True) -> np.ndarray:
-        """Column v of the grounded inverse; row v of M on the dense path
-        (equal by symmetry, and the same bytes the row queries read)."""
-        if self._M is not None:
-            return self._M[v]
+        """Column v of the grounded inverse. Sparse oracles only."""
         hit = self._cols.get(v)
         if hit is not None:
             return hit
@@ -138,7 +137,8 @@ class ResistanceOracle:
         return col
 
     def diag_local(self) -> np.ndarray:
-        """Diagonal of the grounded inverse (R to the ground vertex)."""
+        """Diagonal of the grounded inverse (R to the ground vertex).
+        Sparse oracles only."""
         if self._diag is None:
             k = self.size
             diag = np.zeros(k, dtype=np.float64)
@@ -152,6 +152,8 @@ class ResistanceOracle:
     def resistance_local(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
+        if self._R is not None:
+            return float(self._R[a, b])
         if self._diag is not None:
             col = self._col(a)
             return float(col[a] + self._diag[b] - 2.0 * col[b])
@@ -160,21 +162,25 @@ class ResistanceOracle:
         return float(ca[a] + cb[b] - 2.0 * ca[b])
 
     def resistances_from_local(self, a: int, cache: bool = True) -> np.ndarray:
-        """R(a, w) for every w in the component, as a length-k vector."""
+        """R(a, w) for every w in the component, as a length-k vector
+        (a read-only view of R on the dense path)."""
+        if self._R is not None:
+            return self._R[a]
         diag = self.diag_local()
         col = self._col(a, cache=cache)
         return col[a] + diag - 2.0 * col
 
     def rows_from_locals(self, locals_: Sequence[int]) -> np.ndarray:
         """Stacked resistance rows, shape (len(locals_), k)."""
+        if self._R is not None:
+            return self._R[np.asarray(locals_, dtype=np.intp)]
         diag = self.diag_local()
-        if not self.dense:
-            pending = [v for v in locals_ if v not in self._cols]
-            for start in range(0, len(pending), _SOLVE_BLOCK):
-                chunk = pending[start:start + _SOLVE_BLOCK]
-                sols = self._solve_block(chunk)
-                for slot, v in enumerate(chunk):
-                    self._cols.setdefault(v, sols[:, slot])
+        pending = [v for v in locals_ if v not in self._cols]
+        for start in range(0, len(pending), _SOLVE_BLOCK):
+            chunk = pending[start:start + _SOLVE_BLOCK]
+            sols = self._solve_block(chunk)
+            for slot, v in enumerate(chunk):
+                self._cols.setdefault(v, sols[:, slot])
         out = np.empty((len(locals_), self.size), dtype=np.float64)
         for j, v in enumerate(locals_):
             col = self._col(v)
@@ -185,22 +191,14 @@ class ResistanceOracle:
         """Max pairwise resistance and, among the pairs within the ball
         tolerance of it, the lexicographically smallest sorted pair, so the
         pair does not depend on round-off. Dense oracles only."""
-        k = self.size
-        M = self._M
-        diag = self._diag
-        row_top = np.empty(k)
-        col_top = np.full(k, -np.inf)
-        for start in range(0, k, _SOLVE_BLOCK):
-            stop = start + _SOLVE_BLOCK
-            block = diag[start:stop, None] + diag[None, :] - 2.0 * M[start:stop]
-            row_top[start:stop] = block.max(axis=1)
-            np.maximum(col_top, block.max(axis=0), out=col_top)
+        R = self._R
+        row_top = R.max(axis=1)
         best = float(row_top.max())
         floor = _tie_floor(best)
-        # the smallest endpoint of any tied pair, then its smallest partner;
-        # rows and columns both count, as M is symmetric only to round-off
-        a = int(np.flatnonzero((row_top >= floor) | (col_top >= floor))[0])
-        ties = (diag[a] + diag - 2.0 * M[a] >= floor) | (diag + diag[a] - 2.0 * M[:, a] >= floor)
+        # R is exactly symmetric: the first row holding a tied value is the
+        # smallest endpoint of any tied pair, its first tied entry the partner
+        a = int(np.flatnonzero(row_top >= floor)[0])
+        ties = R[a] >= floor
         ties[a] = False
         return max(best, 0.0), (a, int(np.flatnonzero(ties)[0]))
 
@@ -217,6 +215,140 @@ class ResistanceOracle:
 
     def degrees_local(self) -> np.ndarray:
         return self._degrees
+
+
+def _mirror_lower(a: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square array a onto its strict
+    upper triangle, in place, one cache-sized tile at a time."""
+    n = a.shape[0]
+    for start in range(0, n, _FILL_BLOCK):
+        stop = min(start + _FILL_BLOCK, n)
+        square = a[start:stop, start:stop]
+        upper = np.triu_indices(stop - start, 1)
+        square[upper] = square.T[upper]
+        for col in range(stop, n, _FILL_BLOCK):
+            a[start:stop, col:col + _FILL_BLOCK] = a[col:col + _FILL_BLOCK, start:stop].T
+
+
+def _hanging_forest(g: MultiGraph):
+    """Split g into its 2-core and the trees hanging from it.
+
+    Vertices with at most one distinct non-loop neighbour are peeled until
+    none is left; what remains is the 2-core. When nothing remains (g is a
+    tree), local 0 stands in as a one-vertex core. Returns ``core`` (sorted
+    local ids), ``slot`` (index in ``core`` of the core vertex each vertex's
+    tree hangs from), ``height`` (resistance from each vertex to that core
+    vertex), and the tree vertices as ``order`` (depth-first preorder from
+    the core, so parents precede children and every subtree is a
+    contiguous run), ``parent``, ``mult`` (multiplicity of the edge to the
+    parent) and ``subtree`` (subtree sizes), the last three indexed by
+    local id.
+    """
+    k = g.vertex_count
+    adjacency = g.adjacency
+    links = [sum(1 for w, _ in adjacency[v] if w != v) for v in range(k)]
+    peeled = [False] * k
+    stack = [v for v in range(k) if links[v] <= 1]
+    while stack:
+        v = stack.pop()
+        if peeled[v]:
+            continue
+        peeled[v] = True
+        for w, _ in adjacency[v]:
+            if w != v and not peeled[w]:
+                links[w] -= 1
+                if links[w] == 1:
+                    stack.append(w)
+    core = np.flatnonzero(~np.array(peeled, dtype=bool))
+    if core.size == 0:
+        core = np.zeros(1, dtype=np.intp)
+    seen = [False] * k
+    slot = [0] * k
+    height = [0.0] * k
+    parent = [0] * k
+    mult = [1] * k
+    for i, c in enumerate(core.tolist()):
+        seen[c] = True
+        slot[c] = i
+    order: list[int] = []
+    for c in core.tolist():
+        stack = [c]
+        while stack:
+            u = stack.pop()
+            if u != c:
+                order.append(u)
+            for w, m in adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w], mult[w], slot[w] = u, m, slot[u]
+                    height[w] = height[u] + 1.0 / m
+                    stack.append(w)
+    subtree = [1] * k
+    for x in reversed(order):
+        subtree[parent[x]] += subtree[x]
+    return (core, np.array(slot, dtype=np.intp), np.array(height), order,
+            parent, mult, subtree)
+
+
+def _dense_resistances(g: MultiGraph) -> np.ndarray:
+    """Full k x k resistance matrix of the connected graph g, read-only and
+    exactly symmetric. At most two k^2 arrays are live: R and the core's
+    grounded inverse."""
+    k = g.vertex_count
+    core, slot, height, order, parent, mult, subtree = _hanging_forest(g)
+    kc = core.size
+    R = np.empty((k, k), dtype=np.float64)
+    if kc == 1:
+        R[core[0]] = height
+    else:
+        # the core's Laplacian grounded at core[0], inverted in place; only
+        # its lower triangle is meaningful until mirrored
+        inv = np.zeros((kc - 1, kc - 1), dtype=np.float64, order="F")
+        row_of = {c: i - 1 for i, c in enumerate(core.tolist())}  # ground: -1
+        for u, v, m in g.edges:
+            if u == v or u not in row_of or v not in row_of:
+                continue
+            a, b = row_of[u], row_of[v]
+            if a >= 0:
+                inv[a, a] += m
+            if b >= 0:
+                inv[b, b] += m
+            if a >= 0 and b >= 0:
+                inv[a, b] -= m
+                inv[b, a] -= m
+        inv, info = scipy.linalg.lapack.dpotrf(inv, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            inv, info = scipy.linalg.lapack.dpotri(inv, lower=1, overwrite_c=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"core Laplacian inversion failed (info {info})")
+        _mirror_lower(inv)
+        diag = np.zeros(kc, dtype=np.float64)
+        diag[1:] = inv.diagonal()
+        # core rows: R(c, y) = R_core(c, a(y)) + h(y)
+        for start in range(0, kc, _FILL_BLOCK):
+            stop = min(start + _FILL_BLOCK, kc)
+            block = np.zeros((stop - start, kc), dtype=np.float64)
+            lo = max(start, 1)
+            block[lo - start:, 1:] = inv[:, lo - 1:stop - 1].T
+            block *= -2.0
+            block += diag[start:stop, None]
+            block += diag
+            rows = block[:, slot]
+            rows += height
+            R[core[start:stop]] = rows
+        del inv
+    # tree rows, parents first: x is 1/m farther than its parent p from
+    # every vertex outside x's subtree and 1/m nearer to every one inside
+    order_ids = np.array(order, dtype=np.intp)
+    for i, x in enumerate(order):
+        step = 1.0 / mult[x]
+        row = R[x]
+        np.add(R[parent[x]], step, out=row)
+        row[order_ids[i:i + subtree[x]]] -= 2.0 * step
+    _mirror_lower(R)
+    np.fill_diagonal(R, 0.0)
+    R.flags.writeable = False
+    return R
 
 
 def _bfs_eccentricity(g: MultiGraph, source: int) -> int:

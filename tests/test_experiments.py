@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from covertime import (
     BaseGraphSpec,
     ComponentView,
     ContractViolation,
+    ResistanceOracle,
     compute_bound_report,
     connected_components,
     cooper_frieze_phi,
@@ -157,7 +160,9 @@ class TestEdgeAddition:
 
 
 # sha256 of the JSON reports as the CLI prints them: the oracle's memory
-# layout and the suites' shared loop may change, these bytes may not
+# layout and the suites' shared loop may change, these bytes may not. The
+# default-limit reports take the dense path, the dense_limit=64 ones the
+# sparse path.
 PINNED_GRAPHS = {
     "tree200": lambda: ComponentView.whole(uniform_labeled_tree(200, 11)),
     "gnp600": lambda: connected_components(gnp(600, 1.5 / 600, 3))[0],
@@ -167,28 +172,28 @@ PINNED_GRAPHS = {
         np.random.default_rng(2), 120, extra_edges=60, loops=6, max_multiplicity=3)),
 }
 PINNED_BOUNDS = {
-    ("tree200", None): "ecba9c72db68a44e89ddcffbd21f8b02199c0c471e93315866754b397bd46245",
+    ("tree200", None): "fc9c0501dc2f208bc9d0ab55361a88d962b0a6c4d2181c4407704b67489c658c",
     ("tree200", 64): "2853846e617883b86d8eb6b6d23288d90492ba9921ccb317845a3a6dd5e9eb2b",
-    ("gnp600", None): "6795fd44fa44a306999bfe6379c184f3e4e2c7f342e32e8fc0cdd7ee8392bd3e",
+    ("gnp600", None): "30611ec301993830d6dc98cd26028f5178b9b9c744d9ceea0b35aad4eeee5c33",
     ("gnp600", 64): "0f7dcb9fca7ca80e0cafefc99c93dcb03004b6032b31eb4f818826ee027a25db",
-    ("torus12", None): "686cf629a4da864f1f44c30f3ff40a5e6f8799ac04a532184e87a0e09ae4208f",
+    ("torus12", None): "d452a5990c9cca4ba222e3c3ca48a084552417edbcbd1b54304a1be190f152af",
     ("torus12", 64): "eacb5ac092d420fd5c36aad8631fee50d6be52f6c51d6e8e4a79e95d698741ed",
-    ("multigraph120", None): "1cc0fdd927c343e6580487b4d0bab2899d4df38db8e8aff8c78c3f22d9e5f990",
+    ("multigraph120", None): "2ba31c5c4e4c1c144a701dcc47092babbba321f0d000430c18ddd474825b3786",
     ("multigraph120", 64): "cfc2afe4b3f6fc59678e8115bcda10f510f8662c5245a5d1941481b24670645b",
 }
 PINNED_SUITES = {
     "evolution-a": (
         lambda: evolution_suite("a", [200, 400, 800], seeds=2, trials=4, master_seed=1),
-        "0ea6c82a49d9034104d108ca5c5eaef0a9291245a76091396483b4e1ab8c216f"),
+        "51fe34ceef15bfe601ccdc25f55fa58609e1a8ae521989b46869f1509cdb50fb"),
     "evolution-b": (
         lambda: evolution_suite("b", [200, 400, 800], seeds=2, trials=4, master_seed=1),
-        "b644781155549bb15151c0c3270ffa445b0e31acaaa5877cbbfcd993c96bf41a"),
+        "a570184485bd35cc890d4e55670e3f4976e40dd42d4229cb6284e05c36e0f326"),
     "evolution-c": (
         lambda: evolution_suite("c", [200, 400, 800], seeds=2, trials=4, master_seed=1),
-        "0edd6971da594ab63750b86d6d81c252e568ea00fd9c4a0f04670450799983c2"),
+        "154e173303c281a8dd235d6af1847855e94b72f3b7ee6c41379a1dc471da5618"),
     "gw": (
         lambda: gw_scaling_suite([16, 32, 64], seeds=3, trials=5, master_seed=2),
-        "5332e073b6ca0f47ac9e9804cff76bf8f750f50389b65abf60c6f60d8cf17aa6"),
+        "18be8928c6b7d82f257a906cd567598891f90def65cbf1eefc5c168ccfdea171"),
 }
 
 
@@ -209,3 +214,65 @@ def test_pinned_bound_report(graph, dense_limit):
 def test_pinned_suite_report(case):
     build, want = PINNED_SUITES[case]
     assert _report_sha(build().to_dict()) == want
+
+
+def _assert_close(dense, sparse, path="report"):
+    """Equal structure and non-float values, floats within 1e-9 relative."""
+    if isinstance(dense, float):
+        assert dense == pytest.approx(sparse, rel=1e-9, abs=0.0), path
+    elif isinstance(dense, dict):
+        assert dense.keys() == sparse.keys(), path
+        for key in dense:
+            _assert_close(dense[key], sparse[key], f"{path}.{key}")
+    elif isinstance(dense, (list, tuple)):
+        assert len(dense) == len(sparse), path
+        for i, (a, b) in enumerate(zip(dense, sparse)):
+            _assert_close(a, b, f"{path}[{i}]")
+    else:
+        assert dense == sparse, path
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_GRAPHS))
+def test_dense_and_sparse_reports_agree(graph):
+    comp = PINNED_GRAPHS[graph]()
+    dense = compute_bound_report(comp)
+    sparse = compute_bound_report(comp, dense_limit=64)
+    assert dense.r_provenance == {"mode": "exact"}
+    assert sparse.r_provenance["mode"] == "approximate_lower_bound"
+    assert dense.diameter_pair == sparse.diameter_pair
+    assert [lvl.size for lvl in dense.levels] == [lvl.size for lvl in sparse.levels]
+    assert [lvl.centers for lvl in dense.levels] == [lvl.centers for lvl in sparse.levels]
+    want, got = dense.to_dict(), sparse.to_dict()
+    del want["R_provenance"], got["R_provenance"]
+    _assert_close(want, got)
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_GRAPHS))
+def test_foster_identity_on_pinned_graphs(graph):
+    comp = PINNED_GRAPHS[graph]()
+    oracle = ResistanceOracle(comp)
+    g = comp.graph
+    assert oracle.dense
+    total = sum(m * oracle.resistance_local(u, v) for u, v, m in g.edges if u != v)
+    assert abs(total - (comp.size - 1)) <= 1e-9 * comp.size
+
+
+def test_traced_names_resolve():
+    # the benchmark's traced run wraps these names from outside the package
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench.tracing import Tracer
+    finally:
+        sys.path.pop(0)
+    init = ResistanceOracle.__init__
+    tracer = Tracer()
+    tracer.install()
+    try:
+        compute_bound_report(ComponentView.whole(uniform_labeled_tree(300, 5)))
+    finally:
+        tracer.restore()
+    assert ResistanceOracle.__init__ is init
+    factor = [i for i, span in enumerate(tracer.spans) if span[0] == "resistance.factor"]
+    assert len(factor) == 1
+    assert tracer.info[factor[0]] == {"dense": True}
+    assert any(span[0] == "resistance.row" for span in tracer.spans)

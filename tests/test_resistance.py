@@ -15,6 +15,7 @@ from covertime import (
     cycle_graph,
     hitting_time,
     path_graph,
+    random_regular_graph,
     resistance_diameter,
     uniform_labeled_tree,
 )
@@ -67,6 +68,51 @@ class TestResistanceValues:
             row = o.resistances_from(u)
             for v in range(12):
                 assert row[v] == pytest.approx(abs(u - v), abs=1e-9)
+
+
+class TestDenseStructure:
+    """The dense path factors only the 2-core and fills the hanging trees."""
+
+    @pytest.mark.parametrize("k", [2, 50, 300])
+    def test_tree_rows_are_hop_distances_exactly(self, k):
+        for s in range(5):
+            g = uniform_labeled_tree(k, s)
+            o = oracle_for(g)
+            assert o.dense
+            for u in range(k):
+                assert np.array_equal(o.resistances_from(u), oc.bfs_distances(g, u)), (s, u)
+
+    def test_triple_edge_is_one_third_exactly(self):
+        assert oracle_for(MultiGraph(2, [(0, 1, 3)])).resistance(0, 1) == 1 / 3
+
+    @pytest.mark.parametrize("edges,n", [
+        # the ground vertex 0 two edges down a tree hanging from a triangle
+        ([(0, 4), (4, 1), (1, 2), (2, 3), (3, 1)], 5),
+        # a loop on a leaf
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 3, 2)], 4),
+        # a leaf joined by a 3-fold edge, and a 2-fold edge inside the tree
+        ([(0, 1), (1, 2), (2, 0), (2, 3, 2), (3, 4, 3)], 5),
+        # two trees hanging from core vertex 2
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (3, 5), (2, 6), (6, 7, 2)], 8),
+        # a 4-cycle with a 12-vertex pendant path
+        ([(0, 1), (1, 2), (2, 3), (3, 0)] + [(v, v + 1) for v in range(3, 15)], 16),
+        # two cycles joined by a path, with a loop on the path
+        ([(0, 1), (1, 2), (2, 0), (2, 3), (3, 3), (3, 4), (4, 5), (5, 6), (6, 4)], 7),
+        ([], 1),
+        ([(0, 1, 2), (1, 1)], 2),
+    ])
+    def test_matches_pinv(self, edges, n):
+        g = MultiGraph(n, edges)
+        o = oracle_for(g)
+        assert o.dense
+        R = o.rows_from_locals(range(n))
+        assert np.allclose(R, oc.resistance_matrix_pinv(g), atol=1e-9)
+        assert np.array_equal(R, R.T)
+
+    def test_rows_are_read_only(self):
+        row = oracle_for(cycle_graph(5)).resistances_from(0)
+        with pytest.raises(ValueError):
+            row[1] = 0.0
 
 
 class TestDiameter:
@@ -256,10 +302,39 @@ def test_matches_pinv_oracle(g):
         assert np.allclose(o.resistances_from(u), R[u], atol=1e-8)
 
 
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_foster_identity(g):
+    # Foster (1949): sum over non-loop edges of m_e R(e) is k - 1
+    o = oracle_for(g)
+    k = g.vertex_count
+    total = sum(m * o.resistance(u, v) for u, v, m in g.edges if u != v)
+    assert abs(total - (k - 1)) <= 1e-9 * k
+
+
 def test_dense_oracle_memory():
-    # the dense oracle peaks at two k^2 arrays (factor + inverse) and keeps one
+    # the dense oracle peaks at two k^2 arrays and keeps one; on a tree the
+    # core is one vertex, so R is the only k^2 array
     k = 1500
     comp = ComponentView.whole(uniform_labeled_tree(k, 0))
+    tracemalloc.start()
+    try:
+        o = ResistanceOracle(comp)
+        o.resistances_from(0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = k * k * 8
+    assert o.dense
+    assert peak <= 2.5 * square, peak / square
+    assert retained <= 1.25 * square, retained / square
+
+
+def test_dense_oracle_memory_without_hanging_trees():
+    # a 3-regular graph is its own 2-core: the core inverse and R are the two
+    # k^2 arrays at the peak, and only R is kept
+    k = 1500
+    comp = ComponentView.whole(random_regular_graph(k, 3, 0))
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
