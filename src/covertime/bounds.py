@@ -24,6 +24,9 @@ from .errors import ContractViolation
 from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle
 
 LEVEL_HARD_CAP = 40
+# largest packing level offered to Matthews as a candidate set; each
+# candidate costs a |A| x k block of resistance rows
+MATTHEWS_SET_CAP = 2048
 
 
 def ball_radius(radius: float) -> float:
@@ -112,7 +115,7 @@ def _greedy_level_centers(oracle: ResistanceOracle, radius: float) -> list[int]:
     for v in range(k):
         if claimed[v]:
             continue
-        row = oracle.resistances_from_local(v, cache=False)
+        row = oracle.resistances_from_local(v)
         ball = row <= rad
         if not bool(np.any(claimed & ball)):
             centers.append(v)
@@ -122,7 +125,7 @@ def _greedy_level_centers(oracle: ResistanceOracle, radius: float) -> list[int]:
 
 def greedy_packing(
     oracle: ResistanceOracle,
-    R: float | None = None,
+    R: float,
     i_max: int | None = None,
 ) -> CoveringProfile:
     """Covering profile with one greedy packing per dyadic level.
@@ -136,10 +139,6 @@ def greedy_packing(
     """
     comp = oracle.component
     k = oracle.size
-    if R is None:
-        from .resistance import resistance_diameter
-
-        R = resistance_diameter(oracle).value
     if R < 0:
         raise ContractViolation("resistance diameter must be >= 0")
     if i_max is not None and i_max < 1:
@@ -275,17 +274,12 @@ def matthews_from_oracle(
 def default_matthews_sets(
     profile: CoveringProfile,
     diameter_pair: tuple[int, int] | None,
-    set_cap: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """Default Matthews candidates: every packing level's center set (size
-    capped when requested) plus the resistance-diameter pair."""
-    sets: list[tuple[int, ...]] = []
-    for lvl in profile.levels:
-        if lvl.size < 2:
-            continue
-        if set_cap is not None and lvl.size > set_cap:
-            continue
-        sets.append(lvl.centers)
+    """Default Matthews candidates: every packing level's center set of 2 to
+    ``MATTHEWS_SET_CAP`` centers plus the resistance-diameter pair."""
+    sets: list[tuple[int, ...]] = [
+        lvl.centers for lvl in profile.levels if 2 <= lvl.size <= MATTHEWS_SET_CAP
+    ]
     if diameter_pair is not None and diameter_pair[0] != diameter_pair[1]:
         sets.append(tuple(diameter_pair))
     return sets

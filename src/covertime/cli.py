@@ -2,8 +2,8 @@
 
 Subcommands: bound, simulate, evolution, gw-scaling, edge-add, generate.
 Global flags: --seed, --trials, --json PATH, --csv PATH, --threads N.
-Exit codes: 0 success, 2 input contract violation, 3 assertion failure in
-exact mode. --threads is accepted for compatibility and ignored: suites
+Exit codes: 0 success, 2 input contract violation (including a missing or
+unreadable file), 3 assertion failure in exact mode. --threads is accepted for compatibility and ignored: suites
 run their cells one after another.
 """
 from __future__ import annotations
@@ -40,6 +40,16 @@ from .resistance import DENSE_LIMIT
 from .walks import simulate
 
 
+# percolation base -> (spec constructor, the argparse dests it takes before p)
+_BASES = {
+    "complete": (BaseGraphSpec.complete, ("base_n",)),
+    "hypercube": (BaseGraphSpec.hypercube, ("m",)),
+    "torus": (BaseGraphSpec.torus, ("m", "d")),
+    "random-regular": (BaseGraphSpec.random_regular, ("base_n", "d")),
+    "file": (BaseGraphSpec.from_file, ("base_file",)),
+}
+
+
 def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--edges", help="edge-list file (header 'n <count>' optional)")
     p.add_argument("--model", choices=["gnp", "tree", "pgw", "giant", "percolation"])
@@ -49,10 +59,7 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mu", type=float, help="offspring mean (pgw)")
     p.add_argument("--epsilon", type=float, help="distance above the window (giant)")
     p.add_argument("--size-cap", type=int, default=1_000_000)
-    p.add_argument(
-        "--base", choices=["complete", "hypercube", "torus", "random-regular", "file"],
-        help="base graph for percolation",
-    )
+    p.add_argument("--base", choices=list(_BASES), help="base graph for percolation")
     p.add_argument("--m", type=int, help="hypercube dimension / torus side")
     p.add_argument("--d", type=int, help="torus dimension / regular degree")
     p.add_argument("--base-n", type=int, help="vertex count of the base graph")
@@ -61,18 +68,14 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 def _base_spec(args) -> BaseGraphSpec:
+    if args.base is None:
+        raise CovertimeError("percolation requires --base")
+    make, dests = _BASES[args.base]
+    missing = [f"--{d.replace('_', '-')}" for d in dests if getattr(args, d) is None]
+    if missing:
+        raise CovertimeError(f"--base {args.base} requires {' and '.join(missing)}")
     p = args.p if args.p is not None else 1.0
-    if args.base == "complete":
-        return BaseGraphSpec.complete(args.base_n, p)
-    if args.base == "hypercube":
-        return BaseGraphSpec.hypercube(args.m, p)
-    if args.base == "torus":
-        return BaseGraphSpec.torus(args.m, args.d, p)
-    if args.base == "random-regular":
-        return BaseGraphSpec.random_regular(args.base_n, args.d, p)
-    if args.base == "file":
-        return BaseGraphSpec.from_file(args.base_file, p)
-    raise CovertimeError("percolation requires --base")
+    return make(*(getattr(args, d) for d in dests), p)
 
 
 def _build_graph(args) -> MultiGraph:
@@ -155,7 +158,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_evolution(args) -> int:
     report = evolution_suite(
         args.regime,
-        [int(x) for x in args.n_grid.split(",")],
+        args.n_grid,
         args.seeds,
         args.trials,
         args.seed,
@@ -175,7 +178,7 @@ def _cmd_evolution(args) -> int:
 
 def _cmd_gw_scaling(args) -> int:
     report = gw_scaling_suite(
-        [int(x) for x in args.k_grid.split(",")],
+        args.k_grid,
         args.seeds,
         args.trials,
         args.seed,
@@ -233,6 +236,14 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     # on subparsers the defaults are suppressed so that values given before
     # the subcommand survive
@@ -286,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo = sub.add_parser("evolution", help="cover-time scaling across density regimes")
     p_evo.add_argument("--regime", required=True, choices=["a", "b", "c"])
     _add_global_flags(p_evo, suppress=True)
-    p_evo.add_argument("--n-grid", default="4000,8000,16000,32000")
+    p_evo.add_argument("--n-grid", type=_int_list, default="4000,8000,16000,32000")
     p_evo.add_argument("--seeds", type=int, default=20)
     p_evo.add_argument("--lam", type=float, default=0.0,
                        help="window position for regime b")
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evo.set_defaults(fn=_cmd_evolution)
 
     p_gw = sub.add_parser("gw-scaling", help="uniform-tree cover-time scaling")
-    p_gw.add_argument("--k-grid", default="256,1024,4096")
+    p_gw.add_argument("--k-grid", type=_int_list, default="256,1024,4096")
     _add_global_flags(p_gw, suppress=True)
     p_gw.add_argument("--seeds", type=int, default=20)
     p_gw.set_defaults(fn=_cmd_gw_scaling)
@@ -322,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CovertimeError as exc:
+    except (CovertimeError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -30,8 +30,6 @@ from .walks import (
     simulate,
 )
 
-MATTHEWS_SET_CAP = 2048
-
 
 def compute_bound_report(
     component: ComponentView,
@@ -46,7 +44,7 @@ def compute_bound_report(
     report = psi_bound(profile, component.graph.edge_total, r_provenance=diam.provenance())
     report.diameter_pair = diam.pair
     if component.size >= 2:
-        sets = default_matthews_sets(profile, diam.pair, set_cap=MATTHEWS_SET_CAP)
+        sets = default_matthews_sets(profile, diam.pair)
         report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
     else:
         report.matthews_lower = 0.0
@@ -196,6 +194,8 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[f
     if len(xs) < 3:
         raise ContractViolation("log-log fit needs >= 3 grid points")
     lx = np.log(np.asarray(xs, dtype=float))
+    if lx.min() == lx.max():
+        raise ContractViolation("log-log fit needs >= 2 distinct abscissae")
     ly = np.log(np.asarray(ys, dtype=float))
     n = len(lx)
     mx = lx.mean()
@@ -312,12 +312,15 @@ def evolution_suite(
     (a) below the window, (b) inside it, (c) above it. The predicted law
     column carries the regime's theoretical growth rate evaluated at each
     grid point; the fit is of median cover time against that law value."""
-    if len(n_grid) < 3:
-        raise ContractViolation("n_grid needs >= 3 points")
+    if len(set(n_grid)) < 3:
+        raise ContractViolation("n_grid needs >= 3 distinct points")
     if seeds < 1 or trials < 1:
         raise ContractViolation("seeds and trials must be >= 1")
     if regime not in _REGIME_NAMES:
         raise ContractViolation(f"unknown regime {regime!r}")
+    if regime in ("a", "c") and not 0.0 < eps_power < 1.0 / 3.0:
+        # both laws take log(eps^3 n) and need eps^3 n = n^(1 - 3 eps_power) > 1
+        raise ContractViolation(f"eps_power must be in (0, 1/3), got {eps_power}")
 
     def cell(n, s):
         p, _ = _regime_settings(regime, n, lam, eps_power)
@@ -360,8 +363,8 @@ def gw_scaling_suite(
 ) -> ScalingReport:
     """Cover-time scaling on uniform labeled trees; the predicted law is
     k^(3/2)."""
-    if len(k_grid) < 3:
-        raise ContractViolation("k_grid needs >= 3 points")
+    if len(set(k_grid)) < 3:
+        raise ContractViolation("k_grid needs >= 3 distinct points")
     if seeds < 1 or trials < 1:
         raise ContractViolation("seeds and trials must be >= 1")
 

@@ -12,8 +12,11 @@ then ``potri``), and fills the rows of the tree vertices from their
 parents' rows by tree distance. On a tree the core is the ground vertex
 alone, and R is the hop distance (times 1/m along an m-fold edge) with no
 solve at all. Above the limit, where a k^2 matrix no longer fits in
-memory, a sparse LU factorization of the Laplacian grounded at the
-smallest vertex id solves rows on demand, and the diameter is a
+memory, the constructor factors the Laplacian grounded at the smallest
+vertex id (sparse LU) and computes the grounded diagonal once, in blocks
+of ``_SOLVE_BLOCK`` columns. Each row query then solves its rows in blocks
+of the same size and caches nothing, so the oracle keeps the factor and
+one length-k vector however many rows are read. There the diameter is a
 farthest-point sweep lower bound.
 """
 from __future__ import annotations
@@ -67,12 +70,13 @@ class ResistanceOracle:
     """Pairwise effective-resistance queries on one connected component.
 
     Public methods take original (parent-graph) vertex ids; local ids are
-    positions in ``component.vertices``. A dense oracle builds the full
-    resistance matrix R in the constructor and holds nothing else (R is
+    positions in ``component.vertices``. The oracle is immutable once built
+    and has one row primitive per solver path. A dense oracle builds the
+    full resistance matrix R in the constructor and holds nothing else (R is
     read-only and exactly symmetric, and every row query reads it). A sparse
-    oracle holds the LU factor of the Laplacian grounded at local 0, caches
-    the columns it solves, and computes the grounded diagonal on the first
-    row or diameter query.
+    oracle holds the LU factor of the Laplacian grounded at local 0 and the
+    grounded diagonal, which its constructor computes; it solves the rows
+    it is asked for in blocks and caches none of them.
 
     ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
     rejected before anything is allocated.
@@ -90,8 +94,6 @@ class ResistanceOracle:
         self._degrees = g.degrees.astype(np.float64)
         k = self.size
         self.dense = k <= dense_limit
-        self._cols: dict[int, np.ndarray] = {}
-        self._diag: np.ndarray | None = None
         self._R: np.ndarray | None = None
         if self.dense:
             self._R = _dense_resistances(g)
@@ -105,86 +107,49 @@ class ResistanceOracle:
             vals += [-float(m), -float(m), float(m), float(m)]
         lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsc()
         self._lu = scipy.sparse.linalg.splu(lap[1:, 1:].tocsc())
+        # R to the ground vertex: the diagonal of the grounded inverse
+        self._diag = np.zeros(k, dtype=np.float64)
+        for start in range(1, k, _SOLVE_BLOCK):
+            block = np.arange(start, min(start + _SOLVE_BLOCK, k))
+            self._diag[block] = self._solve_block(block)[block, np.arange(block.size)]
 
     # -- local-id internals -------------------------------------------------
 
-    def _solve_block(self, locals_: Sequence[int]) -> np.ndarray:
+    def _solve_block(self, locals_: np.ndarray) -> np.ndarray:
         """Columns of the grounded inverse, embedded to full size (k, b).
-        Sparse oracles only."""
-        k = self.size
-        out = np.zeros((k, len(locals_)), dtype=np.float64)
-        nonground = [(j, v) for j, v in enumerate(locals_) if v != 0]
-        if not nonground:
-            return out
-        rhs = np.zeros((k - 1, len(nonground)), dtype=np.float64)
-        for slot, (_, v) in enumerate(nonground):
-            rhs[v - 1, slot] = 1.0
-        sol = self._lu.solve(rhs)
-        if sol.ndim == 1:
-            sol = sol[:, None]
-        for slot, (j, _) in enumerate(nonground):
-            out[1:, j] = sol[:, slot]
-        return out
-
-    def _col(self, v: int, cache: bool = True) -> np.ndarray:
-        """Column v of the grounded inverse. Sparse oracles only."""
-        hit = self._cols.get(v)
-        if hit is not None:
-            return hit
-        col = self._solve_block([v])[:, 0]
-        if cache:
-            self._cols[v] = col
-        return col
-
-    def diag_local(self) -> np.ndarray:
-        """Diagonal of the grounded inverse (R to the ground vertex).
-        Sparse oracles only."""
-        if self._diag is None:
-            k = self.size
-            diag = np.zeros(k, dtype=np.float64)
-            for start in range(1, k, _SOLVE_BLOCK):
-                block = list(range(start, min(start + _SOLVE_BLOCK, k)))
-                sol = self._solve_block(block)
-                diag[block] = sol[block, range(len(block))]
-            self._diag = diag
-        return self._diag
+        The ground vertex's unit column falls outside the grounded system,
+        so its right-hand side is zero and so is its column. Sparse oracles
+        only."""
+        rhs = np.zeros((self.size, locals_.size), dtype=np.float64)
+        rhs[locals_, np.arange(locals_.size)] = 1.0
+        rhs[1:] = self._lu.solve(rhs[1:])
+        rhs[0] = 0.0
+        return rhs
 
     def resistance_local(self, a: int, b: int) -> float:
         if a == b:
             return 0.0
-        if self._R is not None:
-            return float(self._R[a, b])
-        if self._diag is not None:
-            col = self._col(a)
-            return float(col[a] + self._diag[b] - 2.0 * col[b])
-        ca = self._col(a)
-        cb = self._col(b)
-        return float(ca[a] + cb[b] - 2.0 * ca[b])
+        return float(self.resistances_from_local(a)[b])
 
-    def resistances_from_local(self, a: int, cache: bool = True) -> np.ndarray:
+    def resistances_from_local(self, a: int) -> np.ndarray:
         """R(a, w) for every w in the component, as a length-k vector
         (a read-only view of R on the dense path)."""
         if self._R is not None:
             return self._R[a]
-        diag = self.diag_local()
-        col = self._col(a, cache=cache)
-        return col[a] + diag - 2.0 * col
+        return self.rows_from_locals([a])[0]
 
     def rows_from_locals(self, locals_: Sequence[int]) -> np.ndarray:
-        """Stacked resistance rows, shape (len(locals_), k)."""
+        """Stacked resistance rows, shape (len(locals_), k); on the sparse
+        path solved ``_SOLVE_BLOCK`` rows at a time."""
+        idx = np.asarray(locals_, dtype=np.intp)
         if self._R is not None:
-            return self._R[np.asarray(locals_, dtype=np.intp)]
-        diag = self.diag_local()
-        pending = [v for v in locals_ if v not in self._cols]
-        for start in range(0, len(pending), _SOLVE_BLOCK):
-            chunk = pending[start:start + _SOLVE_BLOCK]
-            sols = self._solve_block(chunk)
-            for slot, v in enumerate(chunk):
-                self._cols.setdefault(v, sols[:, slot])
-        out = np.empty((len(locals_), self.size), dtype=np.float64)
-        for j, v in enumerate(locals_):
-            col = self._col(v)
-            out[j] = col[v] + diag - 2.0 * col
+            return self._R[idx]
+        out = np.empty((idx.size, self.size), dtype=np.float64)
+        for start in range(0, idx.size, _SOLVE_BLOCK):
+            chunk = idx[start:start + _SOLVE_BLOCK]
+            cols = self._solve_block(chunk)
+            own = cols[chunk, np.arange(chunk.size)]
+            out[start:start + chunk.size] = (own + self._diag[:, None] - 2.0 * cols).T
         return out
 
     def _all_pairs_max(self) -> tuple[float, tuple[int, int]]:

@@ -224,8 +224,8 @@ class TestMatthews:
         g = oc.random_connected_multigraph(rng, 11, extra_edges=7, loops=1)
         comp = ComponentView.whole(g)
         oracle = ResistanceOracle(comp)
-        profile = greedy_packing(oracle)
         diam = resistance_diameter(oracle)
+        profile = greedy_packing(oracle, diam.value)
         sets = default_matthews_sets(profile, diam.pair)
         hm = oc.HittingMatrix.from_component(comp)
         v1, s1 = oc.matthews_lower(hm, sets)

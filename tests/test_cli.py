@@ -182,6 +182,36 @@ class TestExitCodes:
         assert main(["bound", "--model", "gnp"]) == 2
 
 
+class TestInputErrors:
+    """Bad input exits 2 with one `error:` line and no traceback."""
+
+    @staticmethod
+    def _assert_input_error(proc):
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_missing_edges_file(self, tmp_path):
+        self._assert_input_error(run_cli("bound", "--edges", str(tmp_path / "none.txt")))
+
+    def test_missing_base_file(self, tmp_path):
+        self._assert_input_error(run_cli(
+            "generate", "--model", "percolation", "--base", "file",
+            "--base-file", str(tmp_path / "none.txt")))
+
+    @pytest.mark.parametrize("argv", [
+        ["evolution", "--regime", "b", "--n-grid", "16,x,32"],
+        ["gw-scaling", "--k-grid", "16,x,32"],
+    ])
+    def test_non_integer_grid(self, argv):
+        self._assert_input_error(run_cli(*argv))
+
+    @pytest.mark.parametrize("base", ["torus", "hypercube", "complete", "random-regular"])
+    def test_percolation_base_without_size_flags(self, base):
+        self._assert_input_error(run_cli(
+            "generate", "--model", "percolation", "--base", base, "--p", "0.5"))
+
+
 class TestReportSchemas:
     def test_evolution_report_keys(self, capsys):
         rc = main(["--seed", "21", "evolution", "--regime", "c",

@@ -43,6 +43,10 @@ class TestFit:
         with pytest.raises(ContractViolation):
             fit_loglog([1, 2], [1, 2])
 
+    def test_equal_abscissae_rejected(self):
+        with pytest.raises(ContractViolation):
+            fit_loglog([400, 400, 400], [1, 2, 3])
+
 
 class TestCooperFrieze:
     def test_tends_to_one_near_critical(self):
@@ -96,6 +100,22 @@ class TestSuites:
     def test_evolution_requires_grid(self):
         with pytest.raises(ContractViolation):
             evolution_suite("b", [100, 200], seeds=2, trials=2, master_seed=0)
+
+    def test_evolution_requires_distinct_grid(self):
+        with pytest.raises(ContractViolation, match="distinct"):
+            evolution_suite("b", [400, 400, 400], seeds=1, trials=2, master_seed=0)
+
+    def test_gw_scaling_requires_distinct_grid(self):
+        with pytest.raises(ContractViolation, match="distinct"):
+            gw_scaling_suite([16, 16, 16], seeds=1, trials=2, master_seed=0)
+
+    @pytest.mark.parametrize("regime, eps_power", [
+        ("a", 0.5), ("a", 1.0 / 3.0), ("a", 0.0), ("c", 0.34), ("c", -0.1)])
+    def test_eps_power_outside_window_rejected(self, regime, eps_power):
+        # regimes a and c take log(eps^3 n), which needs eps_power < 1/3
+        with pytest.raises(ContractViolation, match="eps_power"):
+            evolution_suite(regime, [400, 800, 1600], seeds=1, trials=2,
+                            master_seed=0, eps_power=eps_power)
 
     def test_evolution_report_roundtrip(self):
         rep = evolution_suite("b", [300, 600, 1200], seeds=3, trials=4, master_seed=5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from covertime import (
+    BaseGraphSpec,
     ComponentView,
     MultiGraph,
     ResistanceOracle,
@@ -15,6 +16,7 @@ from covertime import (
     cycle_graph,
     hitting_time,
     path_graph,
+    percolate,
     random_regular_graph,
     resistance_diameter,
     uniform_labeled_tree,
@@ -346,3 +348,46 @@ def test_dense_oracle_memory_without_hanging_trees():
     assert o.dense
     assert peak <= 2.5 * square, peak / square
     assert retained <= 1.25 * square, retained / square
+
+
+def _sparse_torus_oracle() -> ResistanceOracle:
+    # a percolated 40x40 torus component, k = 1510, on the sparse path
+    o = ResistanceOracle(percolate(BaseGraphSpec.torus(40, 2, 0.6), 3)[1], dense_limit=16)
+    assert not o.dense and o.size == 1510
+    return o
+
+
+def test_sparse_oracle_keeps_no_rows():
+    # reading every row must not leave the k^2 matrix the sparse path
+    # exists to avoid behind: rows are solved in blocks and handed out
+    o = _sparse_torus_oracle()
+    k = o.size
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        o.rows_from_locals(range(k))
+        for a in range(0, k, 7):
+            o.resistances_from_local(a)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 0.05 * k * k * 8, retained / (k * k * 8)
+
+
+def test_sparse_row_reads_agree_bitwise():
+    # a row solved alone, inside a block of shuffled rows, or read through a
+    # single resistance carries the same bits whatever the query order
+    o = _sparse_torus_oracle()
+    k = o.size
+    ids = o.component.vertices
+    rng = np.random.default_rng(0)
+    order = rng.permutation(k)
+    block = np.empty((k, k))
+    block[order] = o.rows_from_locals(order)
+    for a in rng.permutation(k):
+        assert np.array_equal(o.resistances_from(ids[a]), block[a])
+    # every row again, at a few random columns each: one solve per query
+    for a in rng.permutation(np.repeat(np.arange(k), 3)):
+        b = int(rng.integers(k))
+        want = 0.0 if a == b else block[a, b]
+        assert o.resistance(ids[a], ids[b]) == want
