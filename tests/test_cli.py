@@ -181,6 +181,17 @@ class TestExitCodes:
     def test_missing_model_args(self):
         assert main(["bound", "--model", "gnp"]) == 2
 
+    def test_closed_stdout_exits_quietly(self):
+        # the reader of the pipe is gone before the report is written
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covertime", "generate", "--model", "tree", "--k", "50"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 1
+        assert err == b""
+
 
 class TestInputErrors:
     """Bad input exits 2 with one `error:` line and no traceback."""

@@ -21,7 +21,6 @@ from covertime import (
     resistance_diameter,
     uniform_labeled_tree,
 )
-from covertime import resistance
 
 
 def oracle_for(g: MultiGraph, **kw) -> ResistanceOracle:
@@ -136,15 +135,11 @@ class TestDiameter:
         assert d.value == pytest.approx(7.0, abs=1e-9)
         assert d.pair == (0, 7)
 
-    def test_sweep_lower_bound_flagged(self):
-        g = path_graph(40)
-        o = oracle_for(g, dense_limit=8)
-        d = resistance_diameter(o)
-        assert not d.exact
-        assert d.value <= 39.0 + 1e-9
-        # on a path the first sweep already finds the endpoints
+    def test_sparse_diameter_is_exact(self):
+        d = resistance_diameter(oracle_for(path_graph(40), dense_limit=8))
+        assert d.exact
         assert d.value == pytest.approx(39.0, abs=1e-9)
-        assert d.graph_diameter_upper >= 39
+        assert d.pair == (0, 39)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(5)
@@ -159,39 +154,25 @@ class TestDiameter:
         assert np.allclose(sparse.rows_from_locals(range(n)),
                            dense.rows_from_locals(range(n)), rtol=1e-9, atol=1e-12)
 
-    @pytest.mark.parametrize("k", [64, 128, 256])
-    def test_tree_tie_break_is_smallest_bfs_pair(self, k):
-        # on a tree R is the hop distance, so the diameter pair must be the
-        # lexicographically smallest pair at maximal BFS distance
+    @pytest.mark.parametrize("k,dense_limit", [
+        pytest.param(k, limit, id=str(k) if limit is None else f"{k}-sparse")
+        for limit in (None, 8) for k in (64, 128, 256)
+    ])
+    def test_tree_tie_break_is_smallest_bfs_pair(self, k, dense_limit):
+        # on a tree R is the hop distance, so on either solver path the
+        # diameter pair must be the lexicographically smallest pair at
+        # maximal BFS distance
+        kw = {} if dense_limit is None else {"dense_limit": dense_limit}
         for s in range(10):
             g = uniform_labeled_tree(k, s)
             hops = np.array([oc.bfs_distances(g, u) for u in range(k)])
             top = hops.max()
             want = min((u, v) for u in range(k) for v in range(u + 1, k)
                        if hops[u, v] == top)
-            d = resistance_diameter(oracle_for(g))
-            assert d.value == pytest.approx(top, abs=1e-9)
-            assert d.pair == want, (k, s)
-
-    @pytest.mark.parametrize("k", [64, 128, 256])
-    def test_tree_sweep_tie_break_matches_bfs_sweeps(self, k):
-        # the same farthest-point sweeps on exact hop distances: each sweep
-        # goes to the smallest id at maximal distance, and the pair is the
-        # smallest sweep pair at the largest distance found
-        for s in range(10):
-            g = uniform_labeled_tree(k, s)
-            sweeps, current = [], 0
-            for _ in range(resistance._SWEEP_ROUNDS):
-                if current in [a for a, _, _ in sweeps]:
-                    break
-                hops = np.array(oc.bfs_distances(g, current))
-                far = int(np.argmax(hops))
-                sweeps.append((current, far, int(hops[far])))
-                current = far
-            top = max(h for _, _, h in sweeps)
-            want = min((min(a, b), max(a, b)) for a, b, h in sweeps if h == top)
-            d = resistance_diameter(oracle_for(g, dense_limit=8))
-            assert not d.exact
+            o = oracle_for(g, **kw)
+            assert o.dense == (dense_limit is None)
+            d = resistance_diameter(o)
+            assert d.exact
             assert d.value == pytest.approx(top, abs=1e-9)
             assert d.pair == want, (k, s)
 
@@ -245,6 +226,21 @@ class TestHitting:
                 continue
             lhs = hitting_time(o, u, v) + hitting_time(o, v, u)
             assert lhs == pytest.approx(2 * E * o.resistance(u, v), rel=1e-8)
+
+    def test_sparse_reads_both_rows_in_one_solve(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        g = oc.random_connected_multigraph(rng, 20, extra_edges=12, loops=2,
+                                           max_multiplicity=2)
+        o = oracle_for(g, dense_limit=8)
+        assert not o.dense
+        calls = []
+        solve = o._solve_block
+        monkeypatch.setattr(o, "_solve_block", lambda idx: calls.append(idx) or solve(idx))
+        for u, v in [(0, 19), (7, 3), (12, 0)]:
+            calls.clear()
+            got = hitting_time(o, u, v)
+            assert len(calls) == 1
+            assert got == pytest.approx(oc.hitting_time_onestep(g, u, v), rel=1e-9)
 
     def test_hitting_matrix_agrees(self):
         rng = np.random.default_rng(8)
@@ -302,6 +298,15 @@ def test_matches_pinv_oracle(g):
     R = oc.resistance_matrix_pinv(g)
     for u in range(g.vertex_count):
         assert np.allclose(o.resistances_from(u), R[u], atol=1e-8)
+
+
+@given(connected_graphs())
+@settings(max_examples=40, deadline=None)
+def test_sparse_diameter_matches_pinv(g):
+    sparse = resistance_diameter(oracle_for(g, dense_limit=1))
+    dense = resistance_diameter(oracle_for(g))
+    assert sparse.value == pytest.approx(oc.resistance_matrix_pinv(g).max(), rel=1e-9)
+    assert sparse.pair == dense.pair
 
 
 @given(connected_graphs())
