@@ -60,9 +60,6 @@ class CoveringProfile:
     def level(self, index: int) -> CoveringLevel:
         return self.levels[index]
 
-    def alphas(self) -> dict[int, float]:
-        return {lvl.index: lvl.alpha for lvl in self.levels}
-
 
 @dataclass
 class BoundReport:

@@ -116,8 +116,8 @@ def _component(args) -> ComponentView:
 
 
 def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
+    # the files first, so a closed stdout cannot lose them
     text = json.dumps(payload, indent=2)
-    print(text)
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
@@ -126,6 +126,7 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
             writer = csv.writer(fh)
             writer.writerow(csv_header)
             writer.writerows(csv_rows)
+    print(text)
 
 
 def _cmd_bound(args) -> int:

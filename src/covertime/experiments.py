@@ -25,6 +25,7 @@ from .graphs import ComponentView, MultiGraph, connected_components
 from .resistance import DENSE_LIMIT, ResistanceOracle, resistance_diameter
 from .rng import derive_seed
 from .walks import (
+    EXACT_DP_LIMIT,
     WORST_START_LIMIT,
     exact_cover_time_worst,
     simulate,
@@ -458,8 +459,10 @@ def edge_addition_suite(
         raise ContractViolation(f"unknown mode {mode!r}")
     if k_edges < 1 or instances < 1:
         raise ContractViolation("k_edges and instances must be >= 1")
-    if mode == "exact" and n_max > 12:
-        raise ContractViolation("exact mode limited to 12 vertices")
+    if n_max < 2:
+        raise ContractViolation(f"n_max must be >= 2, got {n_max}")
+    if mode == "exact" and n_max > EXACT_DP_LIMIT:
+        raise ContractViolation(f"exact mode limited to {EXACT_DP_LIMIT} vertices, got n_max={n_max}")
     rng = np.random.default_rng(derive_seed(master_seed, 505, k_edges, instances))
     rows = []
     violations = []

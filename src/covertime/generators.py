@@ -175,12 +175,10 @@ class PGWTree:
     root: int = 0
 
 
-def _pgw_offspring(rng: np.random.Generator, mu: float, size_cap: int, next_id: int):
-    """Level-batched BFS branching sample; returns (edges, ids used, height,
-    truncated). Parent ids must already exist; vertex ids are allocated
-    from next_id upward in BFS order."""
-    root = next_id
-    next_id += 1
+def _pgw_offspring(rng: np.random.Generator, mu: float, size_cap: int, root: int, next_id: int):
+    """Level-batched BFS branching sample below root; returns (edges, size,
+    height, truncated, next free id). The root id must already exist; the
+    other vertex ids are allocated from next_id upward in BFS order."""
     frontier = [root]
     edges: list[tuple[int, int]] = []
     size = 1
@@ -224,7 +222,7 @@ def pgw_tree(mu: float, seed: int, size_cap: int = 1_000_000) -> PGWTree:
     if size_cap < 1:
         raise ContractViolation("size_cap must be >= 1")
     rng = np.random.default_rng(seed)
-    edges, size, height, truncated, _ = _pgw_offspring(rng, mu, size_cap, 0)
+    edges, size, height, truncated, _ = _pgw_offspring(rng, mu, size_cap, 0, 1)
     return PGWTree(MultiGraph(size, edges), size, height, truncated)
 
 
@@ -291,16 +289,6 @@ class GiantSample:
     def kernel_size(self) -> int:
         return len(self.kernel_degrees)
 
-    @property
-    def lambda_resample_flagged(self) -> bool:
-        """True when more than 1% of the normal draws came back nonpositive."""
-        total = self.lambda_resamples + 1
-        return self.lambda_resamples / total > 0.01
-
-    @property
-    def kernel_acceptance_flagged(self) -> bool:
-        """True when the simple-kernel rejection rate fell below 1e-3."""
-        return 1.0 / self.kernel_tries < 1e-3
 
 
 def giant_model(
@@ -351,14 +339,10 @@ def giant_model(
         tree_sizes = np.empty(core_size, dtype=np.int64)
         truncated = 0
         for core_v in range(core_size):
-            t_edges, t_size, _, t_flag, candidate_next = _pgw_offspring(
-                rng, mu, tree_size_cap, next_id
+            t_edges, t_size, _, t_flag, next_id = _pgw_offspring(
+                rng, mu, tree_size_cap, core_v, next_id
             )
-            # re-root the sampled tree at the core vertex
-            root = next_id
-            for x, y in t_edges:
-                edges.append((core_v if x == root else x - 1, core_v if y == root else y - 1))
-            next_id = candidate_next - 1
+            edges.extend(t_edges)
             tree_sizes[core_v] = t_size
             truncated += int(t_flag)
         graph = MultiGraph(next_id, edges)

@@ -38,6 +38,8 @@ _CHUNK = 4096
 _VISITED_BYTES = 1 << 26
 VECTOR_THRESHOLD = 256
 WORST_START_LIMIT = 64
+EXACT_DP_LIMIT = 20
+_DP_BLOCK = 1 << 10
 
 QUANTITIES = ("cover", "cover_return", "blanket", "hitting", "commute")
 
@@ -415,7 +417,7 @@ def simulate(
             else _stationary_starts(g, keys)
         return _run_batch(g, quantity, starts, keys, waypoints, cap)
 
-    if start_policy in ("worst", "worst_over_all_starts"):
+    if start_policy == "worst_over_all_starts":
         if k > WORST_START_LIMIT:
             raise ContractViolation(
                 f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
@@ -446,38 +448,38 @@ def exact_cover_times(component: ComponentView) -> np.ndarray:
     """Exact expected cover time from every start, by dynamic programming
     over (visited set, current vertex) states.
 
-    Visited sets are processed in decreasing popcount; within each set the
-    linear system of moves that stay inside the set is solved, with
-    absorbing transitions into already-solved larger sets. Exponential in
-    the vertex count; limited to 20 vertices.
+    table[mask, v] is the expected number of steps to cover from v with the
+    vertices of mask already visited. Masks are filled one popcount layer
+    at a time, from k - 1 down to 1: each mask's moves that stay inside it
+    form a linear system, absorbed by moves into the layer above, and a
+    block of ``_DP_BLOCK`` masks is solved in one batched call. Exponential
+    in the vertex count; limited to ``EXACT_DP_LIMIT`` vertices.
     """
     g = component.graph
     k = g.vertex_count
-    if k > 20:
-        raise ContractViolation(f"exact cover time limited to 20 vertices, got {k}")
-    if k == 1:
-        return np.zeros(1)
+    if k > EXACT_DP_LIMIT:
+        raise ContractViolation(f"exact cover time limited to {EXACT_DP_LIMIT} vertices, got {k}")
     P = np.zeros((k, k))
     for vtx, nbrs in enumerate(g.adjacency):
         d = g.degrees[vtx]
         for w, m in nbrs:
             P[vtx, w] += (2 * m if w == vtx else m) / d
-    full = (1 << k) - 1
-    table: dict[int, np.ndarray] = {full: np.zeros(k)}
-    eye = np.eye(k)
-    masks = sorted(range(1, full), key=lambda m: m.bit_count(), reverse=True)
-    all_v = list(range(k))
-    for mask in masks:
-        inside = [vtx for vtx in all_v if (mask >> vtx) & 1]
-        outside = [vtx for vtx in all_v if not (mask >> vtx) & 1]
-        A = eye[np.ix_(inside, inside)] - P[np.ix_(inside, inside)]
-        ext = np.array([table[mask | (1 << w)][w] for w in outside])
-        b = 1.0 + P[np.ix_(inside, outside)] @ ext
-        x = np.linalg.solve(A, b)
-        vec = np.zeros(k)
-        vec[inside] = x
-        table[mask] = vec
-    return np.array([table[1 << s][s] for s in range(k)])
+    masks = np.arange(1 << k)
+    bits = (masks[:, None] & (1 << np.arange(k))) != 0
+    popcount = bits.sum(axis=1)
+    table = np.zeros((1 << k, k))
+    for p in range(k - 1, 0, -1):
+        layer = masks[popcount == p]
+        for lo in range(0, len(layer), _DP_BLOCK):
+            block = layer[lo:lo + _DP_BLOCK]
+            inside = np.nonzero(bits[block])[1].reshape(-1, p)
+            outside = np.nonzero(~bits[block])[1].reshape(-1, k - p)
+            mask = block[:, None]
+            A = np.eye(p) - P[inside[:, :, None], inside[:, None, :]]
+            ext = table[mask | (1 << outside), outside]
+            b = 1.0 + P[inside[:, :, None], outside[:, None, :]] @ ext[:, :, None]
+            table[mask, inside] = np.linalg.solve(A, b)[:, :, 0]
+    return table[1 << np.arange(k), np.arange(k)]
 
 
 def exact_cover_time(component: ComponentView, start: int) -> float:

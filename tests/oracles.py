@@ -5,7 +5,8 @@ package under test: resistances via the Moore-Penrose pseudoinverse of
 the full Laplacian, hitting times via the one-step equations or the
 all-pairs hitting matrix (the cross-check of the package's row-based
 Matthews bound), covering numbers via exhaustive set cover, cover times
-via closed forms, and branching-process size laws via convolution.
+via closed forms and a one-solve-per-visited-set dynamic program, and
+branching-process size laws via convolution.
 """
 from __future__ import annotations
 
@@ -135,6 +136,44 @@ def return_time_exact(g: MultiGraph, v: int) -> float:
         if w != v and P[v, w] > 0:
             total += P[v, w] * hitting_time_onestep(g, w, v)
     return total
+
+
+def exact_cover_times_per_mask(component: ComponentView) -> np.ndarray:
+    """Exact expected cover time from every start, by dynamic programming
+    over (visited set, current vertex) states.
+
+    Visited sets are processed in decreasing popcount; within each set the
+    linear system of moves that stay inside the set is solved, with
+    absorbing transitions into already-solved larger sets. Exponential in
+    the vertex count; limited to 20 vertices.
+    """
+    g = component.graph
+    k = g.vertex_count
+    if k > 20:
+        raise ContractViolation(f"exact cover time limited to 20 vertices, got {k}")
+    if k == 1:
+        return np.zeros(1)
+    P = np.zeros((k, k))
+    for vtx, nbrs in enumerate(g.adjacency):
+        d = g.degrees[vtx]
+        for w, m in nbrs:
+            P[vtx, w] += (2 * m if w == vtx else m) / d
+    full = (1 << k) - 1
+    table: dict[int, np.ndarray] = {full: np.zeros(k)}
+    eye = np.eye(k)
+    masks = sorted(range(1, full), key=lambda m: m.bit_count(), reverse=True)
+    all_v = list(range(k))
+    for mask in masks:
+        inside = [vtx for vtx in all_v if (mask >> vtx) & 1]
+        outside = [vtx for vtx in all_v if not (mask >> vtx) & 1]
+        A = eye[np.ix_(inside, inside)] - P[np.ix_(inside, inside)]
+        ext = np.array([table[mask | (1 << w)][w] for w in outside])
+        b = 1.0 + P[np.ix_(inside, outside)] @ ext
+        x = np.linalg.solve(A, b)
+        vec = np.zeros(k)
+        vec[inside] = x
+        table[mask] = vec
+    return np.array([table[1 << s][s] for s in range(k)])
 
 
 def minimal_cover_size(R: np.ndarray, radius: float, rtol: float = 1e-9) -> int:

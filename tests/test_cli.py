@@ -192,6 +192,19 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert err == b""
 
+    def test_closed_stdout_keeps_json_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "covertime", "generate", "--model", "tree", "--k", "50",
+             "--json", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 1
+        assert err == b""
+        assert json.loads(out.read_text())["vertices"] == 50
+
 
 class TestInputErrors:
     """Bad input exits 2 with one `error:` line and no traceback."""
@@ -221,6 +234,11 @@ class TestInputErrors:
     def test_percolation_base_without_size_flags(self, base):
         self._assert_input_error(run_cli(
             "generate", "--model", "percolation", "--base", base, "--p", "0.5"))
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_edge_add_n_max_below_two(self, mode):
+        self._assert_input_error(run_cli(
+            "edge-add", "--mode", mode, "--n-max", "1", "--instances", "1"))
 
 
 class TestReportSchemas:

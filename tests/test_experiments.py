@@ -29,6 +29,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
+from covertime import experiments, walks
 
 
 class TestFit:
@@ -160,6 +161,23 @@ class TestEdgeAddition:
         assert all(r.std_err is not None for r in rep.rows)
         for r in rep.rows:
             assert r.ratio <= 4.0 + 6 * r.std_err / max(r.tcov_before, 1e-9) + 0.5
+
+    def test_exact_limit_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "_random_connected_gnp", no_sampling)
+        with pytest.raises(ContractViolation):
+            edge_addition_suite("exact", 1, 1, 0, n_max=walks.EXACT_DP_LIMIT + 1)
+
+    def test_exact_accepts_thirteen_vertices(self):
+        rep = edge_addition_suite("exact", 1, 1, 0, n_max=13)
+        assert len(rep.rows) == 1 and rep.violations == []
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_n_max_below_two_rejected(self, mode):
+        with pytest.raises(ContractViolation):
+            edge_addition_suite(mode, 1, 1, 0, n_max=1)
 
     def test_p3_shortcut_example(self):
         # adding the closing edge to a 3-path turns it into a triangle:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from covertime import (
     hypercube_graph,
     percolate,
     pgw_tree,
+    to_edge_list_text,
     torus_graph,
     uniform_labeled_tree,
 )
@@ -180,6 +182,25 @@ class TestGiantModel:
         assert abs(params.mu * math.exp(-params.mu)
                    - 1.2 * math.exp(-1.2)) <= 1e-12
         assert params.lambda_var == pytest.approx(1 / (0.2 * 1000))
+
+
+# sha256 of four giant-model samples (one with truncated trees) and three
+# branching trees (one truncated): graph, tree sizes, height and flags
+PINNED_TREES = "524a9e566c5e3604ee080639bb26ee32535692d16b1ef9dc5a22d4cb69ed0185"
+
+
+def test_pinned_tree_samples():
+    h = hashlib.sha256()
+    for n, eps, seed, cap in [(9000, 0.3, 0, 10 ** 6), (9000, 0.3, 1, 10 ** 6),
+                              (2000, 0.5, 2, 10 ** 6), (9000, 0.3, 3, 4)]:
+        s = giant_model(GiantModelParams(n, eps), seed, tree_size_cap=cap)
+        h.update(to_edge_list_text(s.graph).encode())
+        h.update(f"{s.tree_sizes.tolist()} {s.truncated_trees}\n".encode())
+    for mu, seed, cap in [(1.0, 10, 10 ** 6), (0.9, 4, 10 ** 6), (1.0, 1, 50)]:
+        t = pgw_tree(mu, seed, size_cap=cap)
+        h.update(to_edge_list_text(t.graph).encode())
+        h.update(f"{t.size} {t.height} {t.truncated}\n".encode())
+    assert h.hexdigest() == PINNED_TREES
 
 
 class TestPercolation:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from covertime import (
@@ -50,10 +51,17 @@ class TestExactCoverTime:
 
     def test_single_vertex(self):
         assert exact_cover_time(comp(MultiGraph(1)), 0) == 0.0
+        assert np.array_equal(exact_cover_times(comp(MultiGraph(1))), [0.0])
 
     def test_too_large_rejected(self):
         with pytest.raises(ContractViolation):
-            exact_cover_times(comp(path_graph(21)))
+            exact_cover_times(comp(path_graph(walks.EXACT_DP_LIMIT + 1)))
+
+    @pytest.mark.parametrize("block", [walks._DP_BLOCK, 7])
+    @pytest.mark.parametrize("g", [cycle_graph(12), complete_graph(12)], ids=["cycle12", "complete12"])
+    def test_table_matches_per_mask_bitwise(self, g, block, monkeypatch):
+        monkeypatch.setattr(walks, "_DP_BLOCK", block)
+        assert np.array_equal(exact_cover_times(comp(g)), oc.exact_cover_times_per_mask(comp(g)))
 
     def test_loops_slow_cover(self):
         # a loop at the start wastes steps but covers eventually
@@ -61,6 +69,22 @@ class TestExactCoverTime:
         loopy = exact_cover_time(comp(MultiGraph(2, [(0, 1), (0, 0)])), 0)
         assert plain == pytest.approx(1.0)
         assert loopy == pytest.approx(3.0)  # Geom(1/3) tries to leave 0
+
+
+@st.composite
+def small_connected_multigraphs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 10))
+    return oc.random_connected_multigraph(
+        rng, n, extra_edges=draw(st.integers(0, 12)), loops=draw(st.integers(0, 3)),
+        max_multiplicity=draw(st.integers(1, 3)),
+    )
+
+
+@given(small_connected_multigraphs())
+@settings(max_examples=40, deadline=None)
+def test_table_matches_per_mask(g):
+    assert np.array_equal(exact_cover_times(comp(g)), oc.exact_cover_times_per_mask(comp(g)))
 
 
 class TestSimulateCover:
