@@ -108,6 +108,8 @@ def _build_graph(args) -> MultiGraph:
 def _component(args) -> ComponentView:
     g = _build_graph(args)
     comps = connected_components(g)
+    if not comps:
+        raise CovertimeError("graph has no vertices")
     if len(comps) > 1 and not args.largest_component:
         raise CovertimeError(
             f"graph has {len(comps)} components; pass --largest-component"

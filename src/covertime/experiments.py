@@ -461,8 +461,9 @@ def edge_addition_suite(
         raise ContractViolation("k_edges and instances must be >= 1")
     if n_max < 2:
         raise ContractViolation(f"n_max must be >= 2, got {n_max}")
-    if mode == "exact" and n_max > EXACT_DP_LIMIT:
-        raise ContractViolation(f"exact mode limited to {EXACT_DP_LIMIT} vertices, got n_max={n_max}")
+    limit = EXACT_DP_LIMIT if mode == "exact" else WORST_START_LIMIT
+    if n_max > limit:
+        raise ContractViolation(f"{mode} mode limited to {limit} vertices, got n_max={n_max}")
     rng = np.random.default_rng(derive_seed(master_seed, 505, k_edges, instances))
     rows = []
     violations = []

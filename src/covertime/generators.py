@@ -45,6 +45,8 @@ def star_graph(leaves: int) -> MultiGraph:
 
 def hypercube_graph(m: int) -> MultiGraph:
     """Hamming hypercube on 2^m vertices; ids are bit patterns."""
+    if m < 0:
+        raise ContractViolation("hypercube needs m >= 0")
     n = 1 << m
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(m) if not (v >> b) & 1]
     return MultiGraph(n, edges)
@@ -72,15 +74,13 @@ def random_regular_graph(n: int, d: int, seed: int) -> MultiGraph:
     return _configuration_simple([d] * n, rng)
 
 
-def _configuration_simple_counted(
-    degrees: Sequence[int], rng: np.random.Generator
-) -> tuple[MultiGraph, int]:
+def _configuration_simple(degrees: Sequence[int], rng: np.random.Generator) -> MultiGraph:
     n = len(degrees)
     total = int(sum(degrees))
     if total % 2 != 0:
         raise ContractViolation("degree sum must be even")
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    for tries in range(1, _KERNEL_TRIES + 1):
+    for _ in range(_KERNEL_TRIES):
         perm = rng.permutation(stubs)
         a = perm[0::2]
         b = perm[1::2]
@@ -91,14 +91,10 @@ def _configuration_simple_counted(
         pairs = lo * n + hi
         if np.unique(pairs).size != pairs.size:
             continue
-        return MultiGraph(n, list(zip(lo.tolist(), hi.tolist()))), tries
+        return MultiGraph(n, list(zip(lo.tolist(), hi.tolist())))
     raise DegenerateModelError(
         f"configuration model failed to produce a simple graph in {_KERNEL_TRIES} tries"
     )
-
-
-def _configuration_simple(degrees: Sequence[int], rng: np.random.Generator) -> MultiGraph:
-    return _configuration_simple_counted(degrees, rng)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +168,6 @@ class PGWTree:
     size: int
     height: int
     truncated: bool
-    root: int = 0
 
 
 def _pgw_offspring(rng: np.random.Generator, mu: float, size_cap: int, root: int, next_id: int):
@@ -280,10 +275,7 @@ class GiantSample:
     path_lengths: np.ndarray       # one geometric length per kernel edge
     core_size: int                 # kernel vertices + internal path vertices
     tree_sizes: np.ndarray         # one attached tree per core vertex
-    lambda_resamples: int
-    degree_resamples: int
     truncated_trees: int
-    kernel_tries: int = 1
 
     @property
     def kernel_size(self) -> int:
@@ -304,24 +296,20 @@ def giant_model(
     rng = np.random.default_rng(seed)
     mu = params.mu
     lam_sd = math.sqrt(params.lambda_var)
-    lambda_resamples = 0
-    degree_resamples = 0
     for _ in range(_MODEL_RESAMPLES):
         lam = float(rng.normal(params.lambda_mean, lam_sd))
         while lam <= 0:
-            lambda_resamples += 1
             lam = float(rng.normal(params.lambda_mean, lam_sd))
         D = rng.poisson(lam, size=params.n)
         big = D[D >= 3]
         while int(big.sum()) % 2 != 0:
-            degree_resamples += 1
             D = rng.poisson(lam, size=params.n)
             big = D[D >= 3]
         N = big.size
         if N < 4:
             continue
         try:
-            kernel, kernel_tries = _configuration_simple_counted(big.tolist(), rng)
+            kernel = _configuration_simple(big.tolist(), rng)
         except (DegenerateModelError, ContractViolation):
             continue
         kernel_edges = [(u, v) for u, v, _ in kernel.edges]
@@ -354,10 +342,7 @@ def giant_model(
             path_lengths=lengths,
             core_size=core_size,
             tree_sizes=tree_sizes,
-            lambda_resamples=lambda_resamples,
-            degree_resamples=degree_resamples,
             truncated_trees=truncated,
-            kernel_tries=kernel_tries,
         )
     raise DegenerateModelError(
         f"no usable kernel after {_MODEL_RESAMPLES} resamples (eps^3 n too small?)"
@@ -423,6 +408,8 @@ def percolate(spec: BaseGraphSpec, seed: int) -> tuple[MultiGraph, ComponentView
         raise ContractViolation("percolation_p must be in [0, 1]")
     rng = np.random.default_rng(seed)
     base = _build_base(spec, rng)
+    if base.vertex_count == 0:
+        raise ContractViolation("percolation base graph has no vertices")
     kept: list[tuple[int, int, int]] = []
     if p >= 1.0:
         kept = list(base.edges)

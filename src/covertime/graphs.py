@@ -232,10 +232,6 @@ def connected_components(g: MultiGraph) -> list[ComponentView]:
     return [ComponentView(g, ms) for ms in comps]
 
 
-def largest_component(g: MultiGraph) -> ComponentView:
-    return connected_components(g)[0]
-
-
 def from_edge_list(data: str | bytes | IO) -> MultiGraph:
     """Parse the edge-list interchange format.
 

@@ -2,11 +2,12 @@
 
 Monte Carlo estimates use one counter-based random stream per trial (see
 ``rng``), so every estimate is a pure function of (graph, parameters,
-master_seed) whatever the batching or engine. Each engine has one stepping
-loop, and each quantity is a stop rule that the loop consults:
+master_seed) whatever the batching or engine; ``simulate`` runs one batch
+per estimate (k * trials walks for the worst start). Each engine has one
+stepping loop, and each quantity is a stop rule that the loop consults:
 
-* vector (``simulate`` at trials >= VECTOR_THRESHOLD except blanket, and
-  the local-time tail): ``_walk_vector`` steps all active trials at once
+* vector (batches of >= VECTOR_THRESHOLD trials except blanket, and the
+  local-time tail): ``_walk_vector`` steps all active trials at once
   and asks the rule which are done; the rule keeps per-trial state
   (visited rows, phase, visit counts). Trials run in slices that keep
   cover's visited matrix under ``_VISITED_BYTES``.
@@ -383,9 +384,9 @@ def simulate(
 
     start_policy is one of "fixed" (requires start), "stationary" (start
     drawn from the degree distribution per trial), or
-    "worst_over_all_starts" (size <= 64 only: runs the full trial set from
-    every start and reports the maximum mean). Hitting and commute always
-    start at u.
+    "worst_over_all_starts" (size <= 64 only: one batch of k * trials walks
+    runs the full trial set from every start; the estimate keeps the start
+    with the maximum mean). Hitting and commute always start at u.
     """
     if quantity not in QUANTITIES:
         raise ContractViolation(f"unknown quantity {quantity!r}")
@@ -411,28 +412,27 @@ def simulate(
     elif k > 1 and int(g.degrees.min()) == 0:
         raise ContractViolation("component has an isolated vertex; walk is stuck")
 
-    def run(s_local):
-        """Samples from s_local, or from per-trial stationary starts if None."""
-        starts = np.full(trials, s_local, dtype=np.int64) if s_local is not None \
-            else _stationary_starts(g, keys)
-        return _run_batch(g, quantity, starts, keys, waypoints, cap)
-
     if start_policy == "worst_over_all_starts":
         if k > WORST_START_LIMIT:
             raise ContractViolation(
                 f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
             )
-        # the first start with the largest mean
-        samples, s_local = max(((run(s), s) for s in range(k)), key=lambda r: float(r[0].mean()))
-        policy, start = "worst_over_all_starts", component.to_original(s_local)
+        # trial j of every start keeps stream key j
+        starts, keys, policy = np.repeat(np.arange(k), trials), np.tile(keys, k), start_policy
     elif start_policy == "stationary":
-        samples, policy, start = run(None), "stationary", None
+        starts, policy, start = _stationary_starts(g, keys), "stationary", None
     elif start_policy != "fixed":
         raise ContractViolation(f"unknown start_policy {start_policy!r}")
     elif start is None:
         raise ContractViolation("fixed start_policy requires start")
     else:
-        samples, policy = run(component.to_local(start)), f"fixed({start})"
+        starts = np.full(trials, component.to_local(start), dtype=np.int64)
+        policy = f"fixed({start})"
+    samples = _run_batch(g, quantity, starts, keys, waypoints, cap)
+    if policy == "worst_over_all_starts":  # keep the first start with the largest mean
+        per_start = samples.reshape(k, trials)
+        s_local = int(per_start.sum(axis=1).argmax())
+        samples, start = per_start[s_local].copy(), component.to_original(s_local)
     std_err = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return WalkEstimate(
         quantity, policy, float(samples.mean()), std_err, trials, master_seed,
@@ -523,6 +523,8 @@ def local_time_tail_check(
         raise ContractViolation("tail check requires u != v")
     if k_level <= 0:
         raise ContractViolation("k_level must be positive")
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
     g = component.graph
     a = component.to_local(u)
     b = component.to_local(v)
@@ -572,6 +574,8 @@ def trace_local_times(
     cps = tuple(sorted(int(c) for c in checkpoints))
     if cps and cps[0] < 0:
         raise ContractViolation("checkpoints must be >= 0")
+    if trial < 0:
+        raise ContractViolation("trial must be >= 0")
     key = int(trial_keys(master_seed, trial + 1)[-1])
     s = component.to_local(start)
     rule = _Checkpoints(g.vertex_count, s, cps)

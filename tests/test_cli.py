@@ -240,6 +240,25 @@ class TestInputErrors:
         self._assert_input_error(run_cli(
             "edge-add", "--mode", mode, "--n-max", "1", "--instances", "1"))
 
+    def test_edge_add_mc_n_max_above_worst_start_limit(self):
+        proc = run_cli("edge-add", "--mode", "mc", "--n-max", "200",
+                       "--instances", "3", "--trials", "10")
+        self._assert_input_error(proc)
+        assert "n_max" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--model", "percolation", "--base", "hypercube", "--m", "-1"],
+        ["generate", "--model", "percolation", "--base", "complete", "--base-n", "0"],
+        ["bound", "--model", "gnp", "--n", "0", "--p", "0.5"],
+    ])
+    def test_empty_or_negative_size(self, argv):
+        self._assert_input_error(run_cli(*argv))
+
+    def test_edges_file_without_vertices(self, tmp_path):
+        edges = tmp_path / "empty.txt"
+        edges.write_text("n 0\n")
+        self._assert_input_error(run_cli("bound", "--edges", str(edges)))
+
 
 class TestReportSchemas:
     def test_evolution_report_keys(self, capsys):

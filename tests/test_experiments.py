@@ -170,6 +170,14 @@ class TestEdgeAddition:
         with pytest.raises(ContractViolation):
             edge_addition_suite("exact", 1, 1, 0, n_max=walks.EXACT_DP_LIMIT + 1)
 
+    def test_mc_limit_checked_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a graph")
+
+        monkeypatch.setattr(experiments, "_random_connected_gnp", no_sampling)
+        with pytest.raises(ContractViolation, match="n_max"):
+            edge_addition_suite("mc", 1, 1, 0, n_max=walks.WORST_START_LIMIT + 1, trials=2)
+
     def test_exact_accepts_thirteen_vertices(self):
         rep = edge_addition_suite("exact", 1, 1, 0, n_max=13)
         assert len(rep.rows) == 1 and rep.violations == []

@@ -110,6 +110,20 @@ class TestSimulateCover:
             simulate(comp(cycle_graph(70)), "cover",
                      start_policy="worst_over_all_starts", trials=2, master_seed=0)
 
+    def test_worst_start_is_one_batch(self, monkeypatch):
+        batches = []
+        run_batch = walks._run_batch
+
+        def counting(graph, quantity, starts, keys, waypoints, cap):
+            batches.append(len(keys))
+            return run_batch(graph, quantity, starts, keys, waypoints, cap)
+
+        monkeypatch.setattr(walks, "_run_batch", counting)
+        est = simulate(_LOOPY, "cover", start_policy="worst_over_all_starts",
+                       trials=30, master_seed=14)
+        assert batches == [7 * 30]
+        assert est.trials == 30 and est.samples.shape == (30,)
+
     def test_matches_exact_dp_randomized(self):
         rng = np.random.default_rng(33)
         bad = 0
@@ -263,6 +277,11 @@ class TestLocalTimeTail:
         for p in pts:
             assert p.empirical_prob <= p.bound + 3 * p.std_err + 1e-6
 
+    def test_zero_trials_rejected(self):
+        with pytest.raises(ContractViolation):
+            local_time_tail_check(comp(path_graph(3)), 0, 2, 4.0, [0.0],
+                                  trials=0, master_seed=1)
+
 
 class TestLocalTimeTrace:
     def test_visits_sum_to_time_plus_one(self):
@@ -283,6 +302,10 @@ class TestLocalTimeTrace:
         with pytest.raises(ContractViolation):
             trace_local_times(c, 0, [0, 5], master_seed=0)
 
+    def test_negative_trial_rejected(self):
+        with pytest.raises(ContractViolation):
+            trace_local_times(comp(cycle_graph(6)), 0, [5], master_seed=0, trial=-1)
+
 
 # sha256 of sample arrays for each quantity, engine and start policy: a
 # change to an engine or a stop rule must reproduce them bit for bit.
@@ -293,6 +316,13 @@ _PATH100 = comp(path_graph(100))  # walks that cross several scalar chunks
 
 def _sim(c, quantity, trials, seed, **kw):
     return simulate(c, quantity, trials=trials, master_seed=seed, **kw).samples
+
+
+def _worst(c, quantity, trials, seed):
+    """Samples of a worst-start estimate, then its chosen start."""
+    est = simulate(c, quantity, trials=trials, master_seed=seed,
+                   start_policy="worst_over_all_starts")
+    return np.append(est.samples, est.start)
 
 
 PINNED = {
@@ -323,6 +353,23 @@ PINNED = {
     "cover-worst": (
         lambda: _sim(_LOOPY, "cover", 50, 5, start_policy="worst_over_all_starts"),
         "5336aa0a24358eb998304cdd02ca167d46ad3cdc93182c685bf402c1e82b73c9"),
+    # k * trials = 210 and 2100: below and above VECTOR_THRESHOLD however
+    # the starts are batched
+    "cover-worst-scalar": (
+        lambda: _worst(_LOOPY, "cover", 30, 14),
+        "7cb58fb453106a5cf886f8fb0f3a751dbc599909c7e81a6638bae2b01ee971ba"),
+    "cover-worst-vector": (
+        lambda: _worst(_LOOPY, "cover", 300, 15),
+        "9ebef9f4887a740e24e438372f324880ce9b0000d9cc143bab0a0c14228494b8"),
+    "cover_return-worst": (
+        lambda: _worst(_LOOPY, "cover_return", 50, 16),
+        "88bd3de89ff1d71731645917c732439bd8cc4338d549d8137ca78dbd404344ce"),
+    "blanket-worst": (
+        lambda: _worst(_LOOPY, "blanket", 10, 17),
+        "20475c91c880010162ee21784469195d167e0f9777a4530ad427606cc2ef75d9"),
+    "cover-worst-long": (
+        lambda: _worst(comp(path_graph(40)), "cover", 4, 18),
+        "12dd015f9013314749299e8764b4e2ca83a81d7ac2a06820cde607d01bb1a62e"),
     "hitting-scalar": (
         lambda: _sim(_LOOPY, "hitting", 100, 6, u=0, v=4),
         "918b4e1f6cf803413650d0d0358b4feb07d1776f29c50e032e0dc76beffd2fee"),
