@@ -1,6 +1,7 @@
 """Undirected multigraphs with integer multiplicities, loops, and dense ids."""
 from __future__ import annotations
 
+import math
 from typing import IO, Iterable, Sequence
 
 import numpy as np
@@ -118,10 +119,18 @@ class MultiGraph:
         return self._walk_np
 
     def walk_tables_py(self):
-        """Python-list mirror of walk_tables, for tight scalar loops."""
+        """(nbrs, degrees, lcm) as Python lists and an int, for tight scalar loops.
+
+        nbrs[v] is flat[offsets[v]:offsets[v+1]] of walk_tables, and lcm is
+        the least common multiple of the positive degrees (1 if there are
+        none): every degree divides it.
+        """
         if self._walk_py is None:
             offsets, flat, degrees = self.walk_tables()
-            self._walk_py = (offsets.tolist(), flat.tolist(), degrees.tolist())
+            ends, cuts = flat.tolist(), offsets.tolist()
+            nbrs = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
+            degs = degrees.tolist()
+            self._walk_py = (nbrs, degs, math.lcm(*{d for d in degs if d}))
         return self._walk_py
 
     def _check_vertex(self, v: int) -> None:

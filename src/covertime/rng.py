@@ -52,7 +52,17 @@ def trial_keys(master_seed: int, count: int) -> np.ndarray:
     return mix64(base + idx * _U_GOLDEN)
 
 
+def trial_key(master_seed: int, trial: int) -> int:
+    """Stream key of one trial: trial_keys(master_seed, trial + 1)[-1]."""
+    return mix64_int(mix64_int(master_seed) + trial * GOLDEN)
+
+
 def stream_chunk(key: int, t0: int, count: int) -> np.ndarray:
     """Values of one stream at steps t0..t0+count-1."""
     t = np.arange(t0, t0 + count, dtype=np.uint64)
     return mix64(np.uint64(key) + t * _U_GOLDEN)
+
+
+def stream_values(keys: np.ndarray, t: int) -> np.ndarray:
+    """Values of many streams (uint64 keys) at one step t."""
+    return mix64(keys + np.uint64((t * GOLDEN) & _MASK))

@@ -1,10 +1,11 @@
 """Simple-random-walk simulation and exact small-instance cover times.
 
-Monte Carlo estimates use one counter-based random stream per trial (see
-``rng``), so every estimate is a pure function of (graph, parameters,
-master_seed) whatever the batching or engine; ``simulate`` runs one batch
-per estimate (k * trials walks for the worst start). Each engine has one
-stepping loop, and each quantity is a stop rule that the loop consults:
+Monte Carlo estimates use one counter-based random stream per trial (both
+engines read its values from ``rng``), so every estimate is a pure
+function of (graph, parameters, master_seed) whatever the batching or
+engine; ``simulate`` runs one batch per estimate (k * trials walks for
+the worst start). Each engine has one stepping loop, and each quantity is
+a stop rule that the loop consults:
 
 * vector (batches of >= VECTOR_THRESHOLD trials except blanket, and the
   local-time tail): ``_walk_vector`` steps all active trials at once
@@ -13,7 +14,12 @@ stepping loop, and each quantity is a stop rule that the loop consults:
   cover's visited matrix under ``_VISITED_BYTES``.
 * scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
   (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions
-  to the rule, which returns the index of the stopping step or None.
+  to the rule, which returns the index of the stopping step or None. The
+  chunk's stream values are reduced mod the lcm of the degrees in numpy,
+  so the per-step Python loop indexes per-vertex neighbour lists with
+  small ints. Blanket runs here only; after cover its rule touches a heap
+  of one entry per vertex only at steps that can raise the minimum local
+  time.
 
 On both engines a walk not stopped by step ``step_cap`` raises
 StepLimitExceeded.
@@ -29,10 +35,9 @@ import numpy as np
 
 from .errors import ContractViolation, StepLimitExceeded
 from .graphs import ComponentView
-from .rng import mix64, stream_chunk, trial_keys
+from .rng import mix64, stream_chunk, stream_values, trial_key, trial_keys
 from .resistance import ResistanceOracle
 
-_MASK = (1 << 64) - 1
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
 _FIRST_CHUNK = 256
 _CHUNK = 4096
@@ -76,10 +81,6 @@ def _default_cap(component: ComponentView) -> int:
     return max(10_000 * 2 * g.edge_total * g.vertex_count, 1_000_000)
 
 
-def _step_vals(keys: np.ndarray, t: int) -> np.ndarray:
-    return mix64(keys + np.uint64((t * 0x9E3779B97F4A7C15) & _MASK))
-
-
 # ---------------------------------------------------------------------------
 # vector engine: rules see the positions of the active trials after a step
 
@@ -100,7 +101,7 @@ def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
         rule = make_rule(pos)
         t = 0
         while idx.size:
-            r = _step_vals(keys_a, t)
+            r = stream_values(keys_a, t)
             pos = flat[offsets[pos] + (r % degs_u[pos]).astype(np.int64)]
             t += 1
             done = rule.step(idx, pos)
@@ -189,15 +190,24 @@ class _TailRows:
 
 
 def _walk_scalar(graph, start, key, rule, cap):
-    """Stopping time of one walk from start under the rule."""
-    offsets, flat, degs = graph.walk_tables_py()
+    """Stopping time of one walk from start under the rule.
+
+    Stream values are reduced mod the lcm of the degrees before they become
+    Python ints, which keeps them small; (r mod lcm) mod d == r mod d for
+    every degree d, so the walk is the same. An lcm of 2**63 or more leaves
+    the values as they are.
+    """
+    nbrs, degs, lcm = graph.walk_tables_py()
     if degs[start] == 0:
         raise ContractViolation("walk cannot move from an isolated vertex")
+    mod = np.uint64(lcm) if lcm < 1 << 63 else None
     pos, t, n = start, 0, _FIRST_CHUNK
     while True:
-        steps = stream_chunk(key, t, n).tolist()
-        path = [pos := flat[offsets[pos] + r % degs[pos]] for r in steps]
-        i = rule(np.array(path))
+        vals = stream_chunk(key, t, n)
+        if mod is not None:
+            vals %= mod
+        path = [pos := nbrs[pos][r % degs[pos]] for r in vals.tolist()]
+        i = rule(np.array(path, dtype=np.int64))
         t += n if i is None else i + 1
         if t > cap:
             raise StepLimitExceeded(f"walk exceeded {cap} steps")
@@ -255,9 +265,12 @@ class _Blanket:
     """Blanket: done at the first time all local times are positive and
     within a factor of 2 (the start counts as a visit at time 0).
 
-    Until cover, visits are counted per chunk; after it, local times are
-    tracked step by step with a lazy min-heap of (local time, vertex,
-    visits) entries, which go stale when their vertex is revisited.
+    Until cover, visits are counted per chunk. After it, a min-heap holds
+    one (local time, vertex, visits) entry per vertex; an entry goes stale
+    when its vertex is revisited and is refreshed only when it reaches the
+    top. Local times only grow, so the condition can first hold only at a
+    step that raises the minimum, which is a step onto the top vertex: the
+    heap is touched and the condition checked only at those steps.
     """
 
     def __init__(self, graph, start):
@@ -280,17 +293,19 @@ class _Blanket:
             heapq.heapify(self.heap)
             self.max_l = max(entry[0] for entry in self.heap)
         counts, heap, degs, max_l = self.counts, self.heap, self.degs, self.max_l
+        top = heap[0][1]
         for j, pos in enumerate(path[i:].tolist(), i):
             c = counts[pos] + 1
             counts[pos] = c
             loc = c / degs[pos]
             if loc > max_l:
                 max_l = loc
-            heapq.heappush(heap, (loc, pos, c))
-            while heap[0][2] != counts[heap[0][1]]:
-                heapq.heappop(heap)
-            if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
-                return j
+            if pos == top:  # its entry is stale now; refresh stale tops
+                while heap[0][2] != counts[top := heap[0][1]]:
+                    c = counts[top]
+                    heapq.heapreplace(heap, (c / degs[top], top, c))
+                if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
+                    return j
         self.max_l = max_l
         return None
 
@@ -576,7 +591,7 @@ def trace_local_times(
         raise ContractViolation("checkpoints must be >= 0")
     if trial < 0:
         raise ContractViolation("trial must be >= 0")
-    key = int(trial_keys(master_seed, trial + 1)[-1])
+    key = trial_key(master_seed, trial)
     s = component.to_local(start)
     rule = _Checkpoints(g.vertex_count, s, cps)
     if rule.j < len(cps):

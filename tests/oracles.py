@@ -5,11 +5,13 @@ package under test: resistances via the Moore-Penrose pseudoinverse of
 the full Laplacian, hitting times via the one-step equations or the
 all-pairs hitting matrix (the cross-check of the package's row-based
 Matthews bound), covering numbers via exhaustive set cover, cover times
-via closed forms and a one-solve-per-visited-set dynamic program, and
+via closed forms and a one-solve-per-visited-set dynamic program,
+blanket times via one walk in plain Python with a heap push per step, and
 branching-process size laws via convolution.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -17,6 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from covertime import ComponentView, ContractViolation, MultiGraph
+from covertime.rng import GOLDEN, mix64_int
 
 
 def laplacian(g: MultiGraph) -> np.ndarray:
@@ -174,6 +177,40 @@ def exact_cover_times_per_mask(component: ComponentView) -> np.ndarray:
         vec[inside] = x
         table[mask] = vec
     return np.array([table[1 << s][s] for s in range(k)])
+
+
+def blanket_time_per_step(g: MultiGraph, start: int, key: int) -> int:
+    """Blanket time of the walk with stream key `key` from start: the first
+    step at which all local times (visits / degree, the start counting as
+    a visit at time 0) are positive and within a factor of 2. Needs k >= 2.
+
+    Step t reads mix64(key + t * golden) in plain Python ints and picks
+    that value mod degree among the vertex's edge ends in adjacency order.
+    Every step pushes a (local time, vertex, visits) entry on a min-heap
+    and pops the stale entries off its top before the check.
+    """
+    ends = [[w for w, m in nbrs for _ in range(2 * m if w == v else m)]
+            for v, nbrs in enumerate(g.adjacency)]
+    degs = g.degrees.tolist()
+    counts = [0] * g.vertex_count
+    counts[start] = 1
+    heap = [(c / d, v, c) for v, (c, d) in enumerate(zip(counts, degs))]
+    heapq.heapify(heap)
+    max_l = max(entry[0] for entry in heap)
+    pos, t = start, 0
+    while True:
+        r = mix64_int(key + t * GOLDEN)
+        pos = ends[pos][r % degs[pos]]
+        t += 1
+        c = counts[pos] + 1
+        counts[pos] = c
+        loc = c / degs[pos]
+        max_l = max(max_l, loc)
+        heapq.heappush(heap, (loc, pos, c))
+        while heap[0][2] != counts[heap[0][1]]:
+            heapq.heappop(heap)
+        if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
+            return t
 
 
 def minimal_cover_size(R: np.ndarray, radius: float, rtol: float = 1e-9) -> int:

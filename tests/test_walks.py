@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from covertime import (
     uniform_labeled_tree,
 )
 from covertime import walks
+from covertime.rng import trial_key, trial_keys
 
 
 def comp(g: MultiGraph) -> ComponentView:
@@ -149,6 +151,23 @@ class TestSimulateCover:
         hi = simulate(c, quantity, trials=500, master_seed=9, **kw)
         assert np.array_equal(lo.samples, hi.samples[:50])
 
+    @pytest.mark.parametrize("quantity", ["cover", "cover_return", "hitting", "commute"])
+    def test_engines_agree_on_raw_values(self, quantity):
+        # spokes of prime multiplicity 2..53 and a loop at the hub: the lcm
+        # of the degrees is above 2**63, so the scalar engine steps on the
+        # raw stream values
+        primes = [p for p in range(2, 54) if all(p % q for q in range(2, p))]
+        g = MultiGraph(len(primes) + 1, [(0, i, p) for i, p in enumerate(primes, 1)] + [(0, 0)])
+        nbrs, degs, lcm = g.walk_tables_py()
+        offsets, flat, degrees = g.walk_tables()
+        assert lcm >= 1 << 63 and lcm == math.lcm(*degs) and degs == degrees.tolist()
+        assert nbrs == [flat[offsets[v]:offsets[v + 1]].tolist() for v in range(g.vertex_count)]
+        c = comp(g)
+        kw = dict(start=0, u=1, v=2) if quantity in ("hitting", "commute") else dict(start=1)
+        lo = simulate(c, quantity, trials=50, master_seed=19, **kw)
+        hi = simulate(c, quantity, trials=500, master_seed=19, **kw)
+        assert np.array_equal(lo.samples, hi.samples[:50])
+
     def test_vector_slices_agree(self, monkeypatch):
         # the visited matrix is bounded by running trials in slices
         c = comp(cycle_graph(9))
@@ -186,6 +205,24 @@ class TestSimulateCover:
             est = simulate(comp(MultiGraph(1)), "cover", start_policy="stationary",
                            trials=trials, master_seed=4)
         assert est.mean == 0.0 and est.samples.tolist() == [0] * trials
+
+
+@given(small_connected_multigraphs(), st.integers(0, 9), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_blanket_matches_per_step_heap(g, start, seed):
+    if g.vertex_count == 1:
+        return
+    start %= g.vertex_count
+    est = simulate(comp(g), "blanket", start=start, trials=6, master_seed=seed)
+    expected = [oc.blanket_time_per_step(g, start, key) for key in trial_keys(seed, 6).tolist()]
+    assert est.samples.tolist() == expected
+
+
+def test_blanket_matches_per_step_heap_path30():
+    g = path_graph(30)
+    est = simulate(comp(g), "blanket", start=0, trials=5, master_seed=11)
+    expected = [oc.blanket_time_per_step(g, 0, key) for key in trial_keys(11, 5).tolist()]
+    assert est.samples.tolist() == expected
 
 
 class TestOtherQuantities:
@@ -305,6 +342,21 @@ class TestLocalTimeTrace:
     def test_negative_trial_rejected(self):
         with pytest.raises(ContractViolation):
             trace_local_times(comp(cycle_graph(6)), 0, [5], master_seed=0, trial=-1)
+
+    def test_trial_key_matches_trial_keys(self):
+        for seed in (0, 12, 2 ** 64 - 1):
+            assert [trial_key(seed, t) for t in range(300)] == trial_keys(seed, 300).tolist()
+
+    def test_far_trial_reads_one_key(self):
+        # the key of trial 2**40 is computed alone, not read off 2**40 keys
+        tracemalloc.start()
+        try:
+            tr = trace_local_times(comp(cycle_graph(6)), 0, [0, 50], master_seed=3, trial=2 ** 40)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert tr.visit_counts[1].sum() == 51
 
 
 # sha256 of sample arrays for each quantity, engine and start policy: a
