@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import blas
 from .errors import ContractViolation
 from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle
 
@@ -252,7 +253,8 @@ def matthews_from_oracle(
     for cand in sets:
         locs = [comp.to_local(x) for x in cand]
         rows = oracle.rows_from_locals(locs)
-        S = rows @ degs
+        with blas.single_thread():  # a long gemv rounds by thread count
+            S = rows @ degs
         Rp = rows[:, locs]
         H = E * Rp + 0.5 * (S[None, :] - S[:, None])
         np.fill_diagonal(H, np.inf)

@@ -4,14 +4,15 @@ Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
 metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
 never raise it) the oracle builds the full resistance matrix R once and
-every row query reads it.
+every row query reads it. scipy is imported by the first oracle built.
 Resistance adds along the edges of a tree hanging from a cut vertex, so
 only the 2-core needs a linear solve: the constructor peels the hanging
 trees, inverts the core's grounded Laplacian in place (LAPACK ``potrf``
-then ``potri``), and fills the rows of the tree vertices from their
-parents' rows by tree distance. On a tree the core is the ground vertex
-alone, and R is the hop distance (times 1/m along an m-fold edge) with no
-solve at all. Above the limit, where a k^2 matrix no longer fits in
+then ``potri``, with OpenBLAS pinned to one thread so that the bits do
+not follow the thread count), and fills the rows of the tree vertices
+from their parents' rows by tree distance. On a tree the core is the
+ground vertex alone, and R is the hop distance (times 1/m along an m-fold
+edge) with no solve at all. Above the limit, where a k^2 matrix no longer fits in
 memory, the constructor factors the Laplacian grounded at the smallest
 vertex id (sparse LU) and computes the grounded diagonal once, in blocks
 of ``_SOLVE_BLOCK`` columns. Each row query then solves its rows in blocks
@@ -30,12 +31,12 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
-import scipy.sparse.linalg
 
+from . import blas
 from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
+
+scipy = None  # bound by the first ResistanceOracle; walk-only commands never load it
 
 DENSE_LIMIT = 4096
 _SOLVE_BLOCK = 256
@@ -84,6 +85,7 @@ class ResistanceOracle:
             raise ContractViolation(
                 f"dense_limit {dense_limit} exceeds DENSE_LIMIT {DENSE_LIMIT}"
             )
+        _import_scipy()
         self.component = component
         g = component.graph
         self.size = g.vertex_count
@@ -177,6 +179,16 @@ class ResistanceOracle:
 
     def degrees_local(self) -> np.ndarray:
         return self._degrees
+
+
+def _import_scipy() -> None:
+    """Bind scipy with its LAPACK and sparse modules. Called by every oracle
+    constructor, whichever path it takes, so that the import cost falls on
+    the first construction."""
+    global scipy
+    import scipy.linalg.lapack
+    import scipy.sparse
+    import scipy.sparse.linalg
 
 
 def _mirror_lower(a: np.ndarray) -> None:
@@ -278,9 +290,10 @@ def _dense_resistances(g: MultiGraph) -> np.ndarray:
             if a >= 0 and b >= 0:
                 inv[a, b] -= m
                 inv[b, a] -= m
-        inv, info = scipy.linalg.lapack.dpotrf(inv, lower=1, clean=0, overwrite_a=1)
-        if info == 0:
-            inv, info = scipy.linalg.lapack.dpotri(inv, lower=1, overwrite_c=1)
+        with blas.single_thread():  # the rounding follows the thread count
+            inv, info = scipy.linalg.lapack.dpotrf(inv, lower=1, clean=0, overwrite_a=1)
+            if info == 0:
+                inv, info = scipy.linalg.lapack.dpotri(inv, lower=1, overwrite_c=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"core Laplacian inversion failed (info {info})")
         _mirror_lower(inv)
@@ -351,4 +364,5 @@ def hitting_time(oracle: ResistanceOracle, u: int, v: int) -> float:
     ru, rv = oracle.rows_from_locals([a, b])
     d = oracle.degrees_local()
     r_uv = float(ru[b])
-    return float(0.5 * np.dot(d, r_uv + rv - ru))
+    with blas.single_thread():
+        return float(0.5 * np.dot(d, r_uv + rv - ru))

@@ -23,11 +23,24 @@ _UM1 = np.uint64(_M1)
 _UM2 = np.uint64(_M2)
 
 
+def mix64_inplace(z: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer, elementwise and in place on the uint64 array z
+    (wrapping); scratch is a work array of z's shape. Returns z."""
+    np.right_shift(z, _U30, out=scratch)
+    z ^= scratch
+    z *= _UM1
+    np.right_shift(z, _U27, out=scratch)
+    z ^= scratch
+    z *= _UM2
+    np.right_shift(z, _U31, out=scratch)
+    z ^= scratch
+    return z
+
+
 def mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer, elementwise on uint64 arrays (wrapping)."""
-    z = (z ^ (z >> _U30)) * _UM1
-    z = (z ^ (z >> _U27)) * _UM2
-    return z ^ (z >> _U31)
+    """SplitMix64 finalizer of a uint64 array, into a new array."""
+    z = np.array(z, dtype=np.uint64)
+    return mix64_inplace(z, np.empty_like(z))
 
 
 def mix64_int(x: int) -> int:
@@ -63,6 +76,8 @@ def stream_chunk(key: int, t0: int, count: int) -> np.ndarray:
     return mix64(np.uint64(key) + t * _U_GOLDEN)
 
 
-def stream_values(keys: np.ndarray, t: int) -> np.ndarray:
-    """Values of many streams (uint64 keys) at one step t."""
-    return mix64(keys + np.uint64((t * GOLDEN) & _MASK))
+def stream_values(keys: np.ndarray, t: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Values of many streams (uint64 keys) at one step t, written into out;
+    scratch is a work array of the same shape. Returns out."""
+    np.add(keys, np.uint64((t * GOLDEN) & _MASK), out=out)
+    return mix64_inplace(out, scratch)

@@ -11,7 +11,10 @@ a stop rule that the loop consults:
   local-time tail): ``_walk_vector`` steps all active trials at once
   and asks the rule which are done; the rule keeps per-trial state
   (visited rows, phase, visit counts). Trials run in slices that keep
-  cover's visited matrix under ``_VISITED_BYTES``.
+  cover's visited matrix under ``_VISITED_BYTES``. Once fewer than
+  VECTOR_THRESHOLD trials of a slice are running, each goes on in the
+  scalar loop from its position and step count, with a scalar rule that
+  carries its state (the local-time tail has none and stays here).
 * scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
   (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions
   to the rule, which returns the index of the stopping step or None. The
@@ -88,7 +91,16 @@ def _default_cap(component: ComponentView) -> int:
 def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
     """One value per trial, stepping all trials until the rule stops each;
     make_rule(starts) builds the rule of one slice of trials, which holds
-    row_bytes bytes per trial."""
+    row_bytes bytes per trial.
+
+    A slice steps here while at least ``VECTOR_THRESHOLD`` of its trials
+    run; each walk still running then goes on in ``_walk_scalar`` from its
+    position and step count, with the scalar rule ``rule.scalar(j)`` that
+    carries its state. A rule whose ``scalar`` is None keeps every walk
+    here to the end. Finished trials go on stepping, marked so that none
+    is recorded twice, until a quarter of the arrays has finished and they
+    are dropped.
+    """
     offsets, flat, degrees = graph.walk_tables()
     degs_u = degrees.astype(np.uint64)
     T = len(keys)
@@ -97,40 +109,64 @@ def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
     for lo in range(0, T, width):
         pos, keys_a = starts[lo:lo + width], keys[lo:lo + width]
         part = out[lo:lo + width]
-        idx = np.arange(len(pos))
         rule = make_rule(pos)
+        floor = 1 if rule.scalar is None else VECTOR_THRESHOLD
+        idx = np.arange(len(pos))
+        live = np.ones(len(pos), dtype=bool)
+        running = len(pos)
+        z, scratch = np.empty(len(pos), dtype=np.uint64), np.empty(len(pos), dtype=np.uint64)
         t = 0
-        while idx.size:
-            r = stream_values(keys_a, t)
-            pos = flat[offsets[pos] + (r % degs_u[pos]).astype(np.int64)]
+        while running >= floor:
+            stream_values(keys_a, t, z, scratch)
+            z %= degs_u[pos]
+            at = offsets[pos]
+            at += z.view(np.int64)
+            pos = flat[at]
             t += 1
-            done = rule.step(idx, pos)
-            if done.any():
-                part[idx[done]] = rule.value(t, done)
-                keep = ~done
-                idx, pos, keys_a = idx[keep], pos[keep], keys_a[keep]
-                rule.keep(keep)
+            done = rule.step(pos)
+            if done is not None:
+                done &= live
+                finished = int(np.count_nonzero(done))
+                if finished:
+                    part[idx[done]] = rule.value(t, done)
+                    live ^= done  # done is a subset of live
+                    running -= finished
+                    if 4 * running <= 3 * len(live):
+                        idx, pos, keys_a = idx[live], pos[live], keys_a[live]
+                        rule.keep(live)
+                        live = np.ones(running, dtype=bool)
+                        z, scratch = z[:running], scratch[:running]
             if t > cap:
                 raise StepLimitExceeded(f"walk exceeded {cap} steps")
+        for j in np.flatnonzero(live).tolist():
+            part[idx[j]] = _walk_scalar(graph, int(pos[j]), int(keys_a[j]), rule.scalar(j), cap, t)
     return out
 
 
 class _VisitedRows:
     """Cover: a trial is done once its visited row is full and, for
-    cover_return, it stands on its start again."""
+    cover_return, it stands on its start again. The rows are one flat array,
+    trial i's row starting at base[i]."""
 
     def __init__(self, k, starts, need_return):
         T = len(starts)
-        self.visited = np.zeros((T, k), dtype=bool)
-        self.visited[np.arange(T), starts] = True
+        self.k = k
+        self.base = np.arange(T, dtype=np.int64) * k
+        self.visited = np.zeros(T * k, dtype=bool)
+        self.visited[self.base + starts] = True
         self.unvis = np.full(T, k - 1, dtype=np.int64)
         self.home = starts if need_return else None
 
-    def step(self, idx, pos):
-        fresh = ~self.visited[idx, pos]
-        if fresh.any():
-            self.visited[idx[fresh], pos[fresh]] = True
+    def step(self, pos):
+        """Done mask, or None when no trial can be done: without a return,
+        only a step with a fresh visit can end a trial."""
+        cell = self.base + pos
+        fresh = ~self.visited[cell]
+        if np.count_nonzero(fresh):
+            self.visited[cell] = True
             self.unvis -= fresh
+        elif self.home is None:
+            return None
         if self.home is None:
             return self.unvis == 0
         return (self.unvis == 0) & (pos == self.home)
@@ -139,9 +175,14 @@ class _VisitedRows:
         return t
 
     def keep(self, keep):
-        self.unvis = self.unvis[keep]
+        self.base, self.unvis = self.base[keep], self.unvis[keep]
         if self.home is not None:
             self.home = self.home[keep]
+
+    def scalar(self, j):
+        b = int(self.base[j])
+        home = None if self.home is None else int(self.home[j])
+        return _Unvisited(self.visited[b:b + self.k].copy(), int(self.unvis[j]), home)
 
 
 class _WaypointRows:
@@ -151,7 +192,7 @@ class _WaypointRows:
         self.waypoints = waypoints
         self.phase = np.zeros(T, dtype=bool)
 
-    def step(self, idx, pos):
+    def step(self, pos):
         if len(self.waypoints) == 1:
             return pos == self.waypoints[0]
         self.phase |= pos == self.waypoints[0]
@@ -163,17 +204,22 @@ class _WaypointRows:
     def keep(self, keep):
         self.phase = self.phase[keep]
 
+    def scalar(self, j):
+        return _WaypointScan(self.waypoints[1:] if self.phase[j] else self.waypoints)
+
 
 class _TailRows:
     """Local-time tail: walks from u stop when their visits to u reach
     target and report their visits to v."""
+
+    scalar = None  # no scalar form: tail walks stay on the vector loop
 
     def __init__(self, u, v, target, T):
         self.u, self.v, self.target = u, v, target
         self.cu = np.ones(T, dtype=np.int64)
         self.cv = np.zeros(T, dtype=np.int64)
 
-    def step(self, idx, pos):
+    def step(self, pos):
         self.cu += pos == self.u
         self.cv += pos == self.v
         return self.cu >= self.target
@@ -189,8 +235,9 @@ class _TailRows:
 # scalar engine: rules see one chunk of positions of one walk
 
 
-def _walk_scalar(graph, start, key, rule, cap):
-    """Stopping time of one walk from start under the rule.
+def _walk_scalar(graph, start, key, rule, cap, t0=0):
+    """Stopping time of one walk from start under the rule, the walk
+    standing at start after step t0 (a walk the vector loop handed over).
 
     Stream values are reduced mod the lcm of the degrees before they become
     Python ints, which keeps them small; (r mod lcm) mod d == r mod d for
@@ -201,7 +248,7 @@ def _walk_scalar(graph, start, key, rule, cap):
     if degs[start] == 0:
         raise ContractViolation("walk cannot move from an isolated vertex")
     mod = np.uint64(lcm) if lcm < 1 << 63 else None
-    pos, t, n = start, 0, _FIRST_CHUNK
+    pos, t, n = start, t0, _FIRST_CHUNK
     while True:
         vals = stream_chunk(key, t, n)
         if mod is not None:
@@ -220,11 +267,16 @@ class _Unvisited:
     """Cover: done at the step that visits the last unvisited vertex or,
     for cover_return, at the first return to the start after it."""
 
-    def __init__(self, k, start, need_return):
-        self.visited = np.zeros(k, dtype=bool)
-        self.visited[start] = True
-        self.unvis = k - 1
-        self.home = start if need_return else None
+    def __init__(self, visited, unvis, home):
+        self.visited = visited  # bool row, owned by the rule
+        self.unvis = unvis      # its count of False entries
+        self.home = home        # the start for cover_return, else None
+
+    @classmethod
+    def at(cls, k, start, need_return):
+        visited = np.zeros(k, dtype=bool)
+        visited[start] = True
+        return cls(visited, k - 1, start if need_return else None)
 
     def __call__(self, path):
         i = 0
@@ -275,7 +327,7 @@ class _Blanket:
 
     def __init__(self, graph, start):
         self.degs = graph.degrees.tolist()
-        self.cover = _Unvisited(graph.vertex_count, start, False)
+        self.cover = _Unvisited.at(graph.vertex_count, start, False)
         self.counts = np.zeros(graph.vertex_count, dtype=np.int64)
         self.counts[start] = 1
         self.heap = None
@@ -366,7 +418,7 @@ def _run_batch(graph, quantity, starts, keys, waypoints, cap):
     else:
         need_return = quantity == "cover_return"
         vector_rule = lambda s: _VisitedRows(k, s, need_return)
-        scalar_rule = lambda s: _Unvisited(k, s, need_return)
+        scalar_rule = lambda s: _Unvisited.at(k, s, need_return)
         row_bytes = k
     if vector_rule is not None and len(keys) >= VECTOR_THRESHOLD:
         return _walk_vector(graph, starts, keys, vector_rule, cap, row_bytes)

@@ -6,7 +6,8 @@ the full Laplacian, hitting times via the one-step equations or the
 all-pairs hitting matrix (the cross-check of the package's row-based
 Matthews bound), covering numbers via exhaustive set cover, cover times
 via closed forms and a one-solve-per-visited-set dynamic program,
-blanket times via one walk in plain Python with a heap push per step, and
+blanket times via one walk in plain Python with a heap push per step,
+batches of walks via a vector loop that steps every walk to its end, and
 branching-process size laws via convolution.
 """
 from __future__ import annotations
@@ -18,8 +19,8 @@ from itertools import combinations
 
 import numpy as np
 
-from covertime import ComponentView, ContractViolation, MultiGraph
-from covertime.rng import GOLDEN, mix64_int
+from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded
+from covertime.rng import GOLDEN, mix64, mix64_int
 
 
 def laplacian(g: MultiGraph) -> np.ndarray:
@@ -211,6 +212,53 @@ def blanket_time_per_step(g: MultiGraph, start: int, key: int) -> int:
             heapq.heappop(heap)
         if max_l <= 2.0 * heap[0][0] * (1.0 + 1e-12):
             return t
+
+
+def vector_batch_reference(graph: MultiGraph, quantity: str, starts: np.ndarray,
+                           keys: np.ndarray, waypoints, cap: int) -> np.ndarray:
+    """Samples of one batch of cover, cover_return, hitting or commute walks
+    (waypoints as the package's engine takes them), every walk stepped on
+    one vector loop to its end and dropped from the arrays at the step it
+    stops; StepLimitExceeded once a step beyond cap is taken. Step t of
+    every walk reads mix64(key + t * golden) and picks that value mod
+    degree among the vertex's edge ends, read off ``walk_tables``.
+    """
+    k = graph.vertex_count
+    if waypoints is None and k == 1:
+        return np.zeros(len(keys), dtype=np.int64)
+    offsets, flat, degrees = graph.walk_tables()
+    degs_u = degrees.astype(np.uint64)
+    T = len(keys)
+    out = np.zeros(T, dtype=np.int64)
+    idx, pos, keys_a = np.arange(T), starts.copy(), keys.copy()
+    visited = np.zeros((T, k), dtype=bool)
+    visited[idx, pos] = True
+    unvis = np.full(T, k - 1, dtype=np.int64)
+    home, phase = starts.copy(), np.zeros(T, dtype=bool)
+    t = 0
+    while idx.size:
+        r = mix64(keys_a + np.uint64((t * GOLDEN) % 2 ** 64))
+        pos = flat[offsets[pos] + (r % degs_u[pos]).astype(np.int64)]
+        t += 1
+        if waypoints is None:
+            fresh = ~visited[idx, pos]
+            visited[idx[fresh], pos[fresh]] = True
+            unvis -= fresh
+            done = unvis == 0
+            if quantity == "cover_return":
+                done &= pos == home
+        elif len(waypoints) == 1:
+            done = pos == waypoints[0]
+        else:
+            phase |= pos == waypoints[0]
+            done = phase & (pos == waypoints[1])
+        out[idx[done]] = t
+        keep = ~done
+        idx, pos, keys_a = idx[keep], pos[keep], keys_a[keep]
+        unvis, home, phase = unvis[keep], home[keep], phase[keep]
+        if t > cap:
+            raise StepLimitExceeded(f"walk exceeded {cap} steps")
+    return out
 
 
 def minimal_cover_size(R: np.ndarray, radius: float, rtol: float = 1e-9) -> int:

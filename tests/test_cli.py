@@ -282,6 +282,31 @@ class TestReportSchemas:
                     "bound"} <= set(r) for r in payload["rows"])
 
 
+_SCIPY_PROBE = (
+    "import sys; from covertime.cli import main; rc = main(sys.argv[1:]); "
+    "print(rc, 'scipy' in sys.modules, file=sys.stderr)"
+)
+
+
+def _loads_scipy(*argv) -> bool:
+    """Whether a CLI command, run in a fresh process, imported scipy."""
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=300)
+    rc, loaded = proc.stderr.split()[-2:]
+    assert rc == "0", proc.stderr
+    return loaded == "True"
+
+
+class TestLazyScipy:
+    def test_simulate_never_loads_scipy(self):
+        assert not _loads_scipy("--seed", "3", "--trials", "300", "simulate", "--model", "tree",
+                                "--k", "12", "--quantity", "cover", "--policy", "fixed",
+                                "--start", "0")
+
+    def test_bound_loads_scipy(self):
+        assert _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "40")
+
+
 class TestThreadDeterminism:
     def test_evolution_bytes_identical_across_threads(self):
         args = ["--seed", "31", "evolution", "--regime", "b",

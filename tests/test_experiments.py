@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import experiments, walks
+from covertime import blas, experiments, walks
 
 
 class TestFit:
@@ -221,7 +223,7 @@ PINNED_GRAPHS = {
 PINNED_BOUNDS = {
     ("tree200", None): "fc9c0501dc2f208bc9d0ab55361a88d962b0a6c4d2181c4407704b67489c658c",
     ("tree200", 64): "88200839e13b5b02e42ccdbce5fdc1a2522ea26dcf15fc5b3672d36fa6f03996",
-    ("gnp600", None): "30611ec301993830d6dc98cd26028f5178b9b9c744d9ceea0b35aad4eeee5c33",
+    ("gnp600", None): "3bc1afb51367e98643635fb36811f3b104ddf185c946271905faccdc99e42970",
     ("gnp600", 64): "3bc1afb51367e98643635fb36811f3b104ddf185c946271905faccdc99e42970",
     ("torus12", None): "d452a5990c9cca4ba222e3c3ca48a084552417edbcbd1b54304a1be190f152af",
     ("torus12", 64): "bcc7fa78ff6936cb7c1f17ef1daed756b88ceff6adb026cb7975ff4fdab3a4e2",
@@ -255,6 +257,30 @@ def test_pinned_bound_report(graph, dense_limit):
     assert comp.size > 64  # dense_limit=64 takes the sparse path
     report = compute_bound_report(comp, **kw)
     assert _report_sha(report.to_dict()) == PINNED_BOUNDS[graph, dense_limit]
+
+
+_GNP600_REPORT = (
+    "import json; from covertime import compute_bound_report, connected_components, gnp; "
+    "print(json.dumps(compute_bound_report("
+    "connected_components(gnp(600, 1.5 / 600, 3))[0]).to_dict(), indent=2))"
+)
+
+
+@pytest.mark.skipif(not blas.threads_pinned(),
+                    reason="no OpenBLAS thread setter resolved: the dense path follows the thread count")
+def test_bound_report_bytes_identical_across_blas_threads():
+    # the dense factorization, its inverse and Matthews' row sums round
+    # differently at one BLAS thread and at two unless pinned to one
+    outs = {}
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _GNP600_REPORT], capture_output=True, text=True,
+            timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs[threads] = proc.stdout
+    assert outs["1"] == outs["2"]
+    assert _report_sha(json.loads(outs["1"])) == PINNED_BOUNDS["gnp600", None]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SUITES))

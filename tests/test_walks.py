@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles as oc
 from covertime import (
@@ -463,3 +463,95 @@ def test_pinned_samples(case):
     compute, expected = PINNED[case]
     data = np.ascontiguousarray(compute(), dtype="<i8").tobytes()
     assert hashlib.sha256(data).hexdigest() == expected
+
+
+# The vector loop hands its last walks (fewer than VECTOR_THRESHOLD) to the
+# scalar loop; the samples must equal those of one vector loop that steps
+# every walk to its end.
+
+
+def _recording_scalar(mp):
+    """Patch the scalar loop to record (t0, unvisited count, waypoints left)
+    of every walk it is handed, as the walk enters it."""
+    seen = []
+    scalar = walks._walk_scalar
+
+    def recording(graph, start, key, rule, cap, t0=0):
+        seen.append((t0, getattr(rule, "unvis", None), list(getattr(rule, "todo", []))))
+        return scalar(graph, start, key, rule, cap, t0)
+
+    mp.setattr(walks, "_walk_scalar", recording)
+    return seen
+
+
+def _reference_samples(c, quantity, trials, seed, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "_run_batch", oc.vector_batch_reference)
+        est = simulate(c, quantity, trials=trials, master_seed=seed, **kw)
+    return est.samples, est.start
+
+
+@given(small_connected_multigraphs(),
+       st.sampled_from(["cover", "cover_return", "hitting", "commute"]),
+       st.sampled_from(["fixed", "stationary", "worst_over_all_starts"]),
+       st.integers(0, 2 ** 32 - 1), st.integers(2, 70))
+@settings(max_examples=80, deadline=None)
+def test_handoff_matches_reference(g, quantity, policy, seed, threshold):
+    k = g.vertex_count
+    if quantity in ("hitting", "commute"):
+        u, v = seed % k, (seed >> 8) % k
+        if quantity == "commute":
+            assume(k > 1)
+            v = (u + 1 + v % (k - 1)) % k
+        assume(g.degree(u) > 0)
+        kw, trials = dict(u=u, v=v), 60
+    else:
+        kw = dict(start_policy=policy)
+        if policy == "fixed":
+            kw["start"] = seed % k
+        trials = 10 if policy == "worst_over_all_starts" else 60
+    c = comp(g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "VECTOR_THRESHOLD", threshold)
+        est = simulate(c, quantity, trials=trials, master_seed=seed, **kw)
+    samples, start = _reference_samples(c, quantity, trials, seed, **kw)
+    assert np.array_equal(est.samples, samples) and est.start == start
+
+
+class TestHandOff:
+    def test_cover_return_handed_off_between_cover_and_return(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "VECTOR_THRESHOLD", 150)
+            seen = _recording_scalar(mp)
+            got = _sim(_LOOPY, "cover_return", 300, 3, start=6)
+        assert 0 < len(seen) < 150 and all(t0 > 0 for t0, _, _ in seen)
+        assert any(unvis == 0 for _, unvis, _ in seen)
+        assert any(unvis > 0 for _, unvis, _ in seen)
+        assert np.array_equal(got, _reference_samples(_LOOPY, "cover_return", 300, 3, start=6)[0])
+
+    def test_commute_handed_off_after_reaching_v(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "VECTOR_THRESHOLD", 150)
+            seen = _recording_scalar(mp)
+            got = _sim(_LOOPY, "commute", 300, 8, u=1, v=6)
+        assert [1] in [todo for _, _, todo in seen]  # back to u only
+        assert [6, 1] in [todo for _, _, todo in seen]
+        assert np.array_equal(got, _reference_samples(_LOOPY, "commute", 300, 8, u=1, v=6)[0])
+
+    def test_step_cap_crossed_in_scalar_tail(self):
+        c = comp(path_graph(12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "VECTOR_THRESHOLD", 100)
+            seen = _recording_scalar(mp)
+            longest = int(_sim(c, "cover", 300, 3, start=5).max())
+            assert seen and max(t0 for t0, _, _ in seen) < longest - 1
+            capped = _sim(c, "cover", 300, 3, start=5, step_cap=longest)
+            assert int(capped.max()) == longest
+            with pytest.raises(StepLimitExceeded, match=f"exceeded {longest - 1} steps"):
+                _sim(c, "cover", 300, 3, start=5, step_cap=longest - 1)
+
+    def test_tail_check_stays_on_vector_loop(self):
+        with pytest.MonkeyPatch.context() as mp:
+            seen = _recording_scalar(mp)
+            local_time_tail_check(_LOOPY, 0, 4, 6.0, [1.0], trials=3000, master_seed=13)
+        assert seen == []
