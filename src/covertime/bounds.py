@@ -8,6 +8,10 @@ numbers from both sides:
 
     |centers at level i-1|  <=  minimal cover count at level i  <=  |centers at level i|
 
+One pass over the vertices grows every level, reading each resistance row
+at most once, to a depth fixed before the pass from the smallest resistance
+between two vertices.
+
 From the level sizes the module derives an explicit upper bound on the
 worst-start expected cover time, a certified covering-number lower bound,
 and the Matthews hitting-time lower bound.
@@ -98,29 +102,6 @@ def required_levels(vertex_count: int) -> int:
     return max(1, math.ceil(math.log2(math.log(vertex_count))))
 
 
-def _greedy_level_centers(oracle: ResistanceOracle, radius: float) -> list[int]:
-    """Maximal family of local ids whose closed balls of the given radius
-    are pairwise disjoint, grown in ascending id order.
-
-    A candidate is admitted iff its ball misses the union of the balls
-    already claimed: a vertex inside any existing ball would witness an
-    intersection, including the candidate itself once claimed.
-    """
-    k = oracle.size
-    rad = ball_radius(radius)
-    claimed = np.zeros(k, dtype=bool)
-    centers: list[int] = []
-    for v in range(k):
-        if claimed[v]:
-            continue
-        row = oracle.resistances_from_local(v)
-        ball = row <= rad
-        if not bool(np.any(claimed & ball)):
-            centers.append(v)
-            claimed |= ball
-    return centers
-
-
 def greedy_packing(
     oracle: ResistanceOracle,
     R: float,
@@ -128,12 +109,14 @@ def greedy_packing(
 ) -> CoveringProfile:
     """Covering profile with one greedy packing per dyadic level.
 
-    Level i packs balls of radius R/2^(i+1); level 0 is included so that
-    every level's covering count carries a certified lower bound from the
-    previous packing. With i_max unset, levels are generated adaptively:
-    at least up to required_levels(k), stopping once every vertex is a
-    center (all deeper levels then equal the whole vertex set) or at the
-    hard cap of 40.
+    Level i grows closed balls of radius R/2^(i+1) in ascending id order,
+    admitting a candidate iff its ball misses the balls that level already
+    claimed. Level 0 is included so that every level's covering count carries
+    a certified lower bound from the previous packing. With i_max unset, the
+    depth is the first level from required_levels(k) on whose ball radius is
+    below the oracle's separation, so every vertex is a center; at most 40.
+    Each level depends only on its own claimed mask, so one pass fills them
+    all and reads a vertex's row once, if some level has not claimed it.
     """
     comp = oracle.component
     k = oracle.size
@@ -141,28 +124,34 @@ def greedy_packing(
         raise ContractViolation("resistance diameter must be >= 0")
     if i_max is not None and i_max < 1:
         raise ContractViolation("i_max must be >= 1")
-    need = i_max if i_max is not None else required_levels(k)
-    levels: list[CoveringLevel] = []
-    i = 0
-    while True:
-        if levels and levels[-1].size == k:
-            centers = list(range(k))
-        else:
-            centers = _greedy_level_centers(oracle, R / 2.0 ** (i + 1))
-        size = len(centers)
-        levels.append(
-            CoveringLevel(
-                index=i,
-                radius=R / 2.0 ** i,
-                centers=tuple(comp.to_original(c) for c in centers),
-                size=size,
-                alpha=2.0 ** (-i) * math.log(size),
-            )
+    if i_max is None:
+        i_max = next((i for i in range(required_levels(k), LEVEL_HARD_CAP)
+                      if oracle.separation > ball_radius(R / 2.0 ** (i + 1))),
+                     LEVEL_HARD_CAP)
+    # per level: the ball radius, the claimed mask and the centers so far
+    packings = [
+        (ball_radius(R / 2.0 ** (i + 1)), np.zeros(k, dtype=bool), [])
+        for i in range(i_max + 1)
+    ]
+    for v in range(k):
+        unclaimed = [level for level in packings if not level[1][v]]
+        row = oracle.resistances_from_local(v) if unclaimed else None
+        for rad, claimed, centers in unclaimed:
+            ball = row <= rad
+            if not (claimed & ball).any():
+                centers.append(v)
+                claimed |= ball
+    levels = [
+        CoveringLevel(
+            index=i,
+            radius=R / 2.0 ** i,
+            centers=tuple(comp.to_original(c) for c in centers),
+            size=len(centers),
+            alpha=2.0 ** (-i) * math.log(len(centers)),
         )
-        if i >= need and (i_max is not None or size == k or i >= LEVEL_HARD_CAP):
-            break
-        i += 1
-    return CoveringProfile(R=float(R), vertex_count=k, levels=levels, truncation_level=i)
+        for i, (_, _, centers) in enumerate(packings)
+    ]
+    return CoveringProfile(R=float(R), vertex_count=k, levels=levels, truncation_level=i_max)
 
 
 _TAIL_RATE = 2.0 ** -0.25  # per-level factor of the analytic sqrt(alpha') tail

@@ -192,6 +192,8 @@ def fit_loglog(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[f
     """Least-squares slope of log y against log x with a 95% interval."""
     if len(xs) < 3:
         raise ContractViolation("log-log fit needs >= 3 grid points")
+    if min(xs) <= 0 or min(ys) <= 0:
+        raise ContractViolation("log-log fit needs positive abscissae and ordinates")
     lx = np.log(np.asarray(xs, dtype=float))
     if lx.min() == lx.max():
         raise ContractViolation("log-log fit needs >= 2 distinct abscissae")
@@ -364,6 +366,8 @@ def gw_scaling_suite(
     k^(3/2)."""
     if len(set(k_grid)) < 3:
         raise ContractViolation("k_grid needs >= 3 distinct points")
+    if min(k_grid) < 2:
+        raise ContractViolation("k_grid points must be >= 2: a one-vertex tree covers in 0 steps")
     if seeds < 1 or trials < 1:
         raise ContractViolation("seeds and trials must be >= 1")
 

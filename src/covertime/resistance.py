@@ -20,11 +20,12 @@ of the same size and caches nothing, so the oracle keeps the factor and
 two length-k vectors however many rows are read.
 
 On both paths the constructor also keeps each vertex's resistance
-eccentricity (its largest resistance to any vertex): the row maxima of R
-on the dense path, and on the sparse path a by-product of the diagonal
-pass, whose solve for a block of columns already holds every resistance
-between the block and the vertices before its end. The resistance
-diameter is read from it, so it is exact whichever path ran.
+eccentricity (its largest resistance to any vertex) and the separation
+(the smallest between two distinct vertices): the row maxima and the
+off-diagonal minimum of R on the dense path, and on the sparse path
+by-products of the diagonal pass, whose solve for a block of columns
+already holds every resistance between the block and the vertices before
+its end. The exact resistance diameter is read from the eccentricities.
 """
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ class ResistanceOracle:
     factor of the Laplacian grounded at local 0 and the grounded diagonal,
     which its constructor computes; it solves the rows it is asked for in
     blocks and caches none of them. Both keep ``eccentricity``, each
-    vertex's largest resistance to any vertex, built in the constructor.
+    vertex's largest resistance to any vertex, and ``separation``, the
+    smallest between two distinct vertices (inf on one vertex).
 
     ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
     rejected before anything is allocated.
@@ -95,7 +97,7 @@ class ResistanceOracle:
         self.dense = k <= dense_limit
         self._R: np.ndarray | None = None
         if self.dense:
-            self._R = _dense_resistances(g)
+            self._R, self.separation = _dense_resistances(g)
             self.eccentricity = self._R.max(axis=1)
             return
         rows, cols, vals = [], [], []
@@ -113,6 +115,7 @@ class ResistanceOracle:
         # updates both endpoints' eccentricities; each pair is met once.
         self._diag = np.zeros(k, dtype=np.float64)
         self.eccentricity = np.zeros(k, dtype=np.float64)
+        self.separation = np.inf
         for start in range(1, k, _SOLVE_BLOCK):
             stop = min(start + _SOLVE_BLOCK, k)
             block = np.arange(start, stop)
@@ -126,6 +129,8 @@ class ResistanceOracle:
                        out=self.eccentricity[:stop])
             np.maximum(self.eccentricity[block], tri.max(axis=0),
                        out=self.eccentricity[block])
+            tri[block, np.arange(block.size)] = np.inf   # R(c, c), exactly 0
+            self.separation = min(self.separation, float(tri.min()))
 
     # -- local-id internals -------------------------------------------------
 
@@ -264,10 +269,10 @@ def _hanging_forest(g: MultiGraph):
             parent, mult, subtree)
 
 
-def _dense_resistances(g: MultiGraph) -> np.ndarray:
+def _dense_resistances(g: MultiGraph) -> tuple[np.ndarray, float]:
     """Full k x k resistance matrix of the connected graph g, read-only and
-    exactly symmetric. At most two k^2 arrays are live: R and the core's
-    grounded inverse."""
+    exactly symmetric, and its smallest off-diagonal entry (inf when k = 1).
+    At most two k^2 arrays are live: R and the core's grounded inverse."""
     k = g.vertex_count
     core, slot, height, order, parent, mult, subtree = _hanging_forest(g)
     kc = core.size
@@ -321,9 +326,11 @@ def _dense_resistances(g: MultiGraph) -> np.ndarray:
         np.add(R[parent[x]], step, out=row)
         row[order_ids[i:i + subtree[x]]] -= 2.0 * step
     _mirror_lower(R)
+    np.fill_diagonal(R, np.inf)
+    separation = float(R.min())
     np.fill_diagonal(R, 0.0)
     R.flags.writeable = False
-    return R
+    return R, separation
 
 
 def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:

@@ -7,8 +7,9 @@ all-pairs hitting matrix (the cross-check of the package's row-based
 Matthews bound), covering numbers via exhaustive set cover, cover times
 via closed forms and a one-solve-per-visited-set dynamic program,
 blanket times via one walk in plain Python with a heap push per step,
-batches of walks via a vector loop that steps every walk to its end, and
-branching-process size laws via convolution.
+batches of walks via a vector loop that steps every walk to its end,
+covering profiles via one greedy pass per level with an adaptive depth,
+and branching-process size laws via convolution.
 """
 from __future__ import annotations
 
@@ -20,6 +21,9 @@ from itertools import combinations
 import numpy as np
 
 from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded
+from covertime.bounds import (
+    LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, ball_radius, required_levels,
+)
 from covertime.rng import GOLDEN, mix64, mix64_int
 
 
@@ -274,6 +278,44 @@ def minimal_cover_size(R: np.ndarray, radius: float, rtol: float = 1e-9) -> int:
             if union == everything:
                 return size
     return n
+
+
+def greedy_packing_per_level(oracle, R: float, i_max: int | None = None):
+    """Dyadic covering profile with one greedy pass over the vertices per
+    level and an adaptive depth: levels are added until every vertex is a
+    center (at or beyond required_levels(k)), i_max or the hard cap. Deeper
+    levels after one that holds every vertex copy it without reading rows."""
+    comp = oracle.component
+    k = oracle.size
+    need = i_max if i_max is not None else required_levels(k)
+    levels = []
+    i = 0
+    while True:
+        if levels and levels[-1].size == k:
+            centers = list(range(k))
+        else:
+            rad = ball_radius(R / 2.0 ** (i + 1))
+            claimed = np.zeros(k, dtype=bool)
+            centers = []
+            for v in range(k):
+                if claimed[v]:
+                    continue
+                ball = oracle.resistances_from_local(v) <= rad
+                if not bool(np.any(claimed & ball)):
+                    centers.append(v)
+                    claimed |= ball
+        size = len(centers)
+        levels.append(CoveringLevel(
+            index=i,
+            radius=R / 2.0 ** i,
+            centers=tuple(comp.to_original(c) for c in centers),
+            size=size,
+            alpha=2.0 ** (-i) * math.log(size),
+        ))
+        if i >= need and (i_max is not None or size == k or i >= LEVEL_HARD_CAP):
+            break
+        i += 1
+    return CoveringProfile(R=float(R), vertex_count=k, levels=levels, truncation_level=i)
 
 
 def coupon_collector_cover(n: int) -> float:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from covertime import (
@@ -21,7 +22,8 @@ from covertime import (
     psi_bound,
     resistance_diameter,
 )
-from covertime.bounds import ball_radius
+from covertime.bounds import LEVEL_HARD_CAP, ball_radius
+from covertime.resistance import DENSE_LIMIT
 
 
 def pipeline(g: MultiGraph):
@@ -118,6 +120,95 @@ class TestGreedyPacking:
                 pack_sum += math.sqrt(max(lvl.alpha, 0.0))
             assert shifted_sum / math.sqrt(2) <= true_sum + 1e-9
             assert true_sum <= pack_sum + 1e-9
+
+
+def _profiles(g: MultiGraph, dense_limit: int, i_max: int | None):
+    """The one-pass profile and the per-level reference on one oracle."""
+    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    R = resistance_diameter(oracle).value
+    return greedy_packing(oracle, R, i_max), oc.greedy_packing_per_level(oracle, R, i_max)
+
+
+def _assert_matches_reference(g: MultiGraph, dense_limit: int, i_max: int | None):
+    got, want = _profiles(g, dense_limit, i_max)
+    # levels (index, radius, centers, size, alpha) and the truncation level
+    assert got == want
+    if i_max is None and got.truncation_level < LEVEL_HARD_CAP:
+        assert got.levels[-1].size == g.vertex_count
+
+
+@st.composite
+def connected_multigraphs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return oc.random_connected_multigraph(
+        rng, draw(st.integers(1, 14)), extra_edges=draw(st.integers(0, 10)),
+        loops=draw(st.integers(0, 3)), max_multiplicity=draw(st.integers(1, 3)),
+    )
+
+
+@given(connected_multigraphs(), st.sampled_from([DENSE_LIMIT, 1]),
+       st.sampled_from([None, 1, 2, 6]))
+@settings(max_examples=80, deadline=None)
+def test_one_pass_matches_per_level_reference(g, dense_limit, i_max):
+    _assert_matches_reference(g, dense_limit, i_max)
+
+
+@pytest.mark.parametrize("g", [path_graph(n) for n in (2, 3, 5, 9, 17, 33, 64)]
+                         + [cycle_graph(n) for n in (3, 4, 6, 8, 12, 16, 24)],
+                         ids=lambda g: f"{g.vertex_count}v{g.edge_total}e")
+@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
+@pytest.mark.parametrize("i_max", [None, 7])
+def test_one_pass_matches_reference_at_ties(g, dense_limit, i_max):
+    # path radii hit integers and cycle radii rationals at the ball boundary
+    _assert_matches_reference(g, dense_limit, i_max)
+
+
+def test_depth_capped_when_a_pair_stays_inside_every_ball():
+    # a 2^45-fold edge puts its ends 2^-45 apart, inside the ball of every
+    # level up to the cap
+    g = MultiGraph(3, [(0, 1, 1), (1, 2, 2 ** 45)])
+    got, want = _profiles(g, DENSE_LIMIT, None)
+    assert got == want
+    assert got.truncation_level == LEVEL_HARD_CAP
+    assert got.levels[-1].size == 2
+
+
+def _rows_requested(monkeypatch, oracle: ResistanceOracle) -> list[int]:
+    """Local ids of the rows requested from the oracle from now on; a call
+    made inside another row method (a sparse single row reads through
+    rows_from_locals) is not counted twice."""
+    reads: list[int] = []
+    busy = []
+
+    def wrap(name, ids):
+        inner = getattr(oracle, name)
+
+        def call(arg):
+            if not busy:
+                reads.extend(ids(arg))
+            busy.append(name)
+            try:
+                return inner(arg)
+            finally:
+                busy.pop()
+        monkeypatch.setattr(oracle, name, call)
+
+    wrap("resistances_from_local", lambda a: [int(a)])
+    wrap("rows_from_locals", lambda locals_: [int(a) for a in locals_])
+    return reads
+
+
+@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
+def test_packing_reads_each_row_at_most_once(monkeypatch, dense_limit):
+    oracle = ResistanceOracle(ComponentView.whole(path_graph(64)), dense_limit=dense_limit)
+    R = resistance_diameter(oracle).value
+    reads = _rows_requested(monkeypatch, oracle)
+    oc.greedy_packing_per_level(oracle, R)
+    assert len(reads) > len(set(reads))   # one pass per level reads rows again
+    reads.clear()
+    greedy_packing(oracle, R)
+    assert len(reads) == len(set(reads))
+    assert set(reads) <= set(range(64))
 
 
 class TestPsiBound:

@@ -230,6 +230,12 @@ class TestInputErrors:
     def test_non_integer_grid(self, argv):
         self._assert_input_error(run_cli(*argv))
 
+    def test_gw_scaling_single_vertex_tree(self):
+        # a 1-vertex tree would put log(0) into the fit and print NaN
+        proc = run_cli("gw-scaling", "--k-grid", "1,2,3", "--seeds", "1")
+        self._assert_input_error(proc)
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("base", ["torus", "hypercube", "complete", "random-regular"])
     def test_percolation_base_without_size_flags(self, base):
         self._assert_input_error(run_cli(

@@ -50,6 +50,14 @@ class TestFit:
         with pytest.raises(ContractViolation):
             fit_loglog([400, 400, 400], [1, 2, 3])
 
+    @pytest.mark.parametrize("xs, ys", [([1, 2, 3], [0.0, 1.0, 2.0]),
+                                        ([0, 2, 3], [1.0, 2.0, 3.0]),
+                                        ([1, 2, 3], [1.0, -2.0, 3.0])])
+    def test_nonpositive_values_rejected(self, xs, ys):
+        # log(0) or the log of a negative number would fit NaN
+        with pytest.raises(ContractViolation, match="positive"):
+            fit_loglog(xs, ys)
+
 
 class TestCooperFrieze:
     def test_tends_to_one_near_critical(self):
@@ -112,6 +120,12 @@ class TestSuites:
     def test_gw_scaling_requires_distinct_grid(self):
         with pytest.raises(ContractViolation, match="distinct"):
             gw_scaling_suite([16, 16, 16], seeds=1, trials=2, master_seed=0)
+
+    def test_gw_scaling_rejects_single_vertex_trees(self, monkeypatch):
+        # a one-vertex tree covers in 0 steps; rejected before any tree is drawn
+        monkeypatch.setattr(experiments, "uniform_labeled_tree", None)
+        with pytest.raises(ContractViolation, match=">= 2"):
+            gw_scaling_suite([1, 2, 3], seeds=1, trials=2, master_seed=0)
 
     @pytest.mark.parametrize("regime, eps_power", [
         ("a", 0.5), ("a", 1.0 / 3.0), ("a", 0.0), ("c", 0.34), ("c", -0.1)])

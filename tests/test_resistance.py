@@ -309,6 +309,19 @@ def test_sparse_diameter_matches_pinv(g):
     assert sparse.pair == dense.pair
 
 
+@given(connected_graphs(), st.sampled_from([None, 1]))
+@settings(max_examples=40, deadline=None)
+def test_separation_matches_pinv(g, dense_limit):
+    o = oracle_for(g) if dense_limit is None else oracle_for(g, dense_limit=dense_limit)
+    R = oc.resistance_matrix_pinv(g)
+    np.fill_diagonal(R, np.inf)
+    assert o.separation == pytest.approx(R.min(), rel=1e-9)
+
+
+def test_separation_single_vertex():
+    assert oracle_for(MultiGraph(1)).separation == np.inf
+
+
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_foster_identity(g):
