@@ -116,7 +116,9 @@ def greedy_packing(
     depth is the first level from required_levels(k) on whose ball radius is
     below the oracle's separation, so every vertex is a center; at most 40.
     Each level depends only on its own claimed mask, so one pass fills them
-    all and reads a vertex's row once, if some level has not claimed it.
+    all and reads a vertex's row once, if some tested level has not claimed
+    it; on the dense path a level whose radius is below the separation takes
+    every vertex untested.
     """
     comp = oracle.component
     k = oracle.size
@@ -128,11 +130,17 @@ def greedy_packing(
         i_max = next((i for i in range(required_levels(k), LEVEL_HARD_CAP)
                       if oracle.separation > ball_radius(R / 2.0 ** (i + 1))),
                      LEVEL_HARD_CAP)
-    # per level: the ball radius, the claimed mask and the centers so far
-    packings = [
-        (ball_radius(R / 2.0 ** (i + 1)), np.zeros(k, dtype=bool), [])
-        for i in range(i_max + 1)
-    ]
+    radii = [ball_radius(R / 2.0 ** (i + 1)) for i in range(i_max + 1)]
+    # a level whose ball radius is below the separation holds every vertex.
+    # On the dense path the rows are the entries the separation was read
+    # from, so such a level needs no test; a sparse row is solved again and
+    # may differ from the constructor's pass in its last bits, so there
+    # every level is tested.
+    tested = len(radii)
+    if oracle.dense:
+        tested = next((i for i, rad in enumerate(radii) if oracle.separation > rad), tested)
+    # per tested level: the ball radius, the claimed mask and the centers so far
+    packings = [(rad, np.zeros(k, dtype=bool), []) for rad in radii[:tested]]
     for v in range(k):
         unclaimed = [level for level in packings if not level[1][v]]
         row = oracle.resistances_from_local(v) if unclaimed else None
@@ -141,6 +149,7 @@ def greedy_packing(
             if not (claimed & ball).any():
                 centers.append(v)
                 claimed |= ball
+    per_level = [centers for _, _, centers in packings] + [range(k)] * (len(radii) - tested)
     levels = [
         CoveringLevel(
             index=i,
@@ -149,7 +158,7 @@ def greedy_packing(
             size=len(centers),
             alpha=2.0 ** (-i) * math.log(len(centers)),
         )
-        for i, (_, _, centers) in enumerate(packings)
+        for i, centers in enumerate(per_level)
     ]
     return CoveringProfile(R=float(R), vertex_count=k, levels=levels, truncation_level=i_max)
 

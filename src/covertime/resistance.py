@@ -5,14 +5,18 @@ loops carry no current, so they affect only walk dynamics, never the
 metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
 never raise it) the oracle builds the full resistance matrix R once and
 every row query reads it. scipy is imported by the first oracle built.
-Resistance adds along the edges of a tree hanging from a cut vertex, so
-only the 2-core needs a linear solve: the constructor peels the hanging
-trees, inverts the core's grounded Laplacian in place (LAPACK ``potrf``
-then ``potri``, with OpenBLAS pinned to one thread so that the bits do
-not follow the thread count), and fills the rows of the tree vertices
-from their parents' rows by tree distance. On a tree the core is the
-ground vertex alone, and R is the hop distance (times 1/m along an m-fold
-edge) with no solve at all. Above the limit, where a k^2 matrix no longer fits in
+Resistance adds along the edges of a tree hanging from a cut vertex and
+interpolates along a series path, so only the kernel of the 2-core (its
+vertices with at least three distinct core neighbours) needs a linear
+solve: the constructor peels the hanging trees, replaces each series path
+of the core by one kernel edge of conductance 1/r, inverts the kernel's
+grounded Laplacian in place (LAPACK ``potrf`` then ``potri``, with
+OpenBLAS pinned to one thread so that the bits do not follow the thread
+count), interpolates the rows of the path vertices from the rows of their
+path's ends, and fills the rows of the tree vertices from their parents'
+rows by tree distance. On a tree the core is the ground vertex alone, and
+R is the hop distance (times 1/m along an m-fold edge) with no solve at
+all. Above the limit, where a k^2 matrix no longer fits in
 memory, the constructor factors the Laplacian grounded at the smallest
 vertex id (sparse LU) and computes the grounded diagonal once, in blocks
 of ``_SOLVE_BLOCK`` columns. Each row query then solves its rows in blocks
@@ -217,11 +221,12 @@ def _hanging_forest(g: MultiGraph):
     tree), local 0 stands in as a one-vertex core. Returns ``core`` (sorted
     local ids), ``slot`` (index in ``core`` of the core vertex each vertex's
     tree hangs from), ``height`` (resistance from each vertex to that core
-    vertex), and the tree vertices as ``order`` (depth-first preorder from
+    vertex), the tree vertices as ``order`` (depth-first preorder from
     the core, so parents precede children and every subtree is a
     contiguous run), ``parent``, ``mult`` (multiplicity of the edge to the
     parent) and ``subtree`` (subtree sizes), the last three indexed by
-    local id.
+    local id, and ``links``: each core vertex's number of distinct core
+    neighbours (at least 2), and at most 1 for a peeled vertex.
     """
     k = g.vertex_count
     adjacency = g.adjacency
@@ -266,57 +271,206 @@ def _hanging_forest(g: MultiGraph):
     for x in reversed(order):
         subtree[parent[x]] += subtree[x]
     return (core, np.array(slot, dtype=np.intp), np.array(height), order,
-            parent, mult, subtree)
+            parent, mult, subtree, links)
 
 
-def _dense_resistances(g: MultiGraph) -> tuple[np.ndarray, float]:
-    """Full k x k resistance matrix of the connected graph g, read-only and
-    exactly symmetric, and its smallest off-diagonal entry (inf when k = 1).
-    At most two k^2 arrays are live: R and the core's grounded inverse."""
-    k = g.vertex_count
-    core, slot, height, order, parent, mult, subtree = _hanging_forest(g)
-    kc = core.size
-    R = np.empty((k, k), dtype=np.float64)
-    if kc == 1:
-        R[core[0]] = height
-    else:
-        # the core's Laplacian grounded at core[0], inverted in place; only
-        # its lower triangle is meaningful until mirrored
-        inv = np.zeros((kc - 1, kc - 1), dtype=np.float64, order="F")
-        row_of = {c: i - 1 for i, c in enumerate(core.tolist())}  # ground: -1
-        for u, v, m in g.edges:
-            if u == v or u not in row_of or v not in row_of:
+def _series_paths(g: MultiGraph, core: np.ndarray, links: list[int]):
+    """The kernel of the 2-core and the maximal series paths between its
+    vertices.
+
+    The kernel is the core vertices with at least 3 distinct core
+    neighbours; a core with none (a cycle, or the one-vertex core of a
+    tree) takes its smallest vertex as a stand-in. Every other core vertex
+    has exactly two core neighbours and lies inside one path. Returns the
+    kernel (sorted local ids) and the paths as tuples ``(a, b, r, interior,
+    offsets)``: the kernel ends a and b (equal for a path that returns to
+    its start), the total resistance r (the sum of 1/m along the path), the
+    interior vertices from a to b, and each one's resistance from a along
+    the path.
+    """
+    adjacency = g.adjacency
+    kernel = [c for c in core.tolist() if links[c] >= 3] or [int(core[0])]
+    is_kernel = [False] * g.vertex_count
+    for c in kernel:
+        is_kernel[c] = True
+    on_path = [False] * g.vertex_count
+    paths = []
+    for a in kernel:
+        for w, m in adjacency[a]:
+            # skips a's loop, kernel neighbours, peeled trees and paths met
+            # from their other end
+            if is_kernel[w] or links[w] < 2 or on_path[w]:
                 continue
-            a, b = row_of[u], row_of[v]
-            if a >= 0:
-                inv[a, a] += m
-            if b >= 0:
-                inv[b, b] += m
-            if a >= 0 and b >= 0:
-                inv[a, b] -= m
-                inv[b, a] -= m
+            interior, offsets = [], []
+            prev, cur, s = a, w, 1.0 / m
+            while not is_kernel[cur]:
+                on_path[cur] = True
+                interior.append(cur)
+                offsets.append(s)
+                nxt, m = next((z, mz) for z, mz in adjacency[cur]
+                              if z != cur and z != prev and links[z] >= 2)
+                prev, cur, s = cur, nxt, s + 1.0 / m
+            paths.append((a, cur, s, interior, offsets))
+    return np.array(kernel, dtype=np.intp), paths
+
+
+def _kernel_inverse(g: MultiGraph, nk: int, kid: np.ndarray, ka: np.ndarray,
+                    kb: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Inverse of the kernel's Laplacian grounded at kernel index 0, shape
+    (kernel - 1)^2 and exactly symmetric. Edges between kernel vertices
+    conduct their multiplicity and a series path from ka to kb (kernel
+    indices) conducts 1/r; a path back to its start conducts nothing."""
+    inv = np.zeros((nk - 1, nk - 1), dtype=np.float64, order="F")
+    uvm = np.array(g.edges, dtype=np.intp).reshape(-1, 3)
+    iu, iv = kid[uvm[:, 0]], kid[uvm[:, 1]]
+    direct = (iu >= 0) & (iv >= 0) & (iu != iv)
+    series = ka != kb
+    iu = np.concatenate([iu[direct], ka[series]])
+    iv = np.concatenate([iv[direct], kb[series]])
+    w = np.concatenate([uvm[direct, 2].astype(np.float64), 1.0 / r[series]])
+    for i, j in ((iu, iv), (iv, iu)):
+        own = i > 0
+        np.add.at(inv, (i[own] - 1, i[own] - 1), w[own])
+        both = own & (j > 0)
+        np.subtract.at(inv, (i[both] - 1, j[both] - 1), w[both])
+    if nk > 1:
         with blas.single_thread():  # the rounding follows the thread count
             inv, info = scipy.linalg.lapack.dpotrf(inv, lower=1, clean=0, overwrite_a=1)
             if info == 0:
                 inv, info = scipy.linalg.lapack.dpotri(inv, lower=1, overwrite_c=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"core Laplacian inversion failed (info {info})")
+            raise np.linalg.LinAlgError(f"kernel Laplacian inversion failed (info {info})")
         _mirror_lower(inv)
-        diag = np.zeros(kc, dtype=np.float64)
-        diag[1:] = inv.diagonal()
-        # core rows: R(c, y) = R_core(c, a(y)) + h(y)
-        for start in range(0, kc, _FILL_BLOCK):
-            stop = min(start + _FILL_BLOCK, kc)
-            block = np.zeros((stop - start, kc), dtype=np.float64)
-            lo = max(start, 1)
-            block[lo - start:, 1:] = inv[:, lo - 1:stop - 1].T
-            block *= -2.0
-            block += diag[start:stop, None]
-            block += diag
-            rows = block[:, slot]
+    return inv
+
+
+def _interpolation(near: np.ndarray, far: np.ndarray, weight: np.ndarray, width: int):
+    """Sparse (n, width) matrix whose row i takes 1 - weight[i] of column
+    near[i] and weight[i] of column far[i], or all of near[i] when the two
+    are the same column."""
+    two = near != far
+    indptr = np.zeros(near.size + 1, dtype=np.intp)
+    np.cumsum(1 + two, out=indptr[1:])
+    first = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices[first] = near
+    data[first] = np.where(two, 1.0 - weight, 1.0)
+    indices[first[two] + 1] = far[two]
+    data[first[two] + 1] = weight[two]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(near.size, width))
+
+
+def _fill_core_rows(R: np.ndarray, g: MultiGraph, core: np.ndarray, slot: np.ndarray,
+                    height: np.ndarray, links: list[int]) -> None:
+    """Write the full rows of R of the core vertices (``_hanging_forest``'s
+    outputs) from the inverse of the kernel's grounded Laplacian.
+
+    Each series path of the core, of resistance r from kernel vertex a to
+    kernel vertex b, is one kernel edge of conductance 1/r. A path vertex x
+    at offset s from a, with theta = s/r and
+    c_x = theta (1 - theta) (r - R(a, b)), has
+    R(x, y) = R(a, y) + theta (R(b, y) - R(a, y)) + c_x for every y off its
+    path, and R(x, y) = d - d^2 (r - R(a, b)) / r^2 for y at distance d along
+    it (a bridge path has R(a, b) = r, a path back to its start R(a, a) = 0).
+    The kernel rows come first, then the path rows from them, in blocks of
+    ``_FILL_BLOCK`` rows. With no path the kernel is the core, and a core
+    row is R_core(c, a(y)) + h(y), read straight from the inverse.
+    """
+    k = g.vertex_count
+    kernel, paths = _series_paths(g, core, links)
+    nk = kernel.size
+    kid = np.full(k, -1, dtype=np.intp)   # kernel index, -1 off the kernel
+    kid[kernel] = np.arange(nk)
+    ends = np.array([p[:2] for p in paths], dtype=np.intp).reshape(-1, 2)
+    r = np.array([p[2] for p in paths], dtype=np.float64)
+    ka, kb = kid[ends[:, 0]], kid[ends[:, 1]]
+    inv = _kernel_inverse(g, nk, kid, ka, kb, r)
+    diag = np.zeros(nk, dtype=np.float64)
+    diag[1:] = inv.diagonal()
+    host = core[slot]
+    if not paths:
+        for start in range(0, nk, _FILL_BLOCK):
+            rows = _kernel_block(inv, diag, start)[:, kid[host]]
             rows += height
-            R[core[start:stop]] = rows
-        del inv
+            R[kernel[start:start + _FILL_BLOCK]] = rows
+        return
+    cross = np.zeros(len(paths), dtype=np.float64)
+    inner = (ka > 0) & (kb > 0)
+    cross[inner] = inv[ka[inner] - 1, kb[inner] - 1]
+    q = r - (-2.0 * cross + diag[ka] + diag[kb])   # r - R(a, b)
+    shrink = q / (r * r)
+    # the path vertices in path order: path, offset from a, theta and c_x
+    pv = np.fromiter((x for p in paths for x in p[3]), dtype=np.intp)
+    ps = np.fromiter((s for p in paths for s in p[4]), dtype=np.float64)
+    pid = np.repeat(np.arange(len(paths)), [len(p[3]) for p in paths])
+    theta = ps / r[pid]
+    offset = theta * (1.0 - theta) * q[pid]
+
+    # every vertex y hangs from a kernel vertex or a path vertex, its host.
+    # For kernel c, R(c, y) interpolates R_K(c, .) between the ends of the
+    # host's path and adds c_x + h(y); a kernel host is both ends, theta 0
+    pos = np.full(k, -1, dtype=np.intp)
+    pos[pv] = np.arange(pv.size)
+    hp = pos[host]
+    on = np.flatnonzero(hp >= 0)
+    near, far = kid[host], kid[host]
+    weight, lift = np.zeros(k, dtype=np.float64), height.copy()
+    near[on], far[on] = ka[pid[hp[on]]], kb[pid[hp[on]]]
+    weight[on] = theta[hp[on]]
+    lift[on] += offset[hp[on]]
+    spread = _interpolation(near, far, weight, nk)
+    for start in range(0, nk, _FILL_BLOCK):
+        cols = spread @ _kernel_block(inv, diag, start).T
+        cols += lift[:, None]
+        R[kernel[start:start + _FILL_BLOCK]] = cols.T
+    del inv
+
+    # path rows interpolate their ends' rows; then, along their own path,
+    # the vertices hanging from it (grouped by path, in path order)
+    members = on[np.argsort(hp[on], kind="stable")]
+    m_pid, m_s = pid[hp[members]], ps[hp[members]]
+    mstart = np.searchsorted(m_pid, np.arange(len(paths) + 1))
+    ends_rows = _interpolation(ends[pid, 0], ends[pid, 1], theta, k)
+    for start in range(0, pv.size, _FILL_BLOCK):
+        stop = min(start + _FILL_BLOCK, pv.size)
+        rows = ends_rows[start:stop] @ R   # reads kernel rows only
+        rows += offset[start:stop, None]
+        lo, hi = mstart[pid[start]], mstart[pid[stop - 1] + 1]
+        cols = members[lo:hi]
+        d = np.abs(ps[start:stop, None] - m_s[lo:hi])
+        along = d * d
+        along *= -shrink[pid[start:stop], None]
+        along += d
+        along += height[cols]
+        rows[:, cols] = np.where(pid[start:stop, None] == m_pid[lo:hi], along, rows[:, cols])
+        R[pv[start:stop]] = rows
+
+
+def _kernel_block(inv: np.ndarray, diag: np.ndarray, start: int) -> np.ndarray:
+    """Rows start to start + ``_FILL_BLOCK`` of the kernel's resistance
+    matrix, from its grounded inverse and that inverse's diagonal."""
+    nk = diag.size
+    stop = min(start + _FILL_BLOCK, nk)
+    block = np.zeros((stop - start, nk), dtype=np.float64)
+    lo = max(start, 1)
+    block[lo - start:, 1:] = inv[:, lo - 1:stop - 1].T
+    block *= -2.0
+    block += diag[start:stop, None]
+    block += diag
+    return block
+
+
+def _dense_resistances(g: MultiGraph) -> tuple[np.ndarray, float]:
+    """Full k x k resistance matrix of the connected graph g, read-only and
+    exactly symmetric, and its smallest off-diagonal entry (inf when k = 1).
+    The core rows come from the kernel (``_fill_core_rows``), the tree rows
+    from their parents'. At most two large arrays are live: R and the
+    kernel's grounded inverse, (kernel - 1)^2."""
+    k = g.vertex_count
+    core, slot, height, order, parent, mult, subtree, links = _hanging_forest(g)
+    R = np.empty((k, k), dtype=np.float64)
+    _fill_core_rows(R, g, core, slot, height, links)
     # tree rows, parents first: x is 1/m farther than its parent p from
     # every vertex outside x's subtree and 1/m nearer to every one inside
     order_ids = np.array(order, dtype=np.intp)

@@ -163,6 +163,24 @@ def test_one_pass_matches_reference_at_ties(g, dense_limit, i_max):
     _assert_matches_reference(g, dense_limit, i_max)
 
 
+@pytest.mark.parametrize("dense_limit,want_reads", [(DENSE_LIMIT, []), (1, list(range(8)))])
+def test_full_levels_skip_the_ball_test(monkeypatch, dense_limit, want_reads):
+    # in K8 every pair is 1/4 apart, above every level's ball radius (at most
+    # R/2 = 1/8), so each level holds every vertex; the dense path reads no
+    # row for them, the sparse path still tests each vertex once
+    g = MultiGraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
+    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    R = resistance_diameter(oracle).value
+    want = oc.greedy_packing_per_level(oracle, R, 3)
+    reads = []
+    read = oracle.resistances_from_local
+    monkeypatch.setattr(oracle, "resistances_from_local", lambda v: reads.append(v) or read(v))
+    got = greedy_packing(oracle, R, 3)
+    assert got == want
+    assert [lvl.size for lvl in got.levels] == [8] * 4
+    assert reads == want_reads
+
+
 def test_depth_capped_when_a_pair_stays_inside_every_ball():
     # a 2^45-fold edge puts its ends 2^-45 apart, inside the ball of every
     # level up to the cap

@@ -237,11 +237,11 @@ PINNED_GRAPHS = {
 PINNED_BOUNDS = {
     ("tree200", None): "fc9c0501dc2f208bc9d0ab55361a88d962b0a6c4d2181c4407704b67489c658c",
     ("tree200", 64): "88200839e13b5b02e42ccdbce5fdc1a2522ea26dcf15fc5b3672d36fa6f03996",
-    ("gnp600", None): "3bc1afb51367e98643635fb36811f3b104ddf185c946271905faccdc99e42970",
+    ("gnp600", None): "54cdf20320b65f55f23d91417eb92a51d044d96c3fc0940f0ac4d0447515c3b8",
     ("gnp600", 64): "3bc1afb51367e98643635fb36811f3b104ddf185c946271905faccdc99e42970",
     ("torus12", None): "d452a5990c9cca4ba222e3c3ca48a084552417edbcbd1b54304a1be190f152af",
     ("torus12", 64): "bcc7fa78ff6936cb7c1f17ef1daed756b88ceff6adb026cb7975ff4fdab3a4e2",
-    ("multigraph120", None): "2ba31c5c4e4c1c144a701dcc47092babbba321f0d000430c18ddd474825b3786",
+    ("multigraph120", None): "705ce52bb28a8e141cd629a6c10fe881a3b6e0376ed4043814f7558c1441b134",
     ("multigraph120", 64): "23748fbdd2c86260d726b229760bc6f64351c2f1a8304ec1a8aa8f62f3e40684",
 }
 PINNED_SUITES = {
@@ -250,10 +250,10 @@ PINNED_SUITES = {
         "51fe34ceef15bfe601ccdc25f55fa58609e1a8ae521989b46869f1509cdb50fb"),
     "evolution-b": (
         lambda: evolution_suite("b", [200, 400, 800], seeds=2, trials=4, master_seed=1),
-        "a570184485bd35cc890d4e55670e3f4976e40dd42d4229cb6284e05c36e0f326"),
+        "1e3e4e5ff3b42a773c76386c2a34e2a5332ade6ec3b6e0a994be0651d61b50a8"),
     "evolution-c": (
         lambda: evolution_suite("c", [200, 400, 800], seeds=2, trials=4, master_seed=1),
-        "154e173303c281a8dd235d6af1847855e94b72f3b7ee6c41379a1dc471da5618"),
+        "1eeafcd4d56a907a41439d7d4aac69f18ee4830d54e27c9b1c167f3c51a22ae9"),
     "gw": (
         lambda: gw_scaling_suite([16, 32, 64], seeds=3, trials=5, master_seed=2),
         "18be8928c6b7d82f257a906cd567598891f90def65cbf1eefc5c168ccfdea171"),

@@ -116,6 +116,101 @@ class TestDenseStructure:
             row[1] = 0.0
 
 
+def _kernel_size(g: MultiGraph) -> tuple[int, int]:
+    """(2-core size, kernel size) by a plain peel: drop vertices with fewer
+    than two distinct neighbours until none is left; the kernel is the core
+    vertices with at least three distinct core neighbours."""
+    nbrs = {v: {w for w, _ in g.adjacency[v] if w != v} for v in range(g.vertex_count)}
+    while True:
+        weak = [v for v, ws in nbrs.items() if len(ws) < 2]
+        if not weak:
+            break
+        for v in weak:
+            for w in nbrs.pop(v):
+                if w in nbrs:
+                    nbrs[w].discard(v)
+    return len(nbrs), sum(1 for ws in nbrs.values() if len(ws) >= 3)
+
+
+class TestKernelReduction:
+    """The dense path inverts the kernel of the 2-core only; every series
+    path becomes one kernel edge and its vertices' rows are interpolated."""
+
+    @pytest.mark.parametrize("edges,n", [
+        pytest.param([(v, (v + 1) % 9) for v in range(9)], 9, id="cycle"),
+        # two triangles joined by the bridge path 2-3-4-5
+        pytest.param([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 5)],
+                     8, id="dumbbell"),
+        # K4 with the cycle 0-4-5-6-0 hanging at kernel vertex 0
+        pytest.param([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                      (0, 4), (4, 5), (5, 6), (6, 0)], 7, id="loop-path"),
+        # kernel pair 0, 1: a 2-fold edge and the parallel paths 0-2-3-1, 0-4-1
+        pytest.param([(0, 1, 2), (0, 2), (2, 3), (3, 1), (0, 4), (4, 1)], 5,
+                     id="parallel-paths"),
+        # K4 with the path 0-4-5-1: a 3-fold edge 4-5 and a loop at 4
+        pytest.param([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                      (0, 4), (4, 5, 3), (5, 1), (4, 4, 2)], 6, id="multi-edge-path"),
+        # the ground vertex 0 two edges down a tree hanging from kernel vertex
+        # 1 of a K4 on 1-4 with the path 1-6-7-2
+        pytest.param([(0, 5), (5, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+                      (1, 6), (6, 7), (7, 2)], 8, id="ground-in-tree"),
+        pytest.param([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4, id="K4"),
+    ])
+    def test_matches_pinv(self, edges, n):
+        g = MultiGraph(n, edges)
+        o = oracle_for(g)
+        assert o.dense
+        R = o.rows_from_locals(range(n))
+        assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
+        assert np.array_equal(R, R.T)
+
+    def test_lapack_sees_the_kernel_only(self, monkeypatch):
+        # a percolated torus has long series paths: 1476 vertices, a 2-core
+        # of 1040 and a kernel of 431
+        import scipy.linalg.lapack as lapack
+        g = percolate(BaseGraphSpec.torus(40, 2, 0.55), 0)[1].graph
+        core, kernel = _kernel_size(g)
+        assert kernel < core < g.vertex_count
+        shapes = []
+        potrf = lapack.dpotrf
+        monkeypatch.setattr(lapack, "dpotrf", lambda a, **kw: shapes.append(a.shape) or potrf(a, **kw))
+        assert oracle_for(g).dense
+        assert shapes == [(kernel - 1, kernel - 1)]
+
+
+@st.composite
+def subdivided_multigraphs(draw):
+    """A connected multigraph with loops and parallel edges whose non-loop
+    edges are each, at random, replaced by a series path of 1 to 4 new
+    vertices (multiplicities 1 to 3, now and then a loop on a new vertex)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    base = oc.random_connected_multigraph(
+        rng, draw(st.integers(1, 10)), extra_edges=draw(st.integers(0, 8)),
+        loops=draw(st.integers(0, 3)), max_multiplicity=draw(st.integers(1, 3)),
+    )
+    n, edges = base.vertex_count, []
+    for u, v, m in base.edges:
+        if u == v or rng.random() < 0.4:
+            edges.append((u, v, m))
+            continue
+        chain = [u] + list(range(n, n + int(rng.integers(1, 5)))) + [v]
+        n = chain[-2] + 1
+        for a, b in zip(chain, chain[1:]):
+            edges.append((a, b, int(rng.integers(1, 4))))
+        if rng.random() < 0.3:
+            edges.append((chain[1], chain[1], 1))
+    return MultiGraph(n, edges)
+
+
+@given(subdivided_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_kernel_reduction_matches_pinv(g):
+    o = oracle_for(g)
+    R = o.rows_from_locals(range(g.vertex_count))
+    assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
+    assert np.array_equal(R, R.T)
+
+
 class TestDiameter:
     def test_single_vertex(self):
         comp = connected_components(MultiGraph(1))[0]
@@ -337,6 +432,7 @@ def test_dense_oracle_memory():
     # core is one vertex, so R is the only k^2 array
     k = 1500
     comp = ComponentView.whole(uniform_labeled_tree(k, 0))
+    oracle_for(cycle_graph(3))   # the first oracle imports scipy
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
@@ -355,6 +451,7 @@ def test_dense_oracle_memory_without_hanging_trees():
     # k^2 arrays at the peak, and only R is kept
     k = 1500
     comp = ComponentView.whole(random_regular_graph(k, 3, 0))
+    oracle_for(cycle_graph(3))   # the first oracle imports scipy
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
@@ -365,6 +462,27 @@ def test_dense_oracle_memory_without_hanging_trees():
     square = k * k * 8
     assert o.dense
     assert peak <= 2.5 * square, peak / square
+    assert retained <= 1.25 * square, retained / square
+
+
+def test_dense_oracle_memory_with_series_paths():
+    # a percolated torus (k = 1476, a 2-core of 1040): the kernel inverse,
+    # 430^2, is far below k^2 and the path rows are filled in blocks, so R is
+    # the one k^2 array even at the peak (a 1039^2 core inverse would not
+    # fit under 1.5 k^2)
+    oracle_for(cycle_graph(3))   # the first oracle imports scipy
+    comp = percolate(BaseGraphSpec.torus(40, 2, 0.55), 0)[1]
+    k = comp.size
+    tracemalloc.start()
+    try:
+        o = ResistanceOracle(comp)
+        o.resistances_from(0)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = k * k * 8
+    assert o.dense and k == 1476
+    assert peak <= 1.5 * square, peak / square
     assert retained <= 1.25 * square, retained / square
 
 
