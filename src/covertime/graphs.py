@@ -156,18 +156,18 @@ class ComponentView:
 
     ``vertices`` holds the original ids in sorted order; local id i maps to
     original id vertices[i]. Public APIs downstream (resistance, walks)
-    speak original ids and translate through this view.
+    speak original ids and translate through this view. The sorted ids,
+    the index of each id and the induced graph are built on first use.
     """
 
-    __slots__ = ("parent", "vertices", "_index", "_graph")
+    __slots__ = ("parent", "_members", "_vertices", "_index", "_graph")
 
     def __init__(self, parent: MultiGraph, vertices: Iterable[int]) -> None:
         self.parent = parent
-        self.vertices: tuple[int, ...] = tuple(sorted(int(v) for v in vertices))
-        if not self.vertices:
+        self._members = members = list(vertices)
+        if not members:
             raise ContractViolation("a component must contain at least one vertex")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        self._graph: MultiGraph | None = None
+        self._vertices = self._index = self._graph = None
 
     @classmethod
     def whole(cls, g: MultiGraph) -> "ComponentView":
@@ -180,20 +180,33 @@ class ComponentView:
         return comps[0]
 
     @property
+    def vertices(self) -> tuple[int, ...]:
+        if self._vertices is None:
+            self._vertices = tuple(sorted(int(v) for v in self._members))
+        return self._vertices
+
+    @property
+    def _local(self) -> dict[int, int]:
+        """Local id of each original id."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.vertices)}
+        return self._index
+
+    @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self._members)
 
     def __contains__(self, v: int) -> bool:
-        return v in self._index
+        return v in self._local
 
     def to_local(self, v: int) -> int:
         try:
-            return self._index[v]
+            return self._local[v]
         except KeyError:
             raise VertexRangeError(f"vertex {v} is not in this component") from None
 
     def to_original(self, i: int) -> int:
-        if not (0 <= i < len(self.vertices)):
+        if not (0 <= i < self.size):
             raise VertexRangeError(f"local index {i} outside component of size {self.size}")
         return self.vertices[i]
 
@@ -204,7 +217,7 @@ class ComponentView:
             if self.size == self.parent.vertex_count:
                 self._graph = self.parent
             else:
-                idx = self._index
+                idx = self._local
                 edges = [
                     (idx[u], idx[v], m)
                     for u, v, m in self.parent.edges
@@ -217,28 +230,44 @@ class ComponentView:
         return f"ComponentView(size={self.size})"
 
 
+def _component_labels(g: MultiGraph) -> np.ndarray:
+    """The smallest vertex id of each vertex's component.
+
+    Every label is its own label at the start of a round. The round hooks,
+    along each edge whose ends carry different labels, the larger label
+    under the smaller (one of them where several compete), then follows
+    the labels until each is its own label again. Labels only move to
+    smaller ids of the same component, and every component with an edge
+    to another merges in each round, so there are O(log n) rounds.
+    """
+    labels = np.arange(g.vertex_count)
+    if not g.edges:
+        return labels
+    ends = np.array(g.edges, dtype=np.int64)
+    u, v = ends[:, 0], ends[:, 1]
+    while True:
+        lu, lv = labels[u], labels[v]
+        apart = lu != lv
+        if not apart.any():
+            return labels
+        lu, lv = lu[apart], lv[apart]
+        labels[np.maximum(lu, lv)] = np.minimum(lu, lv)
+        while not np.array_equal(nxt := labels[labels], labels):
+            labels = nxt
+
+
 def connected_components(g: MultiGraph) -> list[ComponentView]:
     """Components largest first; ties broken by smallest contained vertex id."""
     n = g.vertex_count
-    seen = np.zeros(n, dtype=bool)
-    adjacency = g.adjacency
-    comps: list[list[int]] = []
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        members = [root]
-        while stack:
-            u = stack.pop()
-            for w, _ in adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-                    members.append(w)
-        comps.append(members)
-    comps.sort(key=lambda ms: (-len(ms), min(ms)))
-    return [ComponentView(g, ms) for ms in comps]
+    labels = _component_labels(g)
+    sizes = np.bincount(labels, minlength=n)
+    roots = np.flatnonzero(sizes)  # each component's smallest id, ascending
+    order = roots[np.argsort(-sizes[roots], kind="stable")]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    ids = np.argsort(rank[labels], kind="stable").tolist()  # ascending within each component
+    cuts = np.cumsum(sizes[order]).tolist()
+    return [ComponentView(g, ids[a:b]) for a, b in zip([0] + cuts, cuts)]
 
 
 def from_edge_list(data: str | bytes | IO) -> MultiGraph:

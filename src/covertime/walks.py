@@ -16,13 +16,17 @@ a stop rule that the loop consults:
   scalar loop from its position and step count, with a scalar rule that
   carries its state (the local-time tail has none and stays here).
 * scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
-  (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions
-  to the rule, which returns the index of the stopping step or None. The
-  chunk's stream values are reduced mod the lcm of the degrees in numpy,
-  so the per-step Python loop indexes per-vertex neighbour lists with
-  small ints. Blanket runs here only; after cover its rule touches a heap
-  of one entry per vertex only at steps that can raise the minimum local
-  time.
+  (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions,
+  the Python list the stepping comprehension built, to the rule, which
+  returns the index of the stopping step or None. The chunk's stream
+  values are reduced mod the lcm of the degrees in numpy, so the
+  comprehension indexes per-vertex neighbour lists with small ints. The
+  rules stay on the list, with C-level set and list methods and no numpy
+  round trip: cover intersects the chunk with its set of unvisited
+  vertices, and hitting, commute and cover_return's return home use
+  ``list.index``. Blanket runs here only; after cover its rule touches a
+  heap of one entry per vertex only at steps that can raise the minimum
+  local time.
 
 On both engines a walk not stopped by step ``step_cap`` raises
 StepLimitExceeded.
@@ -182,7 +186,7 @@ class _VisitedRows:
     def scalar(self, j):
         b = int(self.base[j])
         home = None if self.home is None else int(self.home[j])
-        return _Unvisited(self.visited[b:b + self.k].copy(), int(self.unvis[j]), home)
+        return _Unvisited(set(np.flatnonzero(~self.visited[b:b + self.k]).tolist()), home)
 
 
 class _WaypointRows:
@@ -254,7 +258,7 @@ def _walk_scalar(graph, start, key, rule, cap, t0=0):
         if mod is not None:
             vals %= mod
         path = [pos := nbrs[pos][r % degs[pos]] for r in vals.tolist()]
-        i = rule(np.array(path, dtype=np.int64))
+        i = rule(path)
         t += n if i is None else i + 1
         if t > cap:
             raise StepLimitExceeded(f"walk exceeded {cap} steps")
@@ -265,34 +269,48 @@ def _walk_scalar(graph, start, key, rule, cap, t0=0):
 
 class _Unvisited:
     """Cover: done at the step that visits the last unvisited vertex or,
-    for cover_return, at the first return to the start after it."""
+    for cover_return, at the first return to the start after it.
 
-    def __init__(self, visited, unvis, home):
-        self.visited = visited  # bool row, owned by the rule
-        self.unvis = unvis      # its count of False entries
-        self.home = home        # the start for cover_return, else None
+    The unvisited vertices are a set: each chunk costs one C-level pass
+    over its positions, whatever the vertex count. A set never shrinks its
+    hash table and leaves a dummy slot for each removed vertex, which slows
+    every later lookup, so the set is rebuilt once it has lost half the
+    entries it was built with.
+    """
+
+    def __init__(self, unvisited, home):
+        self.unvisited = unvisited  # set of vertices not yet visited, owned by the rule
+        self.built = len(unvisited)  # its size when last built
+        self.home = home            # the start for cover_return, else None
 
     @classmethod
     def at(cls, k, start, need_return):
-        visited = np.zeros(k, dtype=bool)
-        visited[start] = True
-        return cls(visited, k - 1, start if need_return else None)
+        unvisited = set(range(k))
+        unvisited.discard(start)
+        return cls(unvisited, start if need_return else None)
+
+    @property
+    def unvis(self):
+        return len(self.unvisited)
 
     def __call__(self, path):
         i = 0
-        if self.unvis:
-            fresh = np.flatnonzero(~self.visited[path])
-            new, first = np.unique(path[fresh], return_index=True)
-            if len(new) < self.unvis:
-                self.visited[new] = True
-                self.unvis -= len(new)
+        unvisited = self.unvisited
+        if unvisited:
+            hit = unvisited.intersection(path)
+            unvisited -= hit
+            if unvisited:
+                if 2 * len(unvisited) < self.built:
+                    self.unvisited = set(unvisited)
+                    self.built = len(unvisited)
                 return None
-            self.unvis = 0
-            i = int(fresh[first].max())
+            i = max(map(path.index, hit))  # the first visit of the last new vertex
             if self.home is None:
                 return i
-        back = np.flatnonzero(path[i:] == self.home)
-        return i + int(back[0]) if back.size else None
+        try:
+            return path.index(self.home, i)
+        except ValueError:
+            return None
 
 
 class _WaypointScan:
@@ -304,13 +322,16 @@ class _WaypointScan:
 
     def __call__(self, path):
         i = 0
-        while (hits := np.flatnonzero(path[i:] == self.todo[0])).size:
-            i += int(hits[0])
-            del self.todo[0]
-            if not self.todo:
+        todo = self.todo
+        while True:
+            try:
+                i = path.index(todo[0], i)
+            except ValueError:
+                return None
+            del todo[0]
+            if not todo:
                 return i
             i += 1
-        return None
 
 
 class _Blanket:
@@ -346,7 +367,7 @@ class _Blanket:
             self.max_l = max(entry[0] for entry in self.heap)
         counts, heap, degs, max_l = self.counts, self.heap, self.degs, self.max_l
         top = heap[0][1]
-        for j, pos in enumerate(path[i:].tolist(), i):
+        for j, pos in enumerate(path[i:], i):
             c = counts[pos] + 1
             counts[pos] = c
             loc = c / degs[pos]
@@ -372,7 +393,7 @@ class _Checkpoints:
         self.counts[start] = 1
         self.out = np.zeros((len(checkpoints), k), dtype=np.int64)
         self.t = self.j = 0
-        self(np.zeros(0, dtype=np.int64))  # the checkpoints at time 0
+        self([])  # the checkpoints at time 0
 
     def __call__(self, path):
         k = len(self.counts)

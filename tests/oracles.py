@@ -8,8 +8,10 @@ Matthews bound), covering numbers via exhaustive set cover, cover times
 via closed forms and a one-solve-per-visited-set dynamic program,
 blanket times via one walk in plain Python with a heap push per step,
 batches of walks via a vector loop that steps every walk to its end,
-covering profiles via one greedy pass per level with an adaptive depth,
-and branching-process size laws via convolution.
+scalar stop rules that scan each chunk of positions as an ndarray,
+components with every view built eagerly, covering profiles via one
+greedy pass per level with an adaptive depth, and branching-process
+size laws via convolution.
 """
 from __future__ import annotations
 
@@ -262,6 +264,83 @@ def vector_batch_reference(graph: MultiGraph, quantity: str, starts: np.ndarray,
         unvis, home, phase = unvis[keep], home[keep], phase[keep]
         if t > cap:
             raise StepLimitExceeded(f"walk exceeded {cap} steps")
+    return out
+
+
+class UnvisitedArray:
+    """Cover stop rule on one walk's chunk of positions as an int64 array:
+    a bool visited row and its count of unvisited vertices; done at the
+    step that visits the last of them or, with a home, at the first return
+    home after it. Returns the index of the stopping step or None."""
+
+    def __init__(self, visited: np.ndarray, home: int | None):
+        self.visited = visited
+        self.unvis = int(np.count_nonzero(~visited))
+        self.home = home
+
+    def __call__(self, path: np.ndarray):
+        i = 0
+        if self.unvis:
+            fresh = np.flatnonzero(~self.visited[path])
+            new, first = np.unique(path[fresh], return_index=True)
+            if len(new) < self.unvis:
+                self.visited[new] = True
+                self.unvis -= len(new)
+                return None
+            self.unvis = 0
+            i = int(fresh[first].max())
+            if self.home is None:
+                return i
+        back = np.flatnonzero(path[i:] == self.home)
+        return i + int(back[0]) if back.size else None
+
+
+class WaypointScanArray:
+    """Hitting or commute stop rule on a chunk as an int64 array: done at
+    the first visit to the last waypoint after the earlier ones, each
+    strictly later than the one before."""
+
+    def __init__(self, waypoints):
+        self.todo = list(waypoints)
+
+    def __call__(self, path: np.ndarray):
+        i = 0
+        while (hits := np.flatnonzero(path[i:] == self.todo[0])).size:
+            i += int(hits[0])
+            del self.todo[0]
+            if not self.todo:
+                return i
+            i += 1
+        return None
+
+
+def eager_components(g: MultiGraph) -> list[tuple[tuple[int, ...], dict[int, int], MultiGraph]]:
+    """(sorted ids, local id of each id, induced graph) of every component,
+    largest first and ties by smallest id, each built up front: a search
+    from every unseen root, then a sort on (-size, smallest id)."""
+    n = g.vertex_count
+    seen = np.zeros(n, dtype=bool)
+    comps = []
+    for root in range(n):
+        if seen[root]:
+            continue
+        stack, members = [root], [root]
+        seen[root] = True
+        while stack:
+            u = stack.pop()
+            for w, _ in g.adjacency[u]:
+                if not seen[w]:
+                    seen[w] = True
+                    stack.append(w)
+                    members.append(w)
+        comps.append(members)
+    comps.sort(key=lambda ms: (-len(ms), min(ms)))
+    out = []
+    for ms in comps:
+        ids = tuple(sorted(ms))
+        index = {v: i for i, v in enumerate(ids)}
+        edges = [(index[u], index[v], m) for u, v, m in g.edges if u in index and v in index]
+        out.append((ids, index, MultiGraph(len(ids), edges)))
     return out
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles as oc
 from covertime import (
     ComponentView,
     ContractViolation,
@@ -164,6 +165,43 @@ def test_components_partition_vertices(g):
     assert seen == list(range(g.vertex_count))
     sizes = [c.size for c in comps]
     assert sizes == sorted(sizes, reverse=True)
+
+
+@st.composite
+def sparse_multigraphs(draw):
+    """Graphs with many components: isolated vertices, loops, parallel edges."""
+    n = draw(st.integers(0, 14))
+    if n == 0:
+        return MultiGraph(0)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3))
+    return MultiGraph(n, draw(st.lists(pairs, max_size=n)))
+
+
+@given(sparse_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_components_match_eager_views(g):
+    comps = connected_components(g)
+    ref = oc.eager_components(g)
+    assert [c.size for c in comps] == [len(ids) for ids, _, _ in ref]
+    # read the lazy parts in a different order on every other view
+    for j, (c, (ids, index, graph)) in enumerate(zip(comps, ref)):
+        if j % 2:
+            assert c.graph == graph
+        assert c.vertices == ids
+        assert [c.to_local(v) for v in ids] == [index[v] for v in ids]
+        assert [c.to_original(i) for i in range(len(ids))] == list(ids)
+        assert [v in c for v in range(g.vertex_count)] == [v in index for v in range(g.vertex_count)]
+        assert c.graph == graph
+
+
+def test_components_of_a_long_shuffled_path():
+    # component labels must cross a diameter of 2999 edges; isolated
+    # vertices 3000..3099 follow as singletons in id order
+    perm = np.random.default_rng(5).permutation(3000)
+    g = MultiGraph(3100, [(int(a), int(b)) for a, b in zip(perm, perm[1:])])
+    comps = connected_components(g)
+    assert [c.vertices for c in comps] == [ids for ids, _, _ in oc.eager_components(g)]
+    assert comps[0].size == 3000 and comps[1].vertices == (3000,)
 
 
 @given(small_multigraphs(), st.integers(0, 7), st.integers(0, 7))

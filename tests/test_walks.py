@@ -555,3 +555,137 @@ class TestHandOff:
             seen = _recording_scalar(mp)
             local_time_tail_check(_LOOPY, 0, 4, 6.0, [1.0], trials=3000, master_seed=13)
         assert seen == []
+
+
+def test_scalar_rules_are_handed_lists(monkeypatch):
+    # every scalar rule, those the vector loop hands its last walks to
+    # included, gets each chunk as the list the comprehension built
+    seen = []
+    scalar = walks._walk_scalar
+
+    def recording(graph, start, key, rule, cap, t0=0):
+        def spy(path):
+            seen.append((type(rule).__name__, type(path)))
+            return rule(path)
+        return scalar(graph, start, key, spy, cap, t0)
+
+    monkeypatch.setattr(walks, "_walk_scalar", recording)
+    monkeypatch.setattr(walks, "VECTOR_THRESHOLD", 150)
+    for quantity, kw in (("cover", dict(start=2)), ("cover_return", dict(start=6)),
+                         ("hitting", dict(u=0, v=4)), ("commute", dict(u=1, v=6)),
+                         ("blanket", dict(start=0))):
+        for trials in (20, 300):
+            _sim(_LOOPY, quantity, trials, 3, **kw)
+    trace_local_times(_LOOPY, 3, [0, 5000], master_seed=12)
+    assert {name for name, _ in seen} == {"_Unvisited", "_WaypointScan", "_Blanket", "_Checkpoints"}
+    assert {tp for _, tp in seen} == {list}
+
+
+# The scalar stop rules scan each chunk as a Python list. The ndarray rules
+# they replaced (tests/oracles.py) must give the same stop index and carry
+# the same state, chunk by chunk.
+
+def _chunks(k):
+    return st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=30), min_size=1, max_size=6)
+
+
+def _cover_rules(visited, home):
+    unvisited = {v for v, seen in enumerate(visited) if not seen}
+    return walks._Unvisited(unvisited, home), oc.UnvisitedArray(np.array(visited), home)
+
+
+def _run_cover_rules(visited, home, chunks):
+    """Stop indices of both cover rules on each chunk until one stops."""
+    rule, ref = _cover_rules(visited, home)
+    out = []
+    for path in chunks:
+        got = rule(list(path))
+        assert got == ref(np.array(path, dtype=np.int64))
+        assert rule.unvis == ref.unvis
+        if ref.unvis:  # the array rule stops updating its row at cover
+            assert rule.unvisited == set(np.flatnonzero(~ref.visited).tolist())
+        out.append(got)
+        if got is not None:
+            break
+    return out
+
+
+@st.composite
+def cover_rule_runs(draw):
+    k = draw(st.integers(1, 10))
+    home = draw(st.integers(0, k - 1))
+    visited = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    visited[home] = True
+    need_return = draw(st.booleans())
+    assume(need_return or not all(visited))  # a cover walk is handed over before cover
+    return visited, home if need_return else None, draw(_chunks(k))
+
+
+@given(cover_rule_runs())
+@settings(max_examples=300, deadline=None)
+def test_cover_rule_matches_array_rule(case):
+    _run_cover_rules(*case)
+
+
+@pytest.mark.parametrize("visited, home, chunks, want", [
+    ([True, True, False], None, [[0, 1, 0], [2, 1]], [None, 0]),  # covers at step 0
+    ([True, False, False], 0, [[1, 2, 1], [1, 0]], [None, 1]),    # home not back in the chunk
+    ([True, False, False], 0, [[1, 0, 2, 1], [2, 1, 0]], [None, 2]),  # home only before cover
+    ([True, False, False], 0, [[2, 1, 0, 0]], [2]),               # home right after cover
+    ([True, True, True], 0, [[1, 2], [0]], [None, 0]),            # handed over covered
+], ids=["cover-at-step-0", "return-not-in-chunk", "home-before-cover", "return-next-step",
+        "covered-on-hand-over"])
+def test_cover_rule_cases(visited, home, chunks, want):
+    assert _run_cover_rules(visited, home, chunks) == want
+
+
+def test_cover_rule_rebuilds_its_set():
+    # the set is rebuilt once it has lost half its entries; the stop index
+    # and the remaining vertices are those of the array rule throughout
+    k = 64
+    visited = [v == 0 for v in range(k)]
+    chunks = [list(range(1, 20)), list(range(20, 40)), [0] * 5, list(range(40, 63)), [63]]
+    rule, _ = _cover_rules(visited, None)
+    first = rule.unvisited
+    assert _run_cover_rules(visited, None, chunks) == [None, None, None, None, 0]
+    rule(chunks[0])
+    assert rule.unvisited is first and rule.built == k - 1
+    rule(chunks[1])
+    assert rule.unvisited is not first and rule.built == 24 == rule.unvis
+
+
+@st.composite
+def waypoint_rule_runs(draw):
+    k = draw(st.integers(1, 6))
+    waypoints = draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=2))
+    return waypoints, draw(_chunks(k))
+
+
+def _run_waypoint_rules(waypoints, chunks):
+    rule, ref = walks._WaypointScan(waypoints), oc.WaypointScanArray(waypoints)
+    out = []
+    for path in chunks:
+        got = rule(list(path))
+        assert got == ref(np.array(path, dtype=np.int64))
+        assert rule.todo == ref.todo
+        out.append(got)
+        if got is not None:
+            break
+    return out
+
+
+@given(waypoint_rule_runs())
+@settings(max_examples=300, deadline=None)
+def test_waypoint_rule_matches_array_rule(case):
+    _run_waypoint_rules(*case)
+
+
+@pytest.mark.parametrize("waypoints, chunks, want", [
+    ((3, 0), [[1, 3, 2, 0, 3]], [3]),         # commute: v, then u, in one chunk
+    ((3, 0), [[0, 1, 3, 3, 0]], [4]),         # u before v does not count
+    ((3, 0), [[1, 2, 3], [0, 1]], [None, 0]),  # v at the chunk's last step
+    ((3, 0), [[3, 0]], [1]),                  # u right after v
+    ((2,), [[1, 1], [0, 2, 2]], [None, 1]),    # hitting with u == v: first return
+], ids=["v-then-u", "u-then-v", "v-last-step", "adjacent", "return"])
+def test_waypoint_rule_cases(waypoints, chunks, want):
+    assert _run_waypoint_rules(waypoints, chunks) == want
