@@ -231,29 +231,35 @@ class ComponentView:
 
 
 def _component_labels(g: MultiGraph) -> np.ndarray:
-    """The smallest vertex id of each vertex's component.
-
-    Every label is its own label at the start of a round. The round hooks,
-    along each edge whose ends carry different labels, the larger label
-    under the smaller (one of them where several compete), then follows
-    the labels until each is its own label again. Labels only move to
-    smaller ids of the same component, and every component with an edge
-    to another merges in each round, so there are O(log n) rounds.
-    """
+    """The smallest vertex id of each vertex's component."""
     labels = np.arange(g.vertex_count)
-    if not g.edges:
-        return labels
-    ends = np.array(g.edges, dtype=np.int64)
-    u, v = ends[:, 0], ends[:, 1]
-    while True:
-        lu, lv = labels[u], labels[v]
-        apart = lu != lv
-        if not apart.any():
-            return labels
-        lu, lv = lu[apart], lv[apart]
-        labels[np.maximum(lu, lv)] = np.minimum(lu, lv)
-        while not np.array_equal(nxt := labels[labels], labels):
-            labels = nxt
+    if g.edges:
+        ends = np.array(g.edges, dtype=np.int64)
+        while _label_round(labels, ends[:, 0], ends[:, 1]):
+            pass
+    return labels
+
+
+def _label_round(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
+    """One round of labelling, in place; False once no edge joins two labels.
+
+    Every label is its own label at the start of a round. The round hooks
+    each label under the smallest label across an edge from it, if that is
+    smaller, then follows the labels until each is its own label again.
+    A label with an edge to another that is neither hooked nor hooked under
+    has a neighbour hooked under a smaller label, so it is hooked in the
+    next round: every two rounds at least halve the labels of a component,
+    and there are at most 2 log2(n) + 1 rounds, the last hooking nothing.
+    """
+    lu, lv = labels[u], labels[v]
+    apart = lu != lv
+    if not apart.any():
+        return False
+    lu, lv = lu[apart], lv[apart]
+    np.minimum.at(labels, np.maximum(lu, lv), np.minimum(lu, lv))
+    while not np.array_equal(nxt := labels[labels], labels):
+        labels[:] = nxt
+    return True
 
 
 def connected_components(g: MultiGraph) -> list[ComponentView]:

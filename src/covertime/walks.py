@@ -304,7 +304,15 @@ class _Unvisited:
                     self.unvisited = set(unvisited)
                     self.built = len(unvisited)
                 return None
-            i = max(map(path.index, hit))  # the first visit of the last new vertex
+            # the first visit of the last new vertex: each pass finds the
+            # first visit i of a new vertex after the steps already scanned
+            # and drops the new vertices seen before it, so the chunk is
+            # scanned once however many vertices it visits first
+            i = -1
+            while hit:
+                j = i + 1
+                i = path.index(hit.pop(), j)
+                hit.difference_update(path[j:i])
             if self.home is None:
                 return i
         try:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
+from covertime import graphs
 from covertime import (
     ComponentView,
     ContractViolation,
@@ -194,14 +197,43 @@ def test_components_match_eager_views(g):
         assert c.graph == graph
 
 
-def test_components_of_a_long_shuffled_path():
+def test_components_of_a_long_shuffled_path(monkeypatch):
     # component labels must cross a diameter of 2999 edges; isolated
     # vertices 3000..3099 follow as singletons in id order
     perm = np.random.default_rng(5).permutation(3000)
     g = MultiGraph(3100, [(int(a), int(b)) for a, b in zip(perm, perm[1:])])
+    rounds = _count_label_rounds(monkeypatch)
     comps = connected_components(g)
     assert [c.vertices for c in comps] == [ids for ids, _, _ in oc.eager_components(g)]
     assert comps[0].size == 3000 and comps[1].vertices == (3000,)
+    assert len(rounds) <= 2 * math.ceil(math.log2(3100)) + 1
+
+
+def _count_label_rounds(monkeypatch):
+    rounds = []
+    label_round = graphs._label_round
+
+    def counted(*args):
+        rounds.append(None)
+        return label_round(*args)
+
+    monkeypatch.setattr(graphs, "_label_round", counted)
+    return rounds
+
+
+@pytest.mark.parametrize("hub", ["first", "last"])
+def test_components_of_a_large_star(monkeypatch, hub):
+    # edges are kept sorted, so a hub with the largest id sees its leaves
+    # in ascending order; it must hook under leaf 0 in one round, not walk
+    # down the leaves one round at a time
+    n = 20_001
+    h = 0 if hub == "first" else n - 1
+    g = MultiGraph(n + 5, [(h, v) for v in range(n) if v != h])
+    rounds = _count_label_rounds(monkeypatch)
+    comps = connected_components(g)
+    assert [c.vertices for c in comps] == [ids for ids, _, _ in oc.eager_components(g)]
+    assert comps[0].size == n and len(comps) == 6
+    assert len(rounds) <= (2 if hub == "first" else 3)
 
 
 @given(small_multigraphs(), st.integers(0, 7), st.integers(0, 7))

@@ -639,6 +639,44 @@ def test_cover_rule_cases(visited, home, chunks, want):
     assert _run_cover_rules(visited, home, chunks) == want
 
 
+class _ScanCountingList(list):
+    """A chunk that counts the positions its index calls and slices read."""
+
+    scanned = 0
+
+    def index(self, x, start=0):
+        i = super().index(x, start)
+        self.scanned += i - start + 1
+        return i
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        if isinstance(key, slice):
+            self.scanned += len(out)
+        return out
+
+
+@pytest.mark.parametrize("home", [None, 0])
+@pytest.mark.parametrize("seed", range(3))
+def test_cover_rule_scans_final_chunk_once(seed, home):
+    # thousands of vertices are first visited in the chunk that covers;
+    # finding the covering step reads each position at most twice, not
+    # once per new vertex
+    k, n = 3000, 4096
+    rng = np.random.default_rng(seed)
+    path = rng.integers(1, k, size=n)
+    path[rng.permutation(n - 50)[:k - 1]] = np.arange(1, k)  # the chunk goes on after cover
+    path[-1] = 0
+    visited = [v == 0 for v in range(k)]
+    rule, ref = _cover_rules(visited, home)
+    chunk = _ScanCountingList(path.tolist())
+    got = rule(chunk)
+    assert got == ref(path) and rule.unvis == ref.unvis == 0
+    if home is None:
+        assert chunk.scanned <= 2 * n
+        assert got == max(path.tolist().index(v) for v in range(1, k))
+
+
 def test_cover_rule_rebuilds_its_set():
     # the set is rebuilt once it has lost half its entries; the stop index
     # and the remaining vertices are those of the array rule throughout
