@@ -30,8 +30,10 @@ from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle
 
 LEVEL_HARD_CAP = 40
 # largest packing level offered to Matthews as a candidate set; each
-# candidate costs a |A| x k block of resistance rows
+# candidate costs its |A| x |A| block of resistances
 MATTHEWS_SET_CAP = 2048
+# candidate rows read at a time by matthews_from_oracle
+_MATTHEWS_BLOCK = 64
 
 
 def ball_radius(radius: float) -> float:
@@ -239,7 +241,9 @@ def matthews_from_oracle(
     time; the best one is returned together with its set. All-pairs hitting
     times are never materialized: within one candidate set,
     E_u[tau_v] = |E| R(u,v) + (S_v - S_u)/2 with S_x = sum_w d_w R(x, w),
-    so only the candidate rows of the resistance matrix are needed."""
+    so only the candidate rows of the resistance matrix are needed. They are
+    read ``_MATTHEWS_BLOCK`` at a time, and only their |A| x |A| block Rp is
+    kept, so the set costs Rp and one block of rows."""
     sets = _dedupe_sets(candidate_sets)
     if not sets:
         raise ContractViolation("matthews needs a candidate set with >= 2 vertices")
@@ -249,14 +253,23 @@ def matthews_from_oracle(
     best_val = -1.0
     best_set: tuple[int, ...] = ()
     for cand in sets:
-        locs = [comp.to_local(x) for x in cand]
-        rows = oracle.rows_from_locals(locs)
-        with blas.single_thread():  # a long gemv rounds by thread count
-            S = rows @ degs
-        Rp = rows[:, locs]
-        H = E * Rp + 0.5 * (S[None, :] - S[:, None])
-        np.fill_diagonal(H, np.inf)
-        val = math.log(len(cand)) * float(H.min())
+        locs = np.array([comp.to_local(x) for x in cand], dtype=np.intp)
+        n = locs.size
+        S = np.empty(n, dtype=np.float64)
+        Rp = np.empty((n, n), dtype=np.float64)
+        for start in range(0, n, _MATTHEWS_BLOCK):
+            stop = min(start + _MATTHEWS_BLOCK, n)
+            rows = oracle.rows_from_locals(locs[start:stop])
+            with blas.single_thread():  # a long gemv rounds by thread count
+                S[start:stop] = rows @ degs
+            Rp[start:stop] = rows[:, locs]
+        h_min = np.inf
+        for start in range(0, n, _MATTHEWS_BLOCK):
+            stop = min(start + _MATTHEWS_BLOCK, n)
+            H = E * Rp[start:stop] + 0.5 * (S[None, :] - S[start:stop, None])
+            H[np.arange(stop - start), np.arange(start, stop)] = np.inf
+            h_min = min(h_min, float(H.min()))
+        val = math.log(n) * h_min
         if val > best_val:
             best_val = val
             best_set = cand

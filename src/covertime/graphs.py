@@ -1,12 +1,15 @@
 """Undirected multigraphs with integer multiplicities, loops, and dense ids."""
 from __future__ import annotations
 
+import itertools
 import math
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ContractViolation, EdgeListParseError, VertexRangeError
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class MultiGraph:
@@ -16,7 +19,9 @@ class MultiGraph:
     are allowed. A loop contributes 2 to its endpoint's degree, so
     sum(degrees) == 2 * edge_total holds on every graph, and a simple
     random walk step picks one of degree(v) incident edge ends uniformly
-    (a loop at v owns two ends, both of which keep the walk at v).
+    (a loop at v owns two ends, both of which keep the walk at v). Degrees
+    are exact int64, so a graph whose degree sum exceeds 2^63 - 1 is
+    rejected.
     """
 
     __slots__ = ("vertex_count", "edges", "degrees", "_adjacency", "_walk_np", "_walk_py")
@@ -41,17 +46,18 @@ class MultiGraph:
                 raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             key = (u, v) if u <= v else (v, u)
             merged[key] = merged.get(key, 0) + m
+        if 2 * sum(merged.values()) > _INT64_MAX:
+            raise ContractViolation("degree sum exceeds the int64 range")
         self.vertex_count = n
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, m) for (u, v), m in sorted(merged.items())
         )
+        # one exact int64 scatter: each edge adds m at both ends, so a loop
+        # adds 2m at its vertex
+        uvm = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
+                          count=3 * len(self.edges)).reshape(-1, 3)
         degrees = np.zeros(n, dtype=np.int64)
-        for u, v, m in self.edges:
-            if u == v:
-                degrees[u] += 2 * m
-            else:
-                degrees[u] += m
-                degrees[v] += m
+        np.add.at(degrees, uvm[:, :2].ravel(), np.repeat(uvm[:, 2], 2))
         self.degrees = degrees
         self.degrees.flags.writeable = False
         self._adjacency: tuple[tuple[tuple[int, int], ...], ...] | None = None

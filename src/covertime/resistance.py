@@ -4,17 +4,19 @@ Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
 metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
 never raise it) the oracle builds the full resistance matrix R once and
-every row query reads it. scipy is imported by the first oracle built.
+every row query reads it. Only the sparse path imports scipy, when the
+first sparse oracle is built; the dense path runs on numpy alone.
 Resistance adds along the edges of a tree hanging from a cut vertex and
 interpolates along a series path, so only the kernel of the 2-core (its
 vertices with at least three distinct core neighbours) needs a linear
 solve: the constructor peels the hanging trees, replaces each series path
 of the core by one kernel edge of conductance 1/r, inverts the kernel's
-grounded Laplacian in place (LAPACK ``potrf`` then ``potri``, with
-OpenBLAS pinned to one thread so that the bits do not follow the thread
-count), interpolates the rows of the path vertices from the rows of their
-path's ends, and fills the rows of the tree vertices from their parents'
-rows by tree distance. On a tree the core is the ground vertex alone, and
+grounded Laplacian in place (LAPACK ``potrf`` then ``potri`` from numpy's
+bundled OpenBLAS, see ``blas.cholesky_inverse``, with OpenBLAS pinned to
+one thread so that the bits do not follow the thread count), interpolates
+the rows of the path vertices from the rows of their path's ends, and
+fills the rows of the tree vertices from their parents' rows by tree
+distance. On a tree the core is the ground vertex alone, and
 R is the hop distance (times 1/m along an m-fold edge) with no solve at
 all. Above the limit, where a k^2 matrix no longer fits in
 memory, the constructor factors the Laplacian grounded at the smallest
@@ -41,7 +43,7 @@ from . import blas
 from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
 
-scipy = None  # bound by the first ResistanceOracle; walk-only commands never load it
+scipy = None  # bound by the first sparse oracle; the dense path and walks never load it
 
 DENSE_LIMIT = 4096
 _SOLVE_BLOCK = 256
@@ -91,7 +93,6 @@ class ResistanceOracle:
             raise ContractViolation(
                 f"dense_limit {dense_limit} exceeds DENSE_LIMIT {DENSE_LIMIT}"
             )
-        _import_scipy()
         self.component = component
         g = component.graph
         self.size = g.vertex_count
@@ -104,6 +105,7 @@ class ResistanceOracle:
             self._R, self.separation = _dense_resistances(g)
             self.eccentricity = self._R.max(axis=1)
             return
+        _import_scipy()
         rows, cols, vals = [], [], []
         for u, v, m in g.edges:
             if u == v:
@@ -191,11 +193,10 @@ class ResistanceOracle:
 
 
 def _import_scipy() -> None:
-    """Bind scipy with its LAPACK and sparse modules. Called by every oracle
-    constructor, whichever path it takes, so that the import cost falls on
-    the first construction."""
+    """Bind scipy with its sparse modules. Called by the sparse path of the
+    oracle constructor, so that the import cost falls on the first sparse
+    construction."""
     global scipy
-    import scipy.linalg.lapack
     import scipy.sparse
     import scipy.sparse.linalg
 
@@ -335,30 +336,30 @@ def _kernel_inverse(g: MultiGraph, nk: int, kid: np.ndarray, ka: np.ndarray,
         np.subtract.at(inv, (i[both] - 1, j[both] - 1), w[both])
     if nk > 1:
         with blas.single_thread():  # the rounding follows the thread count
-            inv, info = scipy.linalg.lapack.dpotrf(inv, lower=1, clean=0, overwrite_a=1)
-            if info == 0:
-                inv, info = scipy.linalg.lapack.dpotri(inv, lower=1, overwrite_c=1)
+            info = blas.cholesky_inverse(inv)
         if info != 0:
             raise np.linalg.LinAlgError(f"kernel Laplacian inversion failed (info {info})")
         _mirror_lower(inv)
     return inv
 
 
-def _interpolation(near: np.ndarray, far: np.ndarray, weight: np.ndarray, width: int):
-    """Sparse (n, width) matrix whose row i takes 1 - weight[i] of column
-    near[i] and weight[i] of column far[i], or all of near[i] when the two
-    are the same column."""
+def _blend(x: np.ndarray, near: np.ndarray, far: np.ndarray, weight: np.ndarray,
+           axis: int) -> np.ndarray:
+    """(1 - weight[i]) x[near[i]] + weight[i] x[far[i]] for each i, the
+    slices taken along ``axis``, or x[near[i]] alone when near[i] == far[i]:
+    the product with the sparse matrix that holds those one or two entries
+    in row i, with its bits."""
     two = near != far
-    indptr = np.zeros(near.size + 1, dtype=np.intp)
-    np.cumsum(1 + two, out=indptr[1:])
-    first = indptr[:-1]
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1], dtype=np.float64)
-    indices[first] = near
-    data[first] = np.where(two, 1.0 - weight, 1.0)
-    indices[first[two] + 1] = far[two]
-    data[first[two] + 1] = weight[two]
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(near.size, width))
+    keep = np.where(two, 1.0 - weight, 1.0)
+    take = np.where(two, weight, 0.0)
+    if axis == 0:
+        keep, take = keep[:, None], take[:, None]
+    out = np.take(x, near, axis=axis)
+    out *= keep
+    other = np.take(x, far, axis=axis)
+    other *= take
+    out += other
+    return out
 
 
 def _fill_core_rows(R: np.ndarray, g: MultiGraph, core: np.ndarray, slot: np.ndarray,
@@ -419,11 +420,10 @@ def _fill_core_rows(R: np.ndarray, g: MultiGraph, core: np.ndarray, slot: np.nda
     near[on], far[on] = ka[pid[hp[on]]], kb[pid[hp[on]]]
     weight[on] = theta[hp[on]]
     lift[on] += offset[hp[on]]
-    spread = _interpolation(near, far, weight, nk)
     for start in range(0, nk, _FILL_BLOCK):
-        cols = spread @ _kernel_block(inv, diag, start).T
-        cols += lift[:, None]
-        R[kernel[start:start + _FILL_BLOCK]] = cols.T
+        rows = _blend(_kernel_block(inv, diag, start), near, far, weight, axis=1)
+        rows += lift
+        R[kernel[start:start + _FILL_BLOCK]] = rows
     del inv
 
     # path rows interpolate their ends' rows; then, along their own path,
@@ -431,10 +431,10 @@ def _fill_core_rows(R: np.ndarray, g: MultiGraph, core: np.ndarray, slot: np.nda
     members = on[np.argsort(hp[on], kind="stable")]
     m_pid, m_s = pid[hp[members]], ps[hp[members]]
     mstart = np.searchsorted(m_pid, np.arange(len(paths) + 1))
-    ends_rows = _interpolation(ends[pid, 0], ends[pid, 1], theta, k)
     for start in range(0, pv.size, _FILL_BLOCK):
         stop = min(start + _FILL_BLOCK, pv.size)
-        rows = ends_rows[start:stop] @ R   # reads kernel rows only
+        ends_here = ends[pid[start:stop]]   # kernel vertices: reads kernel rows only
+        rows = _blend(R, ends_here[:, 0], ends_here[:, 1], theta[start:stop], axis=0)
         rows += offset[start:stop, None]
         lo, hi = mstart[pid[start]], mstart[pid[stop - 1] + 1]
         cols = members[lo:hi]

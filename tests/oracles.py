@@ -10,8 +10,9 @@ blanket times via one walk in plain Python with a heap push per step,
 batches of walks via a vector loop that steps every walk to its end,
 scalar stop rules that scan each chunk of positions as an ndarray,
 components with every view built eagerly, covering profiles via one
-greedy pass per level with an adaptive depth, and branching-process
-size laws via convolution.
+greedy pass per level with an adaptive depth, branching-process size laws
+via convolution, the path interpolation as a scipy CSR product, and the
+Matthews bound from all candidate rows of a set at once.
 """
 from __future__ import annotations
 
@@ -22,9 +23,9 @@ from itertools import combinations
 
 import numpy as np
 
-from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded
+from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, blas
 from covertime.bounds import (
-    LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, ball_radius, required_levels,
+    LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, _dedupe_sets, ball_radius, required_levels,
 )
 from covertime.rng import GOLDEN, mix64, mix64_int
 
@@ -90,6 +91,51 @@ def matthews_lower(hit: HittingMatrix, candidate_sets) -> tuple[float, tuple[int
         if val > best_val:
             best_val, best_set = val, cand
     return best_val, best_set
+
+
+def matthews_from_oracle_unblocked(oracle, candidate_sets) -> tuple[float, tuple[int, ...]]:
+    """``bounds.matthews_from_oracle`` with each set's rows read at once: the
+    |A| x k rows, their row sums and the |A| x |A| hitting block in one go."""
+    sets = _dedupe_sets(candidate_sets)
+    if not sets:
+        raise ContractViolation("matthews needs a candidate set with >= 2 vertices")
+    comp = oracle.component
+    degs = oracle.degrees_local()
+    E = oracle.edge_total
+    best_val = -1.0
+    best_set: tuple[int, ...] = ()
+    for cand in sets:
+        locs = [comp.to_local(x) for x in cand]
+        rows = oracle.rows_from_locals(locs)
+        with blas.single_thread():
+            S = rows @ degs
+        Rp = rows[:, locs]
+        H = E * Rp + 0.5 * (S[None, :] - S[:, None])
+        np.fill_diagonal(H, np.inf)
+        val = math.log(len(cand)) * float(H.min())
+        if val > best_val:
+            best_val = val
+            best_set = cand
+    return best_val, best_set
+
+
+def interpolation_csr(near: np.ndarray, far: np.ndarray, weight: np.ndarray, width: int):
+    """Sparse (n, width) matrix whose row i takes 1 - weight[i] of column
+    near[i] and weight[i] of column far[i], or all of near[i] when the two
+    are the same column: the reference for ``resistance._blend``."""
+    import scipy.sparse
+
+    two = near != far
+    indptr = np.zeros(near.size + 1, dtype=np.intp)
+    np.cumsum(1 + two, out=indptr[1:])
+    first = indptr[:-1]
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    indices[first] = near
+    data[first] = np.where(two, 1.0 - weight, 1.0)
+    indices[first[two] + 1] = far[two]
+    data[first[two] + 1] = weight[two]
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(near.size, width))
 
 
 def bfs_distances(g: MultiGraph, src: int) -> list[int]:

@@ -349,6 +349,42 @@ class TestMatthews:
             oc.matthews_lower(hm, [(0,)])
 
 
+@st.composite
+def matthews_cases(draw):
+    """A connected multigraph with loops on up to 200 vertices and 1 to 4
+    candidate sets of any size from 2 to k, so that sets reach past one and
+    two blocks of rows, and most sizes are not a multiple of the block."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(2, 200))
+    g = oc.random_connected_multigraph(
+        rng, n, extra_edges=draw(st.integers(0, n)), loops=draw(st.integers(0, 5)),
+        max_multiplicity=draw(st.integers(1, 3)),
+    )
+    sizes = draw(st.lists(st.integers(2, n), min_size=1, max_size=4))
+    return g, [tuple(rng.choice(n, size, replace=False).tolist()) for size in sizes]
+
+
+@given(matthews_cases(), st.sampled_from([DENSE_LIMIT, 1]))
+@settings(max_examples=60, deadline=None)
+def test_blocked_matthews_matches_unblocked(case, dense_limit):
+    g, sets = case
+    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    assert matthews_from_oracle(oracle, sets) == oc.matthews_from_oracle_unblocked(oracle, sets)
+
+
+@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
+def test_blocked_matthews_at_block_edges(dense_limit):
+    rng = np.random.default_rng(41)
+    g = oc.random_connected_multigraph(rng, 300, extra_edges=150, loops=6, max_multiplicity=3)
+    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    sets = [tuple(rng.choice(300, size, replace=False).tolist())
+            for size in (2, 63, 64, 65, 128, 129, 300)]
+    for cand in sets:
+        assert (matthews_from_oracle(oracle, [cand])
+                == oc.matthews_from_oracle_unblocked(oracle, [cand]))
+    assert matthews_from_oracle(oracle, sets) == oc.matthews_from_oracle_unblocked(oracle, sets)
+
+
 class TestOrderingChain:
     def test_full_sandwich_small_graphs(self):
         rng = np.random.default_rng(37)

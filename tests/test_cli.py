@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -15,10 +16,11 @@ from covertime import (
 from covertime.cli import main
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "covertime", *argv],
         capture_output=True, text=True, timeout=600,
+        env=None if env is None else dict(os.environ, **env),
     )
     return proc
 
@@ -309,30 +311,46 @@ class TestLazyScipy:
                                 "--k", "12", "--quantity", "cover", "--policy", "fixed",
                                 "--start", "0")
 
-    def test_bound_loads_scipy(self):
-        assert _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "40")
+    def test_dense_bound_never_loads_scipy(self):
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "40")
+        # a 3-regular graph is its own kernel, so the LAPACK inverse runs
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "percolation",
+                                "--base", "random-regular", "--base-n", "60", "--d", "3")
+
+    def test_dense_suites_never_load_scipy(self):
+        assert not _loads_scipy("--seed", "3", "gw-scaling", "--k-grid", "16,32,64",
+                                "--seeds", "2", "--trials", "2")
+        assert not _loads_scipy("--seed", "3", "evolution", "--regime", "b",
+                                "--n-grid", "300,600,1200", "--seeds", "2", "--trials", "2")
+
+    def test_sparse_bound_loads_scipy(self):
+        assert _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "40",
+                            "--dense-limit", "16")
 
 
+# OPENBLAS_NUM_THREADS is read when the library loads, so each count runs in
+# its own process; --threads is parsed and ignored
 class TestThreadDeterminism:
     def test_evolution_bytes_identical_across_threads(self):
         args = ["--seed", "31", "evolution", "--regime", "b",
                 "--n-grid", "300,600,1200", "--seeds", "3", "--trials", "4"]
-        one = run_cli("--threads", "1", *args)
-        three = run_cli("--threads", "3", *args)
-        assert one.returncode == 0 and three.returncode == 0
-        assert one.stdout == three.stdout
+        one = run_cli("--threads", "1", *args, env={"OPENBLAS_NUM_THREADS": "1"})
+        two = run_cli("--threads", "3", *args, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert one.returncode == 0 and two.returncode == 0
+        assert one.stdout == two.stdout
 
     def test_gw_scaling_bytes_identical_across_threads(self):
         args = ["--seed", "32", "gw-scaling", "--k-grid", "16,32,64",
                 "--seeds", "3", "--trials", "4"]
-        one = run_cli("--threads", "1", *args)
-        four = run_cli("--threads", "4", *args)
-        assert one.returncode == 0 and four.returncode == 0
-        assert one.stdout == four.stdout
+        one = run_cli("--threads", "1", *args, env={"OPENBLAS_NUM_THREADS": "1"})
+        two = run_cli("--threads", "4", *args, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert one.returncode == 0 and two.returncode == 0
+        assert one.stdout == two.stdout
 
     def test_simulate_rerun_identical(self):
         args = ["--seed", "33", "--trials", "50", "simulate", "--model", "tree",
                 "--k", "12", "--quantity", "cover", "--policy", "fixed", "--start", "0"]
-        a = run_cli(*args)
-        b = run_cli("--threads", "5", *args)
+        a = run_cli(*args, env={"OPENBLAS_NUM_THREADS": "1"})
+        b = run_cli("--threads", "5", *args, env={"OPENBLAS_NUM_THREADS": "2"})
+        assert a.returncode == 0 and b.returncode == 0
         assert a.stdout == b.stdout

@@ -273,10 +273,13 @@ def test_pinned_bound_report(graph, dense_limit):
     assert _report_sha(report.to_dict()) == PINNED_BOUNDS[graph, dense_limit]
 
 
-_GNP600_REPORT = (
-    "import json; from covertime import compute_bound_report, connected_components, gnp; "
-    "print(json.dumps(compute_bound_report("
-    "connected_components(gnp(600, 1.5 / 600, 3))[0]).to_dict(), indent=2))"
+# gnp600 (a 401-vertex component) and a random 3-regular graph that is its
+# own kernel, so the kernel inverse is 1199 x 1199
+_THREAD_REPORTS = (
+    "import json; from covertime import compute_bound_report, connected_components, gnp, "
+    "random_regular_graph; "
+    "print(json.dumps([compute_bound_report(connected_components(g)[0]).to_dict() "
+    "for g in (gnp(600, 1.5 / 600, 3), random_regular_graph(1200, 3, 5))], indent=2))"
 )
 
 
@@ -288,13 +291,15 @@ def test_bound_report_bytes_identical_across_blas_threads():
     outs = {}
     for threads in ("1", "2"):
         proc = subprocess.run(
-            [sys.executable, "-c", _GNP600_REPORT], capture_output=True, text=True,
+            [sys.executable, "-c", _THREAD_REPORTS], capture_output=True, text=True,
             timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
         )
         assert proc.returncode == 0, proc.stderr
         outs[threads] = proc.stdout
     assert outs["1"] == outs["2"]
-    assert _report_sha(json.loads(outs["1"])) == PINNED_BOUNDS["gnp600", None]
+    gnp600, regular = json.loads(outs["1"])
+    assert _report_sha(gnp600) == PINNED_BOUNDS["gnp600", None]
+    assert regular["levels"][-1]["size"] == 1200
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SUITES))

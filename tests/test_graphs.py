@@ -160,6 +160,21 @@ def test_degree_sum_is_twice_edge_total(g):
     assert int(g.degrees.sum()) == 2 * g.edge_total
 
 
+def test_degrees_exact_above_float_precision():
+    # 3 * 2^60 + 6 has no float64 representation: the degrees are exact
+    # integers, loops counted twice and parallel edges merged
+    big = 2 ** 60
+    g = MultiGraph(3, [(0, 1, big), (1, 1, big + 1), (1, 2, 3), (2, 2, 1), (1, 0, 1)])
+    assert g.degrees.dtype == np.int64
+    assert g.degrees.tolist() == [big + 1, 3 * big + 6, 5]
+    assert int(g.degrees.sum()) == 2 * g.edge_total
+    assert MultiGraph(2).degrees.tolist() == [0, 0]
+    # a degree past int64 is refused, not wrapped
+    for edges in ([(0, 0, 2 ** 62)], [(0, 1, 2 ** 62), (1, 1, 2 ** 61)]):
+        with pytest.raises(ContractViolation):
+            MultiGraph(2, edges)
+
+
 @given(small_multigraphs())
 @settings(max_examples=60, deadline=None)
 def test_components_partition_vertices(g):

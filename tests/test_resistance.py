@@ -1,10 +1,14 @@
+import subprocess
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
+from covertime import blas, resistance
 from covertime import (
     BaseGraphSpec,
     ComponentView,
@@ -167,13 +171,12 @@ class TestKernelReduction:
     def test_lapack_sees_the_kernel_only(self, monkeypatch):
         # a percolated torus has long series paths: 1476 vertices, a 2-core
         # of 1040 and a kernel of 431
-        import scipy.linalg.lapack as lapack
         g = percolate(BaseGraphSpec.torus(40, 2, 0.55), 0)[1].graph
         core, kernel = _kernel_size(g)
         assert kernel < core < g.vertex_count
         shapes = []
-        potrf = lapack.dpotrf
-        monkeypatch.setattr(lapack, "dpotrf", lambda a, **kw: shapes.append(a.shape) or potrf(a, **kw))
+        invert = blas.cholesky_inverse
+        monkeypatch.setattr(blas, "cholesky_inverse", lambda a: shapes.append(a.shape) or invert(a))
         assert oracle_for(g).dense
         assert shapes == [(kernel - 1, kernel - 1)]
 
@@ -209,6 +212,60 @@ def test_kernel_reduction_matches_pinv(g):
     R = o.rows_from_locals(range(g.vertex_count))
     assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
     assert np.array_equal(R, R.T)
+
+
+@given(subdivided_multigraphs())
+@settings(max_examples=60, deadline=None)
+def test_path_interpolation_matches_csr_product(g):
+    # every interpolation the dense constructor makes, along the columns of a
+    # kernel block or the rows of R, carries the bits of the CSR product
+    calls = []
+    blend = resistance._blend
+
+    def spy(x, near, far, weight, axis):
+        out = blend(x, near, far, weight, axis)
+        calls.append((x.copy(), near, far, weight, axis, out.copy()))
+        return out
+
+    with mock.patch.object(resistance, "_blend", spy):
+        oracle_for(g)
+    for x, near, far, weight, axis, out in calls:
+        csr = oc.interpolation_csr(near, far, weight, x.shape[axis])
+        want = csr @ x if axis == 0 else (csr @ x.T).T
+        assert out.shape == want.shape and np.array_equal(out, want)
+
+
+_FALLBACK_R = (
+    "import sys, numpy as np; from covertime import blas; "
+    "blas._LAPACKE = ('no_such_dpotrf', 'no_such_dpotri'); "
+    "from covertime import ComponentView, ResistanceOracle, random_regular_graph; "
+    "o = ResistanceOracle(ComponentView.whole(random_regular_graph(120, 3, 4))); "
+    "np.save(sys.argv[1], o.rows_from_locals(range(o.size))); "
+    "print(blas.describe()); print('scipy' in sys.modules)"
+)
+
+
+def test_lapack_falls_back_to_scipy(tmp_path):
+    # where numpy's OpenBLAS exports no LAPACKE potrf/potri, scipy's LAPACK
+    # inverts the kernel, and only then is scipy imported
+    path = tmp_path / "R.npy"
+    proc = subprocess.run([sys.executable, "-c", _FALLBACK_R, str(path)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    described, loaded = proc.stdout.splitlines()[-2:]
+    assert described.startswith("LAPACK potrf/potri: scipy.linalg.lapack;")
+    assert loaded == "True"
+    o = oracle_for(random_regular_graph(120, 3, 4))
+    want = o.rows_from_locals(range(o.size))
+    assert np.allclose(np.load(path), want, rtol=1e-12, atol=0.0)
+
+
+def test_cholesky_inverse_rejects_bad_layout():
+    # LAPACK would read past a slice, or the transpose of a C-ordered array
+    for bad in (np.eye(3)[:, :2], np.zeros((3, 4))[:, :3],
+                np.eye(3, dtype=np.float32, order="F")):
+        with pytest.raises(ValueError):
+            blas.cholesky_inverse(bad)
 
 
 class TestDiameter:
