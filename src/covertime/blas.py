@@ -13,7 +13,7 @@ Loading a bundled library does not import its package.
 
 ``cholesky_inverse()`` calls LAPACK ``potrf`` and ``potri`` through the
 LAPACKE entry points of numpy's OpenBLAS (64-bit integers, column-major, in
-place), so the dense resistance path needs no scipy. Where those symbols do
+place), so the resistance oracle needs no scipy. Where those symbols do
 not resolve it falls back to ``scipy.linalg.lapack``, which it imports then.
 ``describe()`` names the library that serves it and numpy's OpenBLAS build.
 """

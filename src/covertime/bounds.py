@@ -86,8 +86,6 @@ class BoundReport:
     def to_dict(self) -> dict:
         return {
             "R": float(self.R),
-            # R is exact on both solver paths; the key keeps the format
-            "R_provenance": {"mode": "exact"},
             "levels": [lvl.to_dict() for lvl in self.levels],
             "psi": float(self.psi),
             "upper_theorem": float(self.upper_theorem),
@@ -119,8 +117,8 @@ def greedy_packing(
     below the oracle's separation, so every vertex is a center; at most 40.
     Each level depends only on its own claimed mask, so one pass fills them
     all and reads a vertex's row once, if some tested level has not claimed
-    it; on the dense path a level whose radius is below the separation takes
-    every vertex untested.
+    it. A level whose ball radius is below the separation takes every vertex
+    untested.
     """
     comp = oracle.component
     k = oracle.size
@@ -133,14 +131,9 @@ def greedy_packing(
                       if oracle.separation > ball_radius(R / 2.0 ** (i + 1))),
                      LEVEL_HARD_CAP)
     radii = [ball_radius(R / 2.0 ** (i + 1)) for i in range(i_max + 1)]
-    # a level whose ball radius is below the separation holds every vertex.
-    # On the dense path the rows are the entries the separation was read
-    # from, so such a level needs no test; a sparse row is solved again and
-    # may differ from the constructor's pass in its last bits, so there
-    # every level is tested.
-    tested = len(radii)
-    if oracle.dense:
-        tested = next((i for i, rad in enumerate(radii) if oracle.separation > rad), tested)
+    # a level whose ball radius is below the separation holds every vertex:
+    # every row carries the bits the separation was read from
+    tested = next((i for i, rad in enumerate(radii) if oracle.separation > rad), len(radii))
     # per tested level: the ball radius, the claimed mask and the centers so far
     packings = [(rad, np.zeros(k, dtype=bool), []) for rad in radii[:tested]]
     for v in range(k):

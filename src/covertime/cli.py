@@ -282,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--i-max", type=int, default=None)
     p_bound.add_argument(
         "--dense-limit", type=int, default=DENSE_LIMIT,
-        help=f"largest component size factored densely, at most {DENSE_LIMIT}; "
-        "larger ones take sparse LU, with the same exact R",
+        help="largest component whose R is materialized; larger ones read rows "
+        "on demand, with the same bits",
     )
     p_bound.set_defaults(fn=_cmd_bound)
 

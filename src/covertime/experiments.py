@@ -81,7 +81,6 @@ class CellResult:
             "size": int(self.size),
             "edges": int(self.edge_total),
             "R": float(self.R),
-            "R_exact": True,   # exact on both solver paths
             "kklv_lower": float(self.kklv_lower),
             "matthews_lower": float(self.matthews_lower),
             "upper_clean": float(self.upper_clean),

@@ -2,36 +2,29 @@
 
 Each parallel edge is a unit conductor (conductance = multiplicity) and
 loops carry no current, so they affect only walk dynamics, never the
-metric. Up to ``DENSE_LIMIT`` vertices (a caller may lower the limit,
-never raise it) the oracle builds the full resistance matrix R once and
-every row query reads it. Only the sparse path imports scipy, when the
-first sparse oracle is built; the dense path runs on numpy alone.
-Resistance adds along the edges of a tree hanging from a cut vertex and
-interpolates along a series path, so only the kernel of the 2-core (its
-vertices with at least three distinct core neighbours) needs a linear
-solve: the constructor peels the hanging trees, replaces each series path
-of the core by one kernel edge of conductance 1/r, inverts the kernel's
-grounded Laplacian in place (LAPACK ``potrf`` then ``potri`` from numpy's
-bundled OpenBLAS, see ``blas.cholesky_inverse``, with OpenBLAS pinned to
-one thread so that the bits do not follow the thread count), interpolates
-the rows of the path vertices from the rows of their path's ends, and
-fills the rows of the tree vertices from their parents' rows by tree
-distance. On a tree the core is the ground vertex alone, and
-R is the hop distance (times 1/m along an m-fold edge) with no solve at
-all. Above the limit, where a k^2 matrix no longer fits in
-memory, the constructor factors the Laplacian grounded at the smallest
-vertex id (sparse LU) and computes the grounded diagonal once, in blocks
-of ``_SOLVE_BLOCK`` columns. Each row query then solves its rows in blocks
-of the same size and caches nothing, so the oracle keeps the factor and
-two length-k vectors however many rows are read.
+metric. Resistance adds along the edges of a tree hanging from a cut vertex
+and interpolates along a series path, so only the kernel of the 2-core (its
+vertices with at least three distinct core neighbours) needs a linear solve.
+The constructor peels the hanging trees, replaces each series path of the
+core by one kernel edge of conductance 1/r and inverts the kernel's grounded
+Laplacian in place (LAPACK ``potrf`` then ``potri`` from numpy's bundled
+OpenBLAS, see ``blas.cholesky_inverse``, with OpenBLAS pinned to one thread
+so that the bits do not follow the thread count). That inverse, the path
+table and the hanging forest are all a row needs: ``ResistanceOracle._rows``
+evaluates R(x, .) in O(k) with no solve, as an expression symmetric in x and
+y, so R(x, y) == R(y, x) bit for bit and a row has the same bits however and
+whenever it is read. On a tree the kernel is one vertex and R is the hop
+distance (times 1/m along an m-fold edge).
 
-On both paths the constructor also keeps each vertex's resistance
-eccentricity (its largest resistance to any vertex) and the separation
-(the smallest between two distinct vertices): the row maxima and the
-off-diagonal minimum of R on the dense path, and on the sparse path
-by-products of the diagonal pass, whose solve for a block of columns
-already holds every resistance between the block and the vertices before
-its end. The exact resistance diameter is read from the eccentricities.
+A component of at most ``dense_limit`` vertices has its matrix R
+materialized from those rows by the constructor; a larger one reads its
+rows on demand and keeps only the kernel's inverse, (nk - 1)^2 doubles, and
+a few length-k tables. A kernel whose inverse would exceed ``DENSE_LIMIT``^2
+doubles is rejected before anything is allocated. In either mode one
+blocked pass over all rows gives each vertex's resistance eccentricity (its
+largest resistance to any vertex) and the separation (the smallest between
+two distinct vertices); the exact resistance diameter is read from the
+eccentricities.
 """
 from __future__ import annotations
 
@@ -43,18 +36,13 @@ from . import blas
 from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
 
-scipy = None  # bound by the first sparse oracle; the dense path and walks never load it
-
 DENSE_LIMIT = 4096
-_SOLVE_BLOCK = 256
-# rows per block when the dense path assembles R; the block temporaries
-# stay a small fraction of one k^2 array
-_FILL_BLOCK = 64
+# rows per block when R is materialized, scanned or read on demand
+_BLOCK = 64
 
-# Closed-ball membership tolerance: solver residuals are ~1e-10, so exact
-# boundary cases (integer radii on paths, rational radii on cycles) must
-# not flip on rounding noise. Applied identically everywhere, including to
-# ties at the resistance diameter.
+# Closed-ball membership tolerance: exact boundary cases (integer radii on
+# paths, rational radii on cycles) must not flip on rounding noise. Applied
+# identically everywhere, including to ties at the resistance diameter.
 BALL_RTOL = 1e-9
 BALL_ATOL = 1e-12
 
@@ -67,7 +55,7 @@ def _tie_floor(best: float) -> float:
 class DiameterResult(NamedTuple):
     value: float
     pair: tuple[int, int]
-    exact: bool = True   # on both solver paths
+    exact: bool = True   # always: the maximum is read from every row
 
 
 class ResistanceOracle:
@@ -75,17 +63,18 @@ class ResistanceOracle:
 
     Public methods take original (parent-graph) vertex ids; local ids are
     positions in ``component.vertices``. The oracle is immutable once built
-    and has one row primitive per solver path. A dense oracle builds the
-    full resistance matrix R in the constructor (R is read-only and exactly
-    symmetric, and every row query reads it). A sparse oracle holds the LU
-    factor of the Laplacian grounded at local 0 and the grounded diagonal,
-    which its constructor computes; it solves the rows it is asked for in
-    blocks and caches none of them. Both keep ``eccentricity``, each
-    vertex's largest resistance to any vertex, and ``separation``, the
-    smallest between two distinct vertices (inf on one vertex).
+    and has one row function, ``_rows``. With at most ``dense_limit``
+    vertices (``dense`` true) the constructor materializes R, read-only,
+    with the same entries, host by host, and every row query reads R;
+    above, every query calls ``_rows`` and nothing is cached, so the oracle
+    keeps the kernel's inverse and O(k) tables however many rows are read.
+    The bits are the same in both modes. Both keep ``eccentricity``, each vertex's largest resistance to
+    any vertex, and ``separation``, the smallest between two distinct
+    vertices (inf on one vertex).
 
-    ``dense_limit`` can only lower ``DENSE_LIMIT``: a larger value is
-    rejected before anything is allocated.
+    ``dense_limit`` can only lower ``DENSE_LIMIT``, and a kernel of more than
+    ``DENSE_LIMIT`` + 1 vertices is rejected: both before anything is
+    allocated.
     """
 
     def __init__(self, component: ComponentView, dense_limit: int = DENSE_LIMIT) -> None:
@@ -95,61 +84,230 @@ class ResistanceOracle:
             )
         self.component = component
         g = component.graph
-        self.size = g.vertex_count
+        self.size = k = g.vertex_count
         self.edge_total = g.edge_total
         self._degrees = g.degrees.astype(np.float64)
-        k = self.size
         self.dense = k <= dense_limit
+        core, pre, subtree, parent, height, links = _hanging_forest(g)
+        kernel, paths = _series_paths(g, core, links)
+        nk = kernel.size
+        if nk - 1 > DENSE_LIMIT:
+            raise ContractViolation(
+                f"kernel of {nk} vertices: its grounded inverse exceeds "
+                f"DENSE_LIMIT^2 = {DENSE_LIMIT}^2 doubles"
+            )
+        kid = np.full(k, -1, dtype=np.intp)   # kernel index, -1 off the kernel
+        kid[kernel] = np.arange(nk)
+        ends = np.array([p[:2] for p in paths], dtype=np.intp).reshape(-1, 2)
+        r = np.array([p[2] for p in paths], dtype=np.float64)
+        ka, kb = kid[ends[:, 0]], kid[ends[:, 1]]
+        inv = _kernel_inverse(g, nk, kid, ka, kb, r)
+        self._inv = inv.T   # symmetric, so its rows are the contiguous columns
+        self._diag = np.zeros(nk, dtype=np.float64)
+        self._diag[1:] = inv.diagonal()
+        self._nk = nk
+        cross = np.zeros(r.size, dtype=np.float64)
+        inner = (ka > 0) & (kb > 0)
+        cross[inner] = inv[ka[inner] - 1, kb[inner] - 1]
+        q = r - ((self._diag[ka] + self._diag[kb]) - 2.0 * cross)   # r - R_K(a, b)
+        self._shrink = q / (r * r)
+
+        # the path vertices in path order, each with its path, the kernel
+        # indices of the path's ends, the offset s from the first end, the
+        # weights 1 - theta and theta (theta = s/r) and c_x = theta (1 - theta) q
+        pv = np.fromiter((x for p in paths for x in p[3]), dtype=np.intp)
+        self._s = np.fromiter((s for p in paths for s in p[4]), dtype=np.float64)
+        self._pid = np.repeat(np.arange(len(paths)), [len(p[3]) for p in paths])
+        self._pstart = np.searchsorted(self._pid, np.arange(len(paths) + 1))
+        self._pa, self._pb = ka[self._pid], kb[self._pid]
+        theta = self._s / r[self._pid]
+        self._wa, self._wb = 1.0 - theta, theta
+        self._c = theta * (1.0 - theta) * q[self._pid]
+
+        # core index: the kernel first, then the path vertices in path order.
+        # cidx[y] is that of the core vertex y's tree hangs from, its host
+        self._host_of = np.concatenate([kernel, pv])   # core index -> local id
+        self._nc = self._host_of.size
+        ci = np.full(k, -1, dtype=np.intp)
+        ci[self._host_of] = np.arange(self._nc)
+        pos = np.empty(k, dtype=np.intp)
+        pos[pre] = np.arange(k)
+        first = np.flatnonzero(ci[pre] >= 0)   # each host heads its tree in pre
+        self._cidx = np.repeat(ci[pre[first]], np.diff(np.append(first, k)))[pos]
+        # the hanging forest: pre is a preorder in which every subtree is the
+        # run pos[v] to pos[v] + subtree[v]; heights are resistances to the host
+        self._pre, self._pos = pre, pos
+        self._subtree, self._parent = subtree, parent
+        self._h = height
+        self._h2 = 2.0 * height
+
         self._R: np.ndarray | None = None
         if self.dense:
-            self._R, self.separation = _dense_resistances(g)
-            self.eccentricity = self._R.max(axis=1)
-            return
-        _import_scipy()
-        rows, cols, vals = [], [], []
-        for u, v, m in g.edges:
-            if u == v:
-                continue
-            rows += [u, v, u, v]
-            cols += [v, u, u, v]
-            vals += [-float(m), -float(m), float(m), float(m)]
-        lap = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsc()
-        self._lu = scipy.sparse.linalg.splu(lap[1:, 1:].tocsc())
-        # R to the ground vertex: the diagonal of the grounded inverse. The
-        # solve for block C holds G[:, C] and the diagonal is known up to C's
-        # end, so R(w, c) = d_w + d_c - 2 G[w, c] for every w before that end
-        # updates both endpoints' eccentricities; each pair is met once.
-        self._diag = np.zeros(k, dtype=np.float64)
-        self.eccentricity = np.zeros(k, dtype=np.float64)
-        self.separation = np.inf
-        for start in range(1, k, _SOLVE_BLOCK):
-            stop = min(start + _SOLVE_BLOCK, k)
-            block = np.arange(start, stop)
-            tri = self._solve_block(block)[:stop]   # G[:stop, C], then R
-            own = tri[block, np.arange(block.size)]
-            self._diag[block] = own
-            # summed in the order rows_from_locals uses, for the same bits
-            tri *= -2.0
-            tri += own + self._diag[:stop, None]
-            np.maximum(self.eccentricity[:stop], tri.max(axis=1),
-                       out=self.eccentricity[:stop])
-            np.maximum(self.eccentricity[block], tri.max(axis=0),
-                       out=self.eccentricity[block])
-            tri[block, np.arange(block.size)] = np.inf   # R(c, c), exactly 0
-            self.separation = min(self.separation, float(tri.min()))
+            self._R = self._materialize()
+        self.eccentricity, self.separation = self._extremes()
+        if self._R is not None:
+            self._R.flags.writeable = False
+            self._inv = None   # every row is in R
 
-    # -- local-id internals -------------------------------------------------
+    # -- the row function ----------------------------------------------------
 
-    def _solve_block(self, locals_: np.ndarray) -> np.ndarray:
-        """Columns of the grounded inverse, embedded to full size (k, b).
-        The ground vertex's unit column falls outside the grounded system,
-        so its right-hand side is zero and so is its column. Sparse oracles
-        only."""
-        rhs = np.zeros((self.size, locals_.size), dtype=np.float64)
-        rhs[locals_, np.arange(locals_.size)] = 1.0
-        rhs[1:] = self._lu.solve(rhs[1:])
-        rhs[0] = 0.0
-        return rhs
+    def _kernel_rows(self, e: np.ndarray) -> np.ndarray:
+        """R_K(i, j) = (d_i + d_j) - 2 inv_ij for kernel indices i in e, all j,
+        from the inverse grounded at kernel index 0 (d its diagonal, d_0 = 0,
+        and inv 0 on the ground's row and column)."""
+        out = np.add.outer(self._diag[e], self._diag)
+        inner = np.flatnonzero(e > 0)
+        if inner.size:
+            twice = self._inv[e[inner] - 1]
+            twice *= -2.0
+            out[inner, 1:] += twice
+        return out
+
+    def _core_rows(self, hosts: np.ndarray) -> np.ndarray:
+        """Resistances from the core vertices with ascending core indices
+        ``hosts`` to every core vertex, in core-index order.
+
+        A path vertex x on the path from kernel vertex a to kernel vertex b
+        has R(x, y) = (1 - theta) R(a, y) + theta R(b, y) + c_x for y off its
+        path; applied on both sides, x on path (a, b) and y on path (a', b')
+        give the four terms T1 = (1 - theta)(1 - theta') R_K(a, a'),
+        T2 = (1 - theta) theta' R_K(a, b'), T3 = theta (1 - theta') R_K(b, a')
+        and T4 = theta theta' R_K(b, b'), summed as (T1 + T4) + (T2 + T3),
+        plus (c_x + c_y). The swap x <-> y maps T1 and T4 to themselves and
+        T2 to T3, so the entry does not depend on which side is the row. A
+        kernel vertex is a path of its own with theta = 0, where the terms
+        that drop out are exact zeros; two vertices at distance d along one
+        path have R = d - d^2 (r - R_K(a, b)) / r^2.
+        """
+        nk = self._nk
+        m = int(np.searchsorted(hosts, nk))
+        out = np.empty((hosts.size, self._nc), dtype=np.float64)
+        pa, pb, wa, wb, c = self._pa, self._pb, self._wa, self._wb, self._c
+        if m:
+            K = self._kernel_rows(hosts[:m])
+            out[:m, :nk] = K
+            out[:m, nk:] = (np.take(K, pa, axis=1) * wa + np.take(K, pb, axis=1) * wb) + c
+        if m == hosts.size:
+            return out
+        # path hosts: the kernel rows of their paths' ends, and those rows at
+        # the ends of every path column
+        on = hosts[m:] - nk   # positions among the path vertices
+        n = on.size
+        ends, at = np.unique(np.concatenate([pa[on], pb[on]]), return_inverse=True)
+        ia, ib = at[:n], at[n:]
+        K = self._kernel_rows(ends)
+        KA, KB = np.take(K, pa, axis=1), np.take(K, pb, axis=1)
+        uwa, uwb, uc = wa[on], wb[on], c[on]
+        out[m:, :nk] = (K[ia] * uwa[:, None] + K[ib] * uwb[:, None]) + uc[:, None]
+        # (T1 + T4) + (T2 + T3), each weight product rounded before it meets
+        # R_K; einsum forms it faster than a broadcast product
+        cols = ((np.einsum("i,j->ij", uwa, wa) * KA[ia] + np.einsum("i,j->ij", uwb, wb) * KB[ib])
+                + (np.einsum("i,j->ij", uwa, wb) * KB[ia] + np.einsum("i,j->ij", uwb, wa) * KA[ib]))
+        cols += np.add.outer(uc, c)
+        # along the host's own path
+        p = self._pid[on]
+        lo, span = self._pstart[p], self._pstart[p + 1] - self._pstart[p]
+        row = np.repeat(np.arange(n), span)
+        col = np.arange(row.size) - np.repeat(np.cumsum(span) - span - lo, span)
+        d = np.abs(self._s[on][row] - self._s[col])
+        along = d * d
+        along *= -np.repeat(self._shrink[p], span)
+        along += d
+        cols[row, col] = along
+        out[m:, nk:] = cols
+        return out
+
+    def _ancestry(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices y of x's hanging tree, in the order of ``_pre`` from
+        the tree's host (height 0), and 2 h(lca(x, y)) for each. Along x's
+        path to the host, the vertices whose lca with x is v form v's subtree
+        minus that of v's child on the path: at most two runs of the
+        preorder."""
+        chain = [x]
+        while self._parent[chain[-1]] != chain[-1]:
+            chain.append(self._parent[chain[-1]])
+        anc = np.array(chain, dtype=np.intp)
+        start = self._pos[anc]
+        stop = start + self._subtree[anc]
+        edges = np.concatenate([start[::-1], stop])
+        values = np.concatenate([self._h2[anc[::-1]], self._h2[anc[1:]]])
+        return self._pre[start[-1]:stop[-1]], np.repeat(values, np.diff(edges))
+
+    def _rows(self, ids: np.ndarray) -> np.ndarray:
+        """R(x, .) for the local ids x in ``ids``, shape (len(ids), k).
+
+        With h the height of a vertex above its host and core(x, y) the core
+        rows' entry between the hosts of x and y (0 for one host), each entry
+        is (core(x, y) + (h(x) + h(y))) - 2 h(lca(x, y)), the last term only
+        for x and y in one hanging tree: symmetric in x and y, and each core
+        row is built once per host in the block."""
+        hosts, back = np.unique(self._cidx[ids], return_inverse=True)
+        core = self._core_rows(hosts)
+        h = self._h
+        out = np.empty((ids.size, self.size), dtype=np.float64)
+        last = -1
+        for row, x, j in zip(out, ids.tolist(), back.tolist()):
+            if j != last:   # rows of one host come together in a preorder block
+                g, last = np.take(core[j], self._cidx), j
+            np.add(h, h[x], out=row)
+            row += g
+            if h[x]:
+                tree, lca = self._ancestry(x)
+                row[tree] -= lca
+        return out
+
+    def _materialize(self) -> np.ndarray:
+        """R, filled host by host with the entries of ``_rows``: each block of
+        core rows is expanded to the hosts' trees in preorder, updating one
+        buffer of 2 h(lca) as the preorder moves, so that a tree row costs
+        O(k) and the buffer holds exact copies of the values ``_ancestry``
+        builds."""
+        k, nc = self.size, self._nc
+        pre = self._pre
+        pos, subtree, parent = self._pos.tolist(), self._subtree.tolist(), self._parent
+        h, hl, h2 = self._h, self._h.tolist(), self._h2.tolist()
+        R = np.empty((k, k), dtype=np.float64)
+        lca = np.zeros(k, dtype=np.float64)   # zero outside the current tree
+        for start in range(0, nc, _BLOCK):
+            hosts = np.arange(start, min(start + _BLOCK, nc))
+            G = np.take(self._core_rows(hosts), self._cidx, axis=1)
+            for g_row, host in zip(G, self._host_of[hosts].tolist()):
+                np.add(g_row, h, out=R[host])
+                lo, hi = pos[host] + 1, pos[host] + subtree[host]
+                chain = [host]
+                for x in pre[lo:hi].tolist():
+                    while chain[-1] != parent[x]:
+                        done = chain.pop()
+                        lca[pre[pos[done]:pos[done] + subtree[done]]] = h2[chain[-1]]
+                    chain.append(x)
+                    lca[pre[pos[x]:pos[x] + subtree[x]]] = h2[x]
+                    row = R[x]
+                    np.add(h, hl[x], out=row)
+                    if nc > 1:   # with one core vertex every core entry is 0
+                        row += g_row
+                    row -= lca
+                lca[pre[lo:hi]] = 0.0
+        return R
+
+    def _extremes(self) -> tuple[np.ndarray, float]:
+        """Row maxima and the smallest off-diagonal entry, in one blocked
+        pass over all rows: R's rows in order, or ``_rows`` on blocks of the
+        preorder, so that a block's vertices share few hosts."""
+        k = self.size
+        order = np.arange(k) if self._R is not None else self._pre
+        ecc = np.empty(k, dtype=np.float64)
+        separation = np.inf
+        for start in range(0, k, _BLOCK):
+            ids = order[start:start + _BLOCK]
+            rows = self._rows(ids) if self._R is None else self._R[start:start + ids.size]
+            ecc[ids] = rows.max(axis=1)
+            diagonal = (np.arange(ids.size), ids)
+            rows[diagonal] = np.inf
+            separation = min(separation, float(rows.min()))
+            rows[diagonal] = 0.0   # R(x, x), exactly 0
+        return ecc, separation
+
+    # -- local-id queries ---------------------------------------------------
 
     def resistance_local(self, a: int, b: int) -> float:
         if a == b:
@@ -158,23 +316,21 @@ class ResistanceOracle:
 
     def resistances_from_local(self, a: int) -> np.ndarray:
         """R(a, w) for every w in the component, as a length-k vector
-        (a read-only view of R on the dense path)."""
+        (a read-only view of R when it is materialized)."""
         if self._R is not None:
             return self._R[a]
-        return self.rows_from_locals([a])[0]
+        return self._rows(np.array([a], dtype=np.intp))[0]
 
     def rows_from_locals(self, locals_: Sequence[int]) -> np.ndarray:
-        """Stacked resistance rows, shape (len(locals_), k); on the sparse
-        path solved ``_SOLVE_BLOCK`` rows at a time."""
+        """Stacked resistance rows, shape (len(locals_), k); read on demand
+        ``_BLOCK`` rows at a time above the dense limit."""
         idx = np.asarray(locals_, dtype=np.intp)
         if self._R is not None:
             return self._R[idx]
         out = np.empty((idx.size, self.size), dtype=np.float64)
-        for start in range(0, idx.size, _SOLVE_BLOCK):
-            chunk = idx[start:start + _SOLVE_BLOCK]
-            cols = self._solve_block(chunk)
-            own = cols[chunk, np.arange(chunk.size)]
-            out[start:start + chunk.size] = (own + self._diag[:, None] - 2.0 * cols).T
+        for start in range(0, idx.size, _BLOCK):
+            chunk = idx[start:start + _BLOCK]
+            out[start:start + chunk.size] = self._rows(chunk)
         return out
 
     # -- public API (original ids) -----------------------------------------
@@ -192,26 +348,17 @@ class ResistanceOracle:
         return self._degrees
 
 
-def _import_scipy() -> None:
-    """Bind scipy with its sparse modules. Called by the sparse path of the
-    oracle constructor, so that the import cost falls on the first sparse
-    construction."""
-    global scipy
-    import scipy.sparse
-    import scipy.sparse.linalg
-
-
 def _mirror_lower(a: np.ndarray) -> None:
     """Copy the strict lower triangle of the square array a onto its strict
     upper triangle, in place, one cache-sized tile at a time."""
     n = a.shape[0]
-    for start in range(0, n, _FILL_BLOCK):
-        stop = min(start + _FILL_BLOCK, n)
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
         square = a[start:stop, start:stop]
         upper = np.triu_indices(stop - start, 1)
         square[upper] = square.T[upper]
-        for col in range(stop, n, _FILL_BLOCK):
-            a[start:stop, col:col + _FILL_BLOCK] = a[col:col + _FILL_BLOCK, start:stop].T
+        for col in range(stop, n, _BLOCK):
+            a[start:stop, col:col + _BLOCK] = a[col:col + _BLOCK, start:stop].T
 
 
 def _hanging_forest(g: MultiGraph):
@@ -220,13 +367,12 @@ def _hanging_forest(g: MultiGraph):
     Vertices with at most one distinct non-loop neighbour are peeled until
     none is left; what remains is the 2-core. When nothing remains (g is a
     tree), local 0 stands in as a one-vertex core. Returns ``core`` (sorted
-    local ids), ``slot`` (index in ``core`` of the core vertex each vertex's
-    tree hangs from), ``height`` (resistance from each vertex to that core
-    vertex), the tree vertices as ``order`` (depth-first preorder from
-    the core, so parents precede children and every subtree is a
-    contiguous run), ``parent``, ``mult`` (multiplicity of the edge to the
-    parent) and ``subtree`` (subtree sizes), the last three indexed by
-    local id, and ``links``: each core vertex's number of distinct core
+    local ids); ``pre``, every vertex in a depth-first preorder from the core
+    vertices in ascending order, so that each core vertex heads the run of
+    its tree and every subtree is a contiguous run; then, indexed by local
+    id, ``subtree`` (subtree sizes, a core vertex's counting its whole tree),
+    ``parent`` (a list; a core vertex is its own parent), ``height``
+    (resistance to the core vertex the tree hangs from) and ``links``: each core vertex's number of distinct core
     neighbours (at least 2), and at most 1 for a peeled vertex.
     """
     k = g.vertex_count
@@ -248,31 +394,28 @@ def _hanging_forest(g: MultiGraph):
     if core.size == 0:
         core = np.zeros(1, dtype=np.intp)
     seen = [False] * k
-    slot = [0] * k
     height = [0.0] * k
-    parent = [0] * k
-    mult = [1] * k
-    for i, c in enumerate(core.tolist()):
+    parent = list(range(k))
+    for c in core.tolist():
         seen[c] = True
-        slot[c] = i
-    order: list[int] = []
+    pre: list[int] = []
     for c in core.tolist():
         stack = [c]
         while stack:
             u = stack.pop()
-            if u != c:
-                order.append(u)
+            pre.append(u)
             for w, m in adjacency[u]:
                 if not seen[w]:
                     seen[w] = True
-                    parent[w], mult[w], slot[w] = u, m, slot[u]
+                    parent[w] = u
                     height[w] = height[u] + 1.0 / m
                     stack.append(w)
     subtree = [1] * k
-    for x in reversed(order):
-        subtree[parent[x]] += subtree[x]
-    return (core, np.array(slot, dtype=np.intp), np.array(height), order,
-            parent, mult, subtree, links)
+    for x in reversed(pre):
+        if parent[x] != x:
+            subtree[parent[x]] += subtree[x]
+    return (core, np.array(pre, dtype=np.intp), np.array(subtree, dtype=np.intp),
+            parent, np.array(height), links)
 
 
 def _series_paths(g: MultiGraph, core: np.ndarray, links: list[int]):
@@ -343,153 +486,8 @@ def _kernel_inverse(g: MultiGraph, nk: int, kid: np.ndarray, ka: np.ndarray,
     return inv
 
 
-def _blend(x: np.ndarray, near: np.ndarray, far: np.ndarray, weight: np.ndarray,
-           axis: int) -> np.ndarray:
-    """(1 - weight[i]) x[near[i]] + weight[i] x[far[i]] for each i, the
-    slices taken along ``axis``, or x[near[i]] alone when near[i] == far[i]:
-    the product with the sparse matrix that holds those one or two entries
-    in row i, with its bits."""
-    two = near != far
-    keep = np.where(two, 1.0 - weight, 1.0)
-    take = np.where(two, weight, 0.0)
-    if axis == 0:
-        keep, take = keep[:, None], take[:, None]
-    out = np.take(x, near, axis=axis)
-    out *= keep
-    other = np.take(x, far, axis=axis)
-    other *= take
-    out += other
-    return out
-
-
-def _fill_core_rows(R: np.ndarray, g: MultiGraph, core: np.ndarray, slot: np.ndarray,
-                    height: np.ndarray, links: list[int]) -> None:
-    """Write the full rows of R of the core vertices (``_hanging_forest``'s
-    outputs) from the inverse of the kernel's grounded Laplacian.
-
-    Each series path of the core, of resistance r from kernel vertex a to
-    kernel vertex b, is one kernel edge of conductance 1/r. A path vertex x
-    at offset s from a, with theta = s/r and
-    c_x = theta (1 - theta) (r - R(a, b)), has
-    R(x, y) = R(a, y) + theta (R(b, y) - R(a, y)) + c_x for every y off its
-    path, and R(x, y) = d - d^2 (r - R(a, b)) / r^2 for y at distance d along
-    it (a bridge path has R(a, b) = r, a path back to its start R(a, a) = 0).
-    The kernel rows come first, then the path rows from them, in blocks of
-    ``_FILL_BLOCK`` rows. With no path the kernel is the core, and a core
-    row is R_core(c, a(y)) + h(y), read straight from the inverse.
-    """
-    k = g.vertex_count
-    kernel, paths = _series_paths(g, core, links)
-    nk = kernel.size
-    kid = np.full(k, -1, dtype=np.intp)   # kernel index, -1 off the kernel
-    kid[kernel] = np.arange(nk)
-    ends = np.array([p[:2] for p in paths], dtype=np.intp).reshape(-1, 2)
-    r = np.array([p[2] for p in paths], dtype=np.float64)
-    ka, kb = kid[ends[:, 0]], kid[ends[:, 1]]
-    inv = _kernel_inverse(g, nk, kid, ka, kb, r)
-    diag = np.zeros(nk, dtype=np.float64)
-    diag[1:] = inv.diagonal()
-    host = core[slot]
-    if not paths:
-        for start in range(0, nk, _FILL_BLOCK):
-            rows = _kernel_block(inv, diag, start)[:, kid[host]]
-            rows += height
-            R[kernel[start:start + _FILL_BLOCK]] = rows
-        return
-    cross = np.zeros(len(paths), dtype=np.float64)
-    inner = (ka > 0) & (kb > 0)
-    cross[inner] = inv[ka[inner] - 1, kb[inner] - 1]
-    q = r - (-2.0 * cross + diag[ka] + diag[kb])   # r - R(a, b)
-    shrink = q / (r * r)
-    # the path vertices in path order: path, offset from a, theta and c_x
-    pv = np.fromiter((x for p in paths for x in p[3]), dtype=np.intp)
-    ps = np.fromiter((s for p in paths for s in p[4]), dtype=np.float64)
-    pid = np.repeat(np.arange(len(paths)), [len(p[3]) for p in paths])
-    theta = ps / r[pid]
-    offset = theta * (1.0 - theta) * q[pid]
-
-    # every vertex y hangs from a kernel vertex or a path vertex, its host.
-    # For kernel c, R(c, y) interpolates R_K(c, .) between the ends of the
-    # host's path and adds c_x + h(y); a kernel host is both ends, theta 0
-    pos = np.full(k, -1, dtype=np.intp)
-    pos[pv] = np.arange(pv.size)
-    hp = pos[host]
-    on = np.flatnonzero(hp >= 0)
-    near, far = kid[host], kid[host]
-    weight, lift = np.zeros(k, dtype=np.float64), height.copy()
-    near[on], far[on] = ka[pid[hp[on]]], kb[pid[hp[on]]]
-    weight[on] = theta[hp[on]]
-    lift[on] += offset[hp[on]]
-    for start in range(0, nk, _FILL_BLOCK):
-        rows = _blend(_kernel_block(inv, diag, start), near, far, weight, axis=1)
-        rows += lift
-        R[kernel[start:start + _FILL_BLOCK]] = rows
-    del inv
-
-    # path rows interpolate their ends' rows; then, along their own path,
-    # the vertices hanging from it (grouped by path, in path order)
-    members = on[np.argsort(hp[on], kind="stable")]
-    m_pid, m_s = pid[hp[members]], ps[hp[members]]
-    mstart = np.searchsorted(m_pid, np.arange(len(paths) + 1))
-    for start in range(0, pv.size, _FILL_BLOCK):
-        stop = min(start + _FILL_BLOCK, pv.size)
-        ends_here = ends[pid[start:stop]]   # kernel vertices: reads kernel rows only
-        rows = _blend(R, ends_here[:, 0], ends_here[:, 1], theta[start:stop], axis=0)
-        rows += offset[start:stop, None]
-        lo, hi = mstart[pid[start]], mstart[pid[stop - 1] + 1]
-        cols = members[lo:hi]
-        d = np.abs(ps[start:stop, None] - m_s[lo:hi])
-        along = d * d
-        along *= -shrink[pid[start:stop], None]
-        along += d
-        along += height[cols]
-        rows[:, cols] = np.where(pid[start:stop, None] == m_pid[lo:hi], along, rows[:, cols])
-        R[pv[start:stop]] = rows
-
-
-def _kernel_block(inv: np.ndarray, diag: np.ndarray, start: int) -> np.ndarray:
-    """Rows start to start + ``_FILL_BLOCK`` of the kernel's resistance
-    matrix, from its grounded inverse and that inverse's diagonal."""
-    nk = diag.size
-    stop = min(start + _FILL_BLOCK, nk)
-    block = np.zeros((stop - start, nk), dtype=np.float64)
-    lo = max(start, 1)
-    block[lo - start:, 1:] = inv[:, lo - 1:stop - 1].T
-    block *= -2.0
-    block += diag[start:stop, None]
-    block += diag
-    return block
-
-
-def _dense_resistances(g: MultiGraph) -> tuple[np.ndarray, float]:
-    """Full k x k resistance matrix of the connected graph g, read-only and
-    exactly symmetric, and its smallest off-diagonal entry (inf when k = 1).
-    The core rows come from the kernel (``_fill_core_rows``), the tree rows
-    from their parents'. At most two large arrays are live: R and the
-    kernel's grounded inverse, (kernel - 1)^2."""
-    k = g.vertex_count
-    core, slot, height, order, parent, mult, subtree, links = _hanging_forest(g)
-    R = np.empty((k, k), dtype=np.float64)
-    _fill_core_rows(R, g, core, slot, height, links)
-    # tree rows, parents first: x is 1/m farther than its parent p from
-    # every vertex outside x's subtree and 1/m nearer to every one inside
-    order_ids = np.array(order, dtype=np.intp)
-    for i, x in enumerate(order):
-        step = 1.0 / mult[x]
-        row = R[x]
-        np.add(R[parent[x]], step, out=row)
-        row[order_ids[i:i + subtree[x]]] -= 2.0 * step
-    _mirror_lower(R)
-    np.fill_diagonal(R, np.inf)
-    separation = float(R.min())
-    np.fill_diagonal(R, 0.0)
-    R.flags.writeable = False
-    return R, separation
-
-
 def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
-    """Max pairwise resistance, exact on both solver paths, read from the
-    oracle's eccentricities. Among the pairs within the ball tolerance of
+    """Max pairwise resistance, read from the oracle's eccentricities. Among the pairs within the ball tolerance of
     the maximum it returns the lexicographically smallest sorted pair, so
     the pair does not depend on round-off."""
     comp = oracle.component
@@ -502,9 +500,7 @@ def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
     # tied pair, the first tied entry of its row the partner
     a = int(np.flatnonzero(oracle.eccentricity >= floor)[0])
     row = oracle.resistances_from_local(a)
-    # on the sparse path a row is solved again, and a pair met in another
-    # block's solve may differ from it in the last bits
-    ties = row >= min(floor, float(row.max()))
+    ties = row >= floor
     ties[a] = False
     b = int(np.flatnonzero(ties)[0])
     return DiameterResult(best, (comp.to_original(a), comp.to_original(b)))

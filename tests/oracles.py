@@ -119,25 +119,6 @@ def matthews_from_oracle_unblocked(oracle, candidate_sets) -> tuple[float, tuple
     return best_val, best_set
 
 
-def interpolation_csr(near: np.ndarray, far: np.ndarray, weight: np.ndarray, width: int):
-    """Sparse (n, width) matrix whose row i takes 1 - weight[i] of column
-    near[i] and weight[i] of column far[i], or all of near[i] when the two
-    are the same column: the reference for ``resistance._blend``."""
-    import scipy.sparse
-
-    two = near != far
-    indptr = np.zeros(near.size + 1, dtype=np.intp)
-    np.cumsum(1 + two, out=indptr[1:])
-    first = indptr[:-1]
-    indices = np.empty(indptr[-1], dtype=np.intp)
-    data = np.empty(indptr[-1], dtype=np.float64)
-    indices[first] = near
-    data[first] = np.where(two, 1.0 - weight, 1.0)
-    indices[first[two] + 1] = far[two]
-    data[first[two] + 1] = weight[two]
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(near.size, width))
-
-
 def bfs_distances(g: MultiGraph, src: int) -> list[int]:
     """Hop distances from src; multiplicities are ignored, matching
     unit-length edges."""

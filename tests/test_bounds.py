@@ -163,11 +163,11 @@ def test_one_pass_matches_reference_at_ties(g, dense_limit, i_max):
     _assert_matches_reference(g, dense_limit, i_max)
 
 
-@pytest.mark.parametrize("dense_limit,want_reads", [(DENSE_LIMIT, []), (1, list(range(8)))])
+@pytest.mark.parametrize("dense_limit,want_reads", [(DENSE_LIMIT, []), (1, [])])
 def test_full_levels_skip_the_ball_test(monkeypatch, dense_limit, want_reads):
     # in K8 every pair is 1/4 apart, above every level's ball radius (at most
-    # R/2 = 1/8), so each level holds every vertex; the dense path reads no
-    # row for them, the sparse path still tests each vertex once
+    # R/2 = 1/8), so each level holds every vertex; in either mode no row is
+    # read for them, as every row carries the bits of the separation
     g = MultiGraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
     oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
     R = resistance_diameter(oracle).value
@@ -193,8 +193,7 @@ def test_depth_capped_when_a_pair_stays_inside_every_ball():
 
 def _rows_requested(monkeypatch, oracle: ResistanceOracle) -> list[int]:
     """Local ids of the rows requested from the oracle from now on; a call
-    made inside another row method (a sparse single row reads through
-    rows_from_locals) is not counted twice."""
+    made inside another row method is not counted twice."""
     reads: list[int] = []
     busy = []
 
@@ -290,7 +289,7 @@ class TestPsiBound:
         g = cycle_graph(6)
         report = compute_bound_report(ComponentView.whole(g))
         d = report.to_dict()
-        assert set(d) == {"R", "R_provenance", "levels", "psi", "upper_theorem",
+        assert set(d) == {"R", "levels", "psi", "upper_theorem",
                           "upper_clean", "kklv_lower", "matthews_lower"}
         assert all(set(lvl) == {"i", "radius", "size", "alpha"} for lvl in d["levels"])
 

@@ -31,7 +31,7 @@ class TestBoundCommand:
                    "--p", "0.001", "--largest-component"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"R", "R_provenance", "levels", "psi", "upper_theorem",
+        assert set(payload) == {"R", "levels", "psi", "upper_theorem",
                                 "upper_clean", "kklv_lower", "matthews_lower"}
         assert payload["kklv_lower"] <= payload["upper_theorem"]
 
@@ -323,9 +323,14 @@ class TestLazyScipy:
         assert not _loads_scipy("--seed", "3", "evolution", "--regime", "b",
                                 "--n-grid", "300,600,1200", "--seeds", "2", "--trials", "2")
 
-    def test_sparse_bound_loads_scipy(self):
-        assert _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "40",
-                            "--dense-limit", "16")
+    def test_on_demand_bound_never_loads_scipy(self):
+        # a 200-vertex tree at --dense-limit 64, as the benchmark's warm-up
+        # runs it, and a kernel's inverse under rows read on demand
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "200",
+                                "--dense-limit", "64")
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "percolation",
+                                "--base", "random-regular", "--base-n", "60", "--d", "3",
+                                "--dense-limit", "16")
 
 
 # OPENBLAS_NUM_THREADS is read when the library loads, so each count runs in

@@ -1,7 +1,6 @@
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from covertime import blas, resistance
 from covertime import (
     BaseGraphSpec,
     ComponentView,
+    ContractViolation,
     MultiGraph,
     ResistanceOracle,
     VertexRangeError,
@@ -183,9 +183,11 @@ class TestKernelReduction:
 
 @st.composite
 def subdivided_multigraphs(draw):
-    """A connected multigraph with loops and parallel edges whose non-loop
-    edges are each, at random, replaced by a series path of 1 to 4 new
-    vertices (multiplicities 1 to 3, now and then a loop on a new vertex)."""
+    """A connected multigraph with loops, parallel edges and bridges whose
+    edges are each, at random, replaced by a series path of new vertices
+    (multiplicities 1 to 3, now and then a loop on a new vertex): 1 to 4 of
+    them on a non-loop edge, 2 to 4 on a loop, which makes a path back to
+    its start."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     base = oc.random_connected_multigraph(
         rng, draw(st.integers(1, 10)), extra_edges=draw(st.integers(0, 8)),
@@ -193,10 +195,10 @@ def subdivided_multigraphs(draw):
     )
     n, edges = base.vertex_count, []
     for u, v, m in base.edges:
-        if u == v or rng.random() < 0.4:
+        if rng.random() < 0.4:
             edges.append((u, v, m))
             continue
-        chain = [u] + list(range(n, n + int(rng.integers(1, 5)))) + [v]
+        chain = [u] + list(range(n, n + int(rng.integers(1 + (u == v), 5)))) + [v]
         n = chain[-2] + 1
         for a, b in zip(chain, chain[1:]):
             edges.append((a, b, int(rng.integers(1, 4))))
@@ -214,25 +216,28 @@ def test_kernel_reduction_matches_pinv(g):
     assert np.array_equal(R, R.T)
 
 
-@given(subdivided_multigraphs())
+@given(subdivided_multigraphs(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_path_interpolation_matches_csr_product(g):
-    # every interpolation the dense constructor makes, along the columns of a
-    # kernel block or the rows of R, carries the bits of the CSR product
-    calls = []
-    blend = resistance._blend
-
-    def spy(x, near, far, weight, axis):
-        out = blend(x, near, far, weight, axis)
-        calls.append((x.copy(), near, far, weight, axis, out.copy()))
-        return out
-
-    with mock.patch.object(resistance, "_blend", spy):
-        oracle_for(g)
-    for x, near, far, weight, axis, out in calls:
-        csr = oc.interpolation_csr(near, far, weight, x.shape[axis])
-        want = csr @ x if axis == 0 else (csr @ x.T).T
-        assert out.shape == want.shape and np.array_equal(out, want)
+def test_rows_symmetric_and_mode_independent(g, seed):
+    # R is exactly symmetric in both modes, rows read on demand in any block
+    # order carry the materialized bits, and both agree with the pseudoinverse
+    n = g.vertex_count
+    dense = oracle_for(g)
+    on_demand = oracle_for(g, dense_limit=1)
+    assert dense.dense and (n == 1 or not on_demand.dense)
+    R = dense.rows_from_locals(range(n))
+    assert np.array_equal(R, R.T)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    rows = np.empty((n, n))
+    for block in np.array_split(order, int(rng.integers(1, n + 1))):
+        rows[block] = on_demand.rows_from_locals(block)
+    assert np.array_equal(rows, R)
+    for a in rng.permutation(n)[:8]:
+        assert np.array_equal(on_demand.resistances_from_local(int(a)), R[a])
+    assert np.array_equal(on_demand.eccentricity, dense.eccentricity)
+    assert on_demand.separation == dense.separation
+    assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
 
 
 _FALLBACK_R = (
@@ -294,6 +299,7 @@ class TestDiameter:
         assert d.pair == (0, 39)
 
     def test_sparse_matches_dense(self):
+        # rows read on demand carry the bits of the materialized R
         rng = np.random.default_rng(5)
         g = oc.random_connected_multigraph(rng, 40, extra_edges=20, loops=3, max_multiplicity=2)
         dense = oracle_for(g)
@@ -301,19 +307,16 @@ class TestDiameter:
         assert dense.dense and not sparse.dense
         n = g.vertex_count
         for u in range(n):
-            assert np.allclose(sparse.resistances_from(u), dense.resistances_from(u),
-                               rtol=1e-9, atol=1e-12)
-        assert np.allclose(sparse.rows_from_locals(range(n)),
-                           dense.rows_from_locals(range(n)), rtol=1e-9, atol=1e-12)
+            assert np.array_equal(sparse.resistances_from(u), dense.resistances_from(u))
+        assert np.array_equal(sparse.rows_from_locals(range(n)), dense.rows_from_locals(range(n)))
 
     @pytest.mark.parametrize("k,dense_limit", [
         pytest.param(k, limit, id=str(k) if limit is None else f"{k}-sparse")
         for limit in (None, 8) for k in (64, 128, 256)
     ])
     def test_tree_tie_break_is_smallest_bfs_pair(self, k, dense_limit):
-        # on a tree R is the hop distance, so on either solver path the
-        # diameter pair must be the lexicographically smallest pair at
-        # maximal BFS distance
+        # on a tree R is the hop distance, so in either mode the diameter pair
+        # must be the lexicographically smallest pair at maximal BFS distance
         kw = {} if dense_limit is None else {"dense_limit": dense_limit}
         for s in range(10):
             g = uniform_labeled_tree(k, s)
@@ -379,15 +382,15 @@ class TestHitting:
             lhs = hitting_time(o, u, v) + hitting_time(o, v, u)
             assert lhs == pytest.approx(2 * E * o.resistance(u, v), rel=1e-8)
 
-    def test_sparse_reads_both_rows_in_one_solve(self, monkeypatch):
+    def test_on_demand_reads_both_rows_in_one_call(self, monkeypatch):
         rng = np.random.default_rng(12)
         g = oc.random_connected_multigraph(rng, 20, extra_edges=12, loops=2,
                                            max_multiplicity=2)
         o = oracle_for(g, dense_limit=8)
         assert not o.dense
         calls = []
-        solve = o._solve_block
-        monkeypatch.setattr(o, "_solve_block", lambda idx: calls.append(idx) or solve(idx))
+        rows = o._rows
+        monkeypatch.setattr(o, "_rows", lambda idx: calls.append(idx) or rows(idx))
         for u, v in [(0, 19), (7, 3), (12, 0)]:
             calls.clear()
             got = hitting_time(o, u, v)
@@ -489,7 +492,7 @@ def test_dense_oracle_memory():
     # core is one vertex, so R is the only k^2 array
     k = 1500
     comp = ComponentView.whole(uniform_labeled_tree(k, 0))
-    oracle_for(cycle_graph(3))   # the first oracle imports scipy
+    oracle_for(cycle_graph(3))   # the first oracle loads the LAPACK library
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
@@ -508,7 +511,7 @@ def test_dense_oracle_memory_without_hanging_trees():
     # k^2 arrays at the peak, and only R is kept
     k = 1500
     comp = ComponentView.whole(random_regular_graph(k, 3, 0))
-    oracle_for(cycle_graph(3))   # the first oracle imports scipy
+    oracle_for(cycle_graph(3))   # the first oracle loads the LAPACK library
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
@@ -527,7 +530,7 @@ def test_dense_oracle_memory_with_series_paths():
     # 430^2, is far below k^2 and the path rows are filled in blocks, so R is
     # the one k^2 array even at the peak (a 1039^2 core inverse would not
     # fit under 1.5 k^2)
-    oracle_for(cycle_graph(3))   # the first oracle imports scipy
+    oracle_for(cycle_graph(3))   # the first oracle loads the LAPACK library
     comp = percolate(BaseGraphSpec.torus(40, 2, 0.55), 0)[1]
     k = comp.size
     tracemalloc.start()
@@ -543,44 +546,69 @@ def test_dense_oracle_memory_with_series_paths():
     assert retained <= 1.25 * square, retained / square
 
 
-def _sparse_torus_oracle() -> ResistanceOracle:
-    # a percolated 40x40 torus component, k = 1510, on the sparse path
-    o = ResistanceOracle(percolate(BaseGraphSpec.torus(40, 2, 0.6), 3)[1], dense_limit=16)
+def _sparse_torus_oracle(comp: ComponentView | None = None) -> ResistanceOracle:
+    # a percolated 40x40 torus component, k = 1510, read on demand
+    if comp is None:
+        comp = percolate(BaseGraphSpec.torus(40, 2, 0.6), 3)[1]
+    o = ResistanceOracle(comp, dense_limit=16)
     assert not o.dense and o.size == 1510
     return o
 
 
 def test_sparse_oracle_keeps_no_rows():
-    # reading every row must not leave the k^2 matrix the sparse path
-    # exists to avoid behind: rows are solved in blocks and handed out
-    o = _sparse_torus_oracle()
-    k = o.size
+    # built and with every row read, an on-demand oracle keeps the kernel's
+    # inverse and O(k) tables, never the k^2 matrix: at most nk^2 + one
+    # block of rows
+    comp = percolate(BaseGraphSpec.torus(40, 2, 0.6), 3)[1]
+    comp.graph.adjacency, comp.graph.degrees   # built on first use
+    oracle_for(cycle_graph(3))   # the first oracle loads the LAPACK library
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
+        o = _sparse_torus_oracle(comp)
+        k = o.size
         o.rows_from_locals(range(k))
         for a in range(0, k, 7):
             o.resistances_from_local(a)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained <= 0.05 * k * k * 8, retained / (k * k * 8)
+    budget = (o._nk ** 2 + resistance._BLOCK * k) * 8
+    assert budget < 0.25 * k * k * 8   # no room for a k^2 array
+    assert retained <= budget, retained / budget
 
 
 def test_sparse_row_reads_agree_bitwise():
-    # a row solved alone, inside a block of shuffled rows, or read through a
-    # single resistance carries the same bits whatever the query order
+    # a row read alone, inside a block of shuffled rows, or through a single
+    # resistance carries the bits of the materialized R whatever the order
     o = _sparse_torus_oracle()
     k = o.size
+    R = ResistanceOracle(o.component).rows_from_locals(range(k))
     ids = o.component.vertices
     rng = np.random.default_rng(0)
     order = rng.permutation(k)
     block = np.empty((k, k))
     block[order] = o.rows_from_locals(order)
+    assert np.array_equal(block, R)
     for a in rng.permutation(k):
-        assert np.array_equal(o.resistances_from(ids[a]), block[a])
-    # every row again, at a few random columns each: one solve per query
+        assert np.array_equal(o.resistances_from(ids[a]), R[a])
+    # every row again, at a few random columns each: one row read per query
     for a in rng.permutation(np.repeat(np.arange(k), 3)):
         b = int(rng.integers(k))
-        want = 0.0 if a == b else block[a, b]
-        assert o.resistance(ids[a], ids[b]) == want
+        assert o.resistance(ids[a], ids[b]) == R[a, b]
+
+
+def test_kernel_over_budget_rejected_before_allocating(monkeypatch):
+    # a 3-regular graph is its own kernel; with the budget below it, the
+    # constructor raises before the (nk - 1)^2 inverse or any row exists
+    comp = ComponentView.whole(random_regular_graph(600, 3, 0))
+    oracle_for(cycle_graph(3))   # the first oracle loads the LAPACK library
+    monkeypatch.setattr(resistance, "DENSE_LIMIT", 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match="kernel of 600 vertices"):
+            ResistanceOracle(comp, dense_limit=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 599 * 599 * 8, peak
