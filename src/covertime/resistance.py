@@ -10,21 +10,22 @@ core by one kernel edge of conductance 1/r and inverts the kernel's grounded
 Laplacian in place (LAPACK ``potrf`` then ``potri`` from numpy's bundled
 OpenBLAS, see ``blas.cholesky_inverse``, with OpenBLAS pinned to one thread
 so that the bits do not follow the thread count). That inverse, the path
-table and the hanging forest are all a row needs: ``ResistanceOracle._rows``
-evaluates R(x, .) in O(k) with no solve, as an expression symmetric in x and
-y, so R(x, y) == R(y, x) bit for bit and a row has the same bits however and
-whenever it is read. On a tree the kernel is one vertex and R is the hop
-distance (times 1/m along an m-fold edge).
+table and the hanging forest are all a row needs: R(x, .) costs O(k) with no
+solve, each entry an expression symmetric in x and y, so R(x, y) == R(y, x)
+bit for bit and a row has the same bits however and whenever it is read. On
+a tree the kernel is one vertex and R is the hop distance (times 1/m along
+an m-fold edge).
 
-A component of at most ``dense_limit`` vertices has its matrix R
-materialized from those rows by the constructor; a larger one reads its
-rows on demand and keeps only the kernel's inverse, (nk - 1)^2 doubles, and
-a few length-k tables. A kernel whose inverse would exceed ``DENSE_LIMIT``^2
-doubles is rejected before anything is allocated. In either mode one
-blocked pass over all rows gives each vertex's resistance eccentricity (its
-largest resistance to any vertex) and the separation (the smallest between
-two distinct vertices); the exact resistance diameter is read from the
-eccentricities.
+The constructor forms every row once, in one pass down the hanging trees in
+preorder (``ResistanceOracle._sweep``), and takes each vertex's resistance
+eccentricity (its largest resistance to any vertex) and the separation (the
+smallest between two distinct vertices) as it goes; the exact resistance
+diameter is read from the eccentricities. A component of at most
+``dense_limit`` vertices keeps those rows as its matrix R. A larger one
+keeps only the kernel's inverse, (nk - 1)^2 doubles, and a few length-k
+tables, and ``ResistanceOracle._rows`` forms each row read later, in any
+order. A kernel whose inverse would exceed ``DENSE_LIMIT``^2 doubles is
+rejected before anything is allocated.
 """
 from __future__ import annotations
 
@@ -37,7 +38,8 @@ from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
 
 DENSE_LIMIT = 4096
-# rows per block when R is materialized, scanned or read on demand
+# core rows per block of the constructor's pass, and rows per block read
+# on demand
 _BLOCK = 64
 
 # Closed-ball membership tolerance: exact boundary cases (integer radii on
@@ -62,25 +64,25 @@ class ResistanceOracle:
     """Pairwise effective-resistance queries on one connected component.
 
     Public methods take original (parent-graph) vertex ids; local ids are
-    positions in ``component.vertices``. The oracle is immutable once built
-    and has one row function, ``_rows``. With at most ``dense_limit``
-    vertices (``dense`` true) the constructor materializes R, read-only,
-    with the same entries, host by host, and every row query reads R;
-    above, every query calls ``_rows`` and nothing is cached, so the oracle
-    keeps the kernel's inverse and O(k) tables however many rows are read.
-    The bits are the same in both modes. Both keep ``eccentricity``, each vertex's largest resistance to
-    any vertex, and ``separation``, the smallest between two distinct
-    vertices (inf on one vertex).
+    positions in ``component.vertices``. The oracle is immutable once built.
+    The constructor forms every row in one pass, ``_sweep``, and keeps
+    ``eccentricity``, each vertex's largest resistance to any vertex, and
+    ``separation``, the smallest between two distinct vertices (inf on one
+    vertex). With at most ``dense_limit`` vertices (``dense`` true) the
+    pass fills R, read-only, and every row query reads R. Above, each row
+    read calls ``_rows`` and nothing is cached, so the oracle keeps the
+    kernel's inverse and O(k) tables however many rows are read. Both
+    functions give every entry the same bits, so both modes do too.
 
-    ``dense_limit`` can only lower ``DENSE_LIMIT``, and a kernel of more than
-    ``DENSE_LIMIT`` + 1 vertices is rejected: both before anything is
+    A ``dense_limit`` below 0 or above ``DENSE_LIMIT``, and a kernel of more
+    than ``DENSE_LIMIT`` + 1 vertices, are rejected before anything is
     allocated.
     """
 
     def __init__(self, component: ComponentView, dense_limit: int = DENSE_LIMIT) -> None:
-        if dense_limit > DENSE_LIMIT:
+        if not 0 <= dense_limit <= DENSE_LIMIT:
             raise ContractViolation(
-                f"dense_limit {dense_limit} exceeds DENSE_LIMIT {DENSE_LIMIT}"
+                f"dense_limit {dense_limit} is outside 0 to DENSE_LIMIT {DENSE_LIMIT}"
             )
         self.component = component
         g = component.graph
@@ -141,10 +143,7 @@ class ResistanceOracle:
         self._h = height
         self._h2 = 2.0 * height
 
-        self._R: np.ndarray | None = None
-        if self.dense:
-            self._R = self._materialize()
-        self.eccentricity, self.separation = self._extremes()
+        self._R, self.eccentricity, self.separation = self._sweep()
         if self._R is not None:
             self._R.flags.writeable = False
             self._inv = None   # every row is in R
@@ -234,7 +233,8 @@ class ResistanceOracle:
         return self._pre[start[-1]:stop[-1]], np.repeat(values, np.diff(edges))
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
-        """R(x, .) for the local ids x in ``ids``, shape (len(ids), k).
+        """R(x, .) for the local ids x in ``ids``, in any order, shape
+        (len(ids), k): the rows read after construction on demand.
 
         With h the height of a vertex above its host and core(x, y) the core
         rows' entry between the hosts of x and y (0 for one host), each entry
@@ -247,7 +247,7 @@ class ResistanceOracle:
         out = np.empty((ids.size, self.size), dtype=np.float64)
         last = -1
         for row, x, j in zip(out, ids.tolist(), back.tolist()):
-            if j != last:   # rows of one host come together in a preorder block
+            if j != last:   # consecutive rows of one host share its gather
                 g, last = np.take(core[j], self._cidx), j
             np.add(h, h[x], out=row)
             row += g
@@ -256,56 +256,50 @@ class ResistanceOracle:
                 row[tree] -= lca
         return out
 
-    def _materialize(self) -> np.ndarray:
-        """R, filled host by host with the entries of ``_rows``: each block of
-        core rows is expanded to the hosts' trees in preorder, updating one
-        buffer of 2 h(lca) as the preorder moves, so that a tree row costs
-        O(k) and the buffer holds exact copies of the values ``_ancestry``
-        builds."""
+    def _sweep(self) -> tuple[np.ndarray | None, np.ndarray, float]:
+        """Every row once, with the entries of ``_rows``: each block of core
+        rows is expanded to the hosts' trees in preorder, updating one buffer
+        of 2 h(lca) as the preorder moves, so that a tree row costs O(k) and
+        the buffer holds exact copies of the values ``_ancestry`` builds. A
+        row goes into R when it is materialized, else into one scratch row,
+        and leaves its maximum and its smallest off-diagonal entry. Returns
+        R (None on demand), the row maxima and the separation."""
         k, nc = self.size, self._nc
         pre = self._pre
         pos, subtree, parent = self._pos.tolist(), self._subtree.tolist(), self._parent
         h, hl, h2 = self._h, self._h.tolist(), self._h2.tolist()
-        R = np.empty((k, k), dtype=np.float64)
+        R = np.empty((k, k), dtype=np.float64) if self.dense else None
+        row = np.empty(k, dtype=np.float64)   # the scratch row when R is not kept
+        ecc = np.empty(k, dtype=np.float64)
+        separation = np.inf
         lca = np.zeros(k, dtype=np.float64)   # zero outside the current tree
         for start in range(0, nc, _BLOCK):
             hosts = np.arange(start, min(start + _BLOCK, nc))
             G = np.take(self._core_rows(hosts), self._cidx, axis=1)
             for g_row, host in zip(G, self._host_of[hosts].tolist()):
-                np.add(g_row, h, out=R[host])
-                lo, hi = pos[host] + 1, pos[host] + subtree[host]
+                lo, hi = pos[host], pos[host] + subtree[host]
                 chain = [host]
                 for x in pre[lo:hi].tolist():
-                    while chain[-1] != parent[x]:
-                        done = chain.pop()
-                        lca[pre[pos[done]:pos[done] + subtree[done]]] = h2[chain[-1]]
-                    chain.append(x)
-                    lca[pre[pos[x]:pos[x] + subtree[x]]] = h2[x]
-                    row = R[x]
-                    np.add(h, hl[x], out=row)
-                    if nc > 1:   # with one core vertex every core entry is 0
-                        row += g_row
-                    row -= lca
-                lca[pre[lo:hi]] = 0.0
-        return R
-
-    def _extremes(self) -> tuple[np.ndarray, float]:
-        """Row maxima and the smallest off-diagonal entry, in one blocked
-        pass over all rows: R's rows in order, or ``_rows`` on blocks of the
-        preorder, so that a block's vertices share few hosts."""
-        k = self.size
-        order = np.arange(k) if self._R is not None else self._pre
-        ecc = np.empty(k, dtype=np.float64)
-        separation = np.inf
-        for start in range(0, k, _BLOCK):
-            ids = order[start:start + _BLOCK]
-            rows = self._rows(ids) if self._R is None else self._R[start:start + ids.size]
-            ecc[ids] = rows.max(axis=1)
-            diagonal = (np.arange(ids.size), ids)
-            rows[diagonal] = np.inf
-            separation = min(separation, float(rows.min()))
-            rows[diagonal] = 0.0   # R(x, x), exactly 0
-        return ecc, separation
+                    if R is not None:
+                        row = R[x]
+                    if x == host:
+                        np.add(g_row, h, out=row)
+                    else:
+                        while chain[-1] != parent[x]:
+                            done = chain.pop()
+                            lca[pre[pos[done]:pos[done] + subtree[done]]] = h2[chain[-1]]
+                        chain.append(x)
+                        lca[pre[pos[x]:pos[x] + subtree[x]]] = h2[x]
+                        np.add(h, hl[x], out=row)
+                        if nc > 1:   # with one core vertex every core entry is 0
+                            row += g_row
+                        row -= lca
+                    ecc[x] = row.max()
+                    row[x] = np.inf
+                    separation = min(separation, row.min())
+                    row[x] = 0.0   # R(x, x), exactly 0
+                lca[pre[lo + 1:hi]] = 0.0
+        return R, ecc, float(separation)
 
     # -- local-id queries ---------------------------------------------------
 
@@ -372,8 +366,9 @@ def _hanging_forest(g: MultiGraph):
     its tree and every subtree is a contiguous run; then, indexed by local
     id, ``subtree`` (subtree sizes, a core vertex's counting its whole tree),
     ``parent`` (a list; a core vertex is its own parent), ``height``
-    (resistance to the core vertex the tree hangs from) and ``links``: each core vertex's number of distinct core
-    neighbours (at least 2), and at most 1 for a peeled vertex.
+    (resistance to the core vertex the tree hangs from) and ``links``: each
+    core vertex's number of distinct core neighbours (at least 2), and at
+    most 1 for a peeled vertex.
     """
     k = g.vertex_count
     adjacency = g.adjacency
@@ -487,9 +482,10 @@ def _kernel_inverse(g: MultiGraph, nk: int, kid: np.ndarray, ka: np.ndarray,
 
 
 def resistance_diameter(oracle: ResistanceOracle) -> DiameterResult:
-    """Max pairwise resistance, read from the oracle's eccentricities. Among the pairs within the ball tolerance of
-    the maximum it returns the lexicographically smallest sorted pair, so
-    the pair does not depend on round-off."""
+    """Max pairwise resistance, read from the oracle's eccentricities. Among
+    the pairs within the ball tolerance of the maximum it returns the
+    lexicographically smallest sorted pair, so the pair does not depend on
+    round-off."""
     comp = oracle.component
     if oracle.size == 1:
         v = comp.to_original(0)

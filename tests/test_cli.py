@@ -75,10 +75,13 @@ class TestBoundCommand:
         report = compute_bound_report(comp, **kwargs)
         assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
-    def test_dense_limit_above_cap_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dense_limit", ["50000", "-1"])
+    def test_dense_limit_above_cap_exit_2(self, tmp_path, capsys, dense_limit):
+        # a limit above DENSE_LIMIT or below 0 is rejected before the oracle
+        # allocates anything
         edges = tmp_path / "p3.txt"
         edges.write_text(to_edge_list_text(path_graph(3)))
-        assert main(["bound", "--edges", str(edges), "--dense-limit", "50000"]) == 2
+        assert main(["bound", "--edges", str(edges), "--dense-limit", dense_limit]) == 2
         assert "dense_limit" in capsys.readouterr().err
 
     def test_disconnected_exit_2(self, tmp_path, capsys):

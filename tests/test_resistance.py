@@ -220,24 +220,51 @@ def test_kernel_reduction_matches_pinv(g):
 @settings(max_examples=60, deadline=None)
 def test_rows_symmetric_and_mode_independent(g, seed):
     # R is exactly symmetric in both modes, rows read on demand in any block
-    # order carry the materialized bits, and both agree with the pseudoinverse
+    # order carry the materialized bits, each oracle's eccentricities and
+    # separation are the extremes of the rows it gives afterwards, and R
+    # agrees with the pseudoinverse
     n = g.vertex_count
     dense = oracle_for(g)
     on_demand = oracle_for(g, dense_limit=1)
     assert dense.dense and (n == 1 or not on_demand.dense)
-    R = dense.rows_from_locals(range(n))
-    assert np.array_equal(R, R.T)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    rows = np.empty((n, n))
-    for block in np.array_split(order, int(rng.integers(1, n + 1))):
-        rows[block] = on_demand.rows_from_locals(block)
+    read = []
+    for o in (dense, on_demand):
+        rows = np.empty((n, n))
+        for block in np.array_split(rng.permutation(n), int(rng.integers(1, n + 1))):
+            rows[block] = o.rows_from_locals(block)
+        off_diagonal = rows.copy()
+        np.fill_diagonal(off_diagonal, np.inf)
+        assert np.array_equal(o.eccentricity, rows.max(axis=1))
+        assert o.separation == off_diagonal.min()
+        read.append(rows)
+    R, rows = read
+    assert np.array_equal(R, R.T)
     assert np.array_equal(rows, R)
     for a in rng.permutation(n)[:8]:
         assert np.array_equal(on_demand.resistances_from_local(int(a)), R[a])
-    assert np.array_equal(on_demand.eccentricity, dense.eccentricity)
-    assert on_demand.separation == dense.separation
     assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("dense_limit", [resistance.DENSE_LIMIT, 1])
+def test_constructor_builds_each_core_row_once(monkeypatch, dense_limit):
+    # one in-order sweep forms every row in both modes: the constructor
+    # reads no row through _rows or _ancestry and builds each block of
+    # core rows once
+    g = oc.random_connected_multigraph(np.random.default_rng(2), 300, extra_edges=30,
+                                       loops=5, max_multiplicity=3)
+    calls = dict.fromkeys(["_rows", "_ancestry", "_core_rows"], 0)
+    for name in calls:
+        def spy(self, *args, _real=getattr(ResistanceOracle, name), _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+        monkeypatch.setattr(ResistanceOracle, name, spy)
+    o = oracle_for(g, dense_limit=dense_limit)
+    assert o.dense == (dense_limit > 1)
+    # hanging trees, series paths and more than one block of core rows
+    assert o._h.max() > 0 and o._nk < o._nc and o._nc > resistance._BLOCK
+    blocks = -(-o._nc // resistance._BLOCK)
+    assert calls == {"_rows": 0, "_ancestry": 0, "_core_rows": blocks}
 
 
 _FALLBACK_R = (
