@@ -6,11 +6,15 @@ class CovertimeError(Exception):
 
 
 class EdgeListParseError(CovertimeError, ValueError):
-    """Malformed edge-list input; carries the offending line number."""
+    """Malformed edge-list input; carries the offending line number. Its
+    ``args`` are the constructor's, so it survives a pickle round trip."""
 
     def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
+        super().__init__(line_number, message)
         self.line_number = line_number
+
+    def __str__(self) -> str:
+        return f"line {self.line_number}: {self.args[1]}"
 
 
 class VertexRangeError(CovertimeError, ValueError):

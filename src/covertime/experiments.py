@@ -1,12 +1,15 @@
 """Experiment orchestration: bound reports, scaling suites, edge addition.
 
-Suites run their (size, seed) cells one after another in one process;
-each cell is a pure function of the master seed, so reports are
-byte-identical across reruns.
+Scaling suites spread their (size, seed) cells over the CPUs of the
+affinity mask; each cell is a pure function of the master seed, so reports
+are byte-identical across reruns and process counts.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -245,6 +248,61 @@ def _regime_settings(regime: str, n: int, lam: float, eps_power: float):
     return p, law
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _outcome(fn: Callable, job: tuple) -> tuple[bool, object]:
+    try:
+        return True, fn(*job)
+    except Exception as exc:
+        return False, exc
+
+
+def _map_cells(fn: Callable, jobs: list[tuple]) -> list[tuple[bool, object]]:
+    """``(True, fn(*job))`` or ``(False, its exception)`` for each job, in
+    order. Job i runs in process i mod W, W = min(usable CPUs, len(jobs)):
+    the parent runs share 0 and forks W - 1 children that pickle theirs to a
+    pipe each and leave by ``os._exit``. The fork is safe though numpy's
+    OpenBLAS may hold a thread pool: OpenBLAS stops it in a ``pthread_atfork``
+    handler, and the children run only package code. A child that dies or
+    writes nothing raises ``RuntimeError`` naming its exit status; children
+    left when the parent unwinds are killed and reaped."""
+    workers = max(1, min(_usable_cpus(), len(jobs)))
+    outcomes: list = [None] * len(jobs)
+    children = {}  # pid -> (share index, read end of its pipe)
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as out:
+                        out.write(pickle.dumps([_outcome(fn, job) for job in jobs[w::workers]]))
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_fd)
+            children[pid] = (w, os.fdopen(read_fd, "rb"))
+        outcomes[0::workers] = [_outcome(fn, job) for job in jobs[0::workers]]
+        for pid, (w, pipe) in list(children.items()):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            pipe.close()
+            if status != 0 or not data:
+                raise RuntimeError(f"suite worker {w} exited with status {status} "
+                                   f"after writing {len(data)} bytes")
+            outcomes[w::workers] = pickle.loads(data)
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
+
+
 def _scaling_suite(
     x_grid: Sequence[int],
     seeds: int,
@@ -258,16 +316,19 @@ def _scaling_suite(
     params: dict,
     master_seed: int,
 ) -> ScalingReport:
-    """Serial loop shared by both scaling suites: ``cell(x, s)`` for every grid
-    point and seed index in grid order (None marks an unusable sample), a
-    row of per-x medians, and the log-log fit of median cover time against
-    ``abscissa(x)``."""
+    """Shared by both scaling suites: ``cell(x, s)`` for every grid point and
+    seed index through ``_map_cells``, read in grid order (None marks an
+    unusable sample; a cell's exception is raised where a serial loop meets
+    it), per-x medians, and the log-log fit of median cover on ``abscissa(x)``."""
+    outcomes = iter(_map_cells(cell, [(x, s) for x in x_grid for s in range(seeds)]))
     rows = []
     cells = []
     for x in x_grid:
         got = []
         for s in range(seeds):
-            result = cell(x, s)
+            ok, result = next(outcomes)
+            if not ok:
+                raise result
             if result is not None:
                 got.append(result)
                 cells.append({x_name: x, "seed_index": s, **result.to_dict()})

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to watch the lines appear;
 the whole suite is seeded and deterministic.
 """
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -34,8 +35,10 @@ from covertime import (
     local_time_tail_check,
     path_graph,
     percolate,
+    random_regular_graph,
     resistance_diameter,
     simulate,
+    to_edge_list_text,
     uniform_labeled_tree,
 )
 
@@ -304,12 +307,16 @@ def test_criterion_12_giant_model_structure():
     assert ok
 
 
-def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+def _run_cli(*argv: str, **kw) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "covertime", *argv],
-                          capture_output=True, text=True, timeout=900)
+                          capture_output=True, text=True, timeout=900, **kw)
 
 
-def test_criterion_13_cli_thread_determinism():
+def test_criterion_13_cli_thread_determinism(tmp_path):
+    # the 1200-vertex 3-regular graph is its own kernel: a 1199 x 1199 dense
+    # factorization, whose rounding follows the BLAS thread count unless pinned
+    regular = tmp_path / "regular1200.txt"
+    regular.write_text(to_edge_list_text(random_regular_graph(1200, 3, 5)))
     combos = [
         ["--seed", "77", "evolution", "--regime", "b", "--n-grid", "400,800,1600",
          "--seeds", "3", "--trials", "4"],
@@ -317,13 +324,23 @@ def test_criterion_13_cli_thread_determinism():
          "--trials", "4"],
         ["--seed", "79", "bound", "--model", "gnp", "--n", "500", "--p", "0.002",
          "--largest-component"],
+        ["bound", "--edges", str(regular)],
     ]
+    # suites fork one process per CPU of the affinity mask: one CPU runs
+    # them in one process, all CPUs in several
+    one_cpu = min(os.sched_getaffinity(0))
+    affinities = {"all CPUs": None,
+                  "one CPU": lambda: os.sched_setaffinity(0, {one_cpu})}
     ok = True
     for args in combos:
-        outs = {
-            t: _run_cli("--threads", str(t), *args) for t in (1, 3)
-        }
-        if outs[1].returncode != 0 or outs[1].stdout != outs[3].stdout:
-            ok = False
-    _line(13, ok, f"{len(combos)} commands byte-identical across --threads values")
+        outs = set()
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+            for pin in affinities.values():
+                proc = _run_cli(*args, env=env, preexec_fn=pin)
+                ok = ok and proc.returncode == 0
+                outs.add(proc.stdout)
+        ok = ok and len(outs) == 1
+    _line(13, ok, f"{len(combos)} commands byte-identical at 1 and 2 BLAS threads, "
+                  f"on {' and on '.join(affinities)}")
     assert ok

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from covertime import (
     BaseGraphSpec,
     ComponentView,
     ContractViolation,
+    DegenerateModelError,
     ResistanceOracle,
     compute_bound_report,
     connected_components,
@@ -32,6 +34,8 @@ from covertime import (
     uniform_labeled_tree,
 )
 from covertime import blas, experiments, walks
+from covertime.cli import main as cli_main
+from covertime.rng import derive_seed
 
 
 class TestFit:
@@ -345,3 +349,151 @@ def test_traced_names_resolve():
     assert len(factor) == 1
     assert tracer.info[factor[0]] == {"dense": True}
     assert any(span[0] == "resistance.row" for span in tracer.spans)
+
+
+# ---------------------------------------------------------------------------
+# the suites' cell map: W = 1 runs in this process, W = 2 forks one child
+# that runs the odd-indexed cells (grid order, seeds innermost)
+
+
+def _workers(monkeypatch, w: int) -> None:
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: w)
+
+
+def _assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _act_at(monkeypatch, tag: int, master_seed: int, actions: dict) -> None:
+    """Make the cell (x, s) of a suite with this master seed run
+    actions[(x, s)] first: an exception to raise or a function to call. The
+    cell's walk seed is derive_seed(master_seed, tag, x, s)."""
+    real = experiments.evaluate_cell
+    by_seed = {derive_seed(master_seed, tag, x, s): act for (x, s), act in actions.items()}
+
+    def cell(comp, *, trials, master_seed):
+        act = by_seed.get(master_seed)
+        if isinstance(act, BaseException):
+            raise act
+        if act is not None:
+            act()
+        return real(comp, trials=trials, master_seed=master_seed)
+
+    monkeypatch.setattr(experiments, "evaluate_cell", cell)
+
+
+MAP_SUITES = {
+    **{case: build for case, (build, _) in PINNED_SUITES.items()},
+    # n = 5, 6, 7 below the window: 4 of the 12 largest components are one vertex
+    "evolution-a-unusable-cells": lambda: evolution_suite(
+        "a", [5, 6, 7], seeds=4, trials=4, master_seed=2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAP_SUITES))
+def test_suite_bytes_identical_in_one_and_two_processes(monkeypatch, case):
+    real_fork = os.fork
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    reports = {}
+    for w in (1, 2):
+        _workers(monkeypatch, w)
+        reports[w] = json.dumps(MAP_SUITES[case]().to_dict(), indent=2)
+        assert len(forks) == w - 1
+    assert reports[1] == reports[2]
+    if case == "evolution-a-unusable-cells":
+        assert [row["seeds"] for row in json.loads(reports[2])["rows"]] == [1, 2, 3]
+    _assert_no_child_left()
+
+
+def _gw():
+    return gw_scaling_suite([16, 32, 64], seeds=3, trials=4, master_seed=2)
+
+
+def _evolution_a():
+    # every largest component at n = 5 is one vertex
+    return evolution_suite("a", [5, 6, 7], seeds=4, trials=4, master_seed=1)
+
+
+# suite, its walk-seed tag and master seed, failing cells, the error a serial
+# loop raises; cell (x, s) runs in the child when its grid index is odd
+CELL_ERRORS = {
+    "child-contract": (
+        _gw, 404, 2, {(16, 1): ContractViolation("cell (16, 1)")},
+        ContractViolation, "cell (16, 1)"),
+    "child-degenerate-before-parent-contract": (
+        _gw, 404, 2, {(32, 0): DegenerateModelError("cell (32, 0)"),
+                      (32, 1): ContractViolation("cell (32, 1)")},
+        DegenerateModelError, "cell (32, 0)"),
+    "no-usable-row-before-child-contract": (
+        _evolution_a, 202, 1, {(6, 1): ContractViolation("cell (6, 1)")},
+        DegenerateModelError, "no usable component at n=5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_ERRORS))
+def test_cell_error_raised_as_in_a_serial_loop(monkeypatch, case):
+    build, tag, master_seed, actions, want_type, want_message = CELL_ERRORS[case]
+    _act_at(monkeypatch, tag, master_seed, actions)
+    for w in (1, 2):
+        _workers(monkeypatch, w)
+        with pytest.raises(want_type) as info:
+            build()
+        assert type(info.value) is want_type and str(info.value) == want_message
+    _assert_no_child_left()
+
+
+def test_child_cell_error_exits_2_from_the_cli(monkeypatch, capsys):
+    _workers(monkeypatch, 2)
+    _act_at(monkeypatch, 404, 2, {(16, 1): ContractViolation("cell (16, 1)")})
+    argv = ["--seed", "2", "gw-scaling", "--k-grid", "16,32,64", "--seeds", "3", "--trials", "4"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err == "error: cell (16, 1)\n"
+    _assert_no_child_left()
+
+
+def _in_child(act):
+    parent = os.getpid()
+
+    def run():
+        assert os.getpid() != parent, "the cell ran in the parent"
+        act()
+    return run
+
+
+@pytest.mark.parametrize("code", [1, 0])
+def test_child_that_dies_raises_in_the_parent(monkeypatch, code):
+    # exit 1 mid-share, or exit 0 before writing anything: both leave the
+    # pipe empty, and the parent names the status rather than waiting
+    _workers(monkeypatch, 2)
+    _act_at(monkeypatch, 404, 2, {(32, 0): _in_child(lambda: os._exit(code))})
+    with pytest.raises(RuntimeError, match=f"worker 1 exited with status {code} after writing 0 bytes"):
+        _gw()
+    _assert_no_child_left()
+
+
+class _Unwind(BaseException):
+    pass
+
+
+def test_parent_unwinding_kills_the_child(monkeypatch):
+    # the parent's own cell (16, 0) unwinds while the child sits in (16, 1)
+    parent = os.getpid()
+
+    def unwind():
+        if os.getpid() == parent:
+            raise _Unwind
+
+    _workers(monkeypatch, 2)
+    _act_at(monkeypatch, 404, 2, {(16, 0): unwind, (16, 1): _in_child(lambda: time.sleep(120))})
+    t0 = time.perf_counter()
+    with pytest.raises(_Unwind):
+        _gw()
+    assert time.perf_counter() - t0 < 60
+    _assert_no_child_left()
+
+
+def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.undo()  # the conftest cap
+    assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
