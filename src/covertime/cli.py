@@ -6,8 +6,9 @@ Exit codes: 0 success, 1 stdout closed before the report was written (as
 in ``covertime generate ... | head -2``; nothing is printed to stderr), 2
 input contract violation (including a missing or unreadable file), 3
 assertion failure in exact mode. --threads is accepted for compatibility
-and ignored: suites run their cells on the CPUs of the affinity mask, one
-process each (``taskset -c 0`` runs them in one).
+and ignored: suites run their cells, and simulate the trials of an
+estimate, on the CPUs of the affinity mask, one process each (``taskset -c
+0`` runs them in one).
 """
 from __future__ import annotations
 
@@ -264,7 +265,7 @@ def _add_global_flags(p: argparse.ArgumentParser, suppress: bool) -> None:
     p.add_argument("--csv", help="write tabular rows to this path",
                    **({"default": d} if suppress else {"default": None}))
     p.add_argument("--threads", type=int,
-                   help="ignored; suites use one process per CPU of the affinity mask",
+                   help="ignored; suites and simulate use one process per CPU of the affinity mask",
                    **({"default": d} if suppress else {"default": 1}))
 
 

@@ -2,10 +2,17 @@
 
 Monte Carlo estimates use one counter-based random stream per trial (both
 engines read its values from ``rng``), so every estimate is a pure
-function of (graph, parameters, master_seed) whatever the batching or
-engine; ``simulate`` runs one batch per estimate (k * trials walks for
-the worst start). Each engine has one stepping loop, and each quantity is
-a stop rule that the loop consults:
+function of (graph, parameters, master_seed) whatever the batching,
+engine or process count. ``simulate`` runs one batch per estimate (k *
+trials walks for the worst start). The batch is split into W contiguous
+shares, which ``forkmap.fork_map`` runs one per process, each process
+pinned to its own CPU; each share writes its samples into its slice of
+one buffer that the processes share, so they stay in trial order. W is
+the number of usable CPUs, at most trials // VECTOR_THRESHOLD on the
+vector engine, so that no share drops to the scalar engine, and at most
+the trials on the scalar engine. The local-time tail splits its trials
+the same way. Each engine has one stepping loop, and each quantity is a
+stop rule that the loop consults:
 
 * vector (batches of >= VECTOR_THRESHOLD trials except blanket, and the
   local-time tail): ``_walk_vector`` steps all active trials at once
@@ -35,11 +42,13 @@ from __future__ import annotations
 
 import heapq
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import forkmap
 from .errors import ContractViolation, StepLimitExceeded
 from .graphs import ComponentView
 from .rng import mix64, stream_chunk, stream_values, trial_key, trial_keys
@@ -432,9 +441,28 @@ def _stationary_starts(graph, keys) -> np.ndarray:
     return np.searchsorted(cum, r.astype(np.int64), side="right").astype(np.int64)
 
 
+def _in_shares(run, trials, most):
+    """The samples of range(trials), run(lo, hi) giving those of [lo, hi).
+    W = min(usable CPUs, most) contiguous shares run one per process and
+    write their samples into one buffer that the forked processes share, so
+    none goes through a pipe; the error of the first share that raised is
+    raised."""
+    w = max(1, min(forkmap.usable_cpus(), most))
+    bounds = [trials * i // w for i in range(w + 1)]
+    samples = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64)
+
+    def fill(lo, hi):
+        samples[lo:hi] = run(lo, hi)
+
+    for ok, error in forkmap.fork_map(fill, list(zip(bounds, bounds[1:]))):
+        if not ok:
+            raise error
+    return samples
+
+
 def _run_batch(graph, quantity, starts, keys, waypoints, cap):
     """Samples of one batch of trials, on the engine the quantity and the
-    trial count select."""
+    trial count select, in shares (``_in_shares``) that each keep it."""
     k = graph.vertex_count
     row_bytes = 0
     if waypoints is not None:
@@ -449,13 +477,18 @@ def _run_batch(graph, quantity, starts, keys, waypoints, cap):
         vector_rule = lambda s: _VisitedRows(k, s, need_return)
         scalar_rule = lambda s: _Unvisited.at(k, s, need_return)
         row_bytes = k
-    if vector_rule is not None and len(keys) >= VECTOR_THRESHOLD:
-        return _walk_vector(graph, starts, keys, vector_rule, cap, row_bytes)
-    return np.array(
-        [_walk_scalar(graph, s, key, scalar_rule(s), cap)
-         for s, key in zip(starts.tolist(), keys.tolist())],
-        dtype=np.int64,
-    )
+    T = len(keys)
+    if vector_rule is not None and T >= VECTOR_THRESHOLD:
+        return _in_shares(
+            lambda lo, hi: _walk_vector(graph, starts[lo:hi], keys[lo:hi], vector_rule, cap,
+                                        row_bytes),
+            T, T // VECTOR_THRESHOLD)
+    return _in_shares(
+        lambda lo, hi: np.array(
+            [_walk_scalar(graph, s, key, scalar_rule(s), cap)
+             for s, key in zip(starts[lo:hi].tolist(), keys[lo:hi].tolist())],
+            dtype=np.int64),
+        T, T)
 
 
 def simulate(
@@ -482,7 +515,8 @@ def simulate(
     drawn from the degree distribution per trial), or
     "worst_over_all_starts" (size <= 64 only: one batch of k * trials walks
     runs the full trial set from every start; the estimate keeps the start
-    with the maximum mean). Hitting and commute always start at u.
+    with the maximum mean). Hitting and commute always start at u. The
+    batch runs in shares on the usable CPUs (module docstring).
     """
     if quantity not in QUANTITIES:
         raise ContractViolation(f"unknown quantity {quantity!r}")
@@ -630,8 +664,10 @@ def local_time_tail_check(
     cap = step_cap if step_cap is not None else _default_cap(component) * max(1, target)
     keys = trial_keys(master_seed, trials)
     if target > 1:
-        cv = _walk_vector(g, np.full(trials, a, dtype=np.int64), keys,
-                          lambda s: _TailRows(a, b, target, len(s)), cap)
+        cv = _in_shares(
+            lambda lo, hi: _walk_vector(g, np.full(hi - lo, a, dtype=np.int64), keys[lo:hi],
+                                        lambda s: _TailRows(a, b, target, len(s)), cap),
+            trials, trials // VECTOR_THRESHOLD)
     else:
         cv = np.zeros(trials, dtype=np.int64)
     gap = target / d_u - cv / d_v

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 import covertime
-from covertime import experiments
 
 # make the shared oracle helpers importable as `import oracles`
 sys.path.insert(0, str(Path(__file__).parent))
@@ -19,9 +18,17 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 @pytest.fixture(autouse=True)
-def _at_most_two_suite_processes(monkeypatch):
-    # scaling suites fork one process per usable CPU; on a many-core machine
-    # the in-process tests keep to two (tests that need the real lookup call
-    # monkeypatch.undo() first)
-    cpus = experiments._usable_cpus()
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: min(cpus, 2))
+def _at_most_two_cpus():
+    # maps fork one process per CPU of the affinity mask; on a many-core
+    # machine the tests keep to two. The live mask is capped, not a count
+    # frozen: a map inside a share sees the one CPU its share is pinned to
+    # and runs in-process, as it does outside the tests
+    if not hasattr(os, "sched_getaffinity"):
+        yield
+        return
+    mask = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, sorted(mask)[:2])
+    try:
+        yield
+    finally:
+        os.sched_setaffinity(0, mask)

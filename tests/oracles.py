@@ -11,17 +11,20 @@ batches of walks via a vector loop that steps every walk to its end,
 scalar stop rules that scan each chunk of positions as an ndarray,
 components with every view built eagerly, covering profiles via one
 greedy pass per level with an adaptive depth, branching-process size laws
-via convolution, the path interpolation as a scipy CSR product, and the
-Matthews bound from all candidate rows of a set at once.
+via convolution, the path interpolation as a scipy CSR product, the
+Matthews bound from all candidate rows of a set at once, and forked
+children left behind via ``os.waitpid``.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import os
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+import pytest
 
 from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, blas
 from covertime.bounds import (
@@ -513,3 +516,9 @@ def random_connected_multigraph(
         v = int(rng.integers(0, n))
         edges.append((v, v, int(rng.integers(1, max_multiplicity + 1))))
     return MultiGraph(n, edges)
+
+
+def assert_no_child_left() -> None:
+    """Every child this process forked has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -325,9 +325,11 @@ def test_criterion_13_cli_thread_determinism(tmp_path):
         ["--seed", "79", "bound", "--model", "gnp", "--n", "500", "--p", "0.002",
          "--largest-component"],
         ["bound", "--edges", str(regular)],
+        ["--seed", "7", "--trials", "2000", "simulate", "--model", "tree", "--k", "256",
+         "--quantity", "cover", "--start", "0"],
     ]
-    # suites fork one process per CPU of the affinity mask: one CPU runs
-    # them in one process, all CPUs in several
+    # suites and simulate fork one process per CPU of the affinity mask: one
+    # CPU runs them in one process, all CPUs in several
     one_cpu = min(os.sched_getaffinity(0))
     affinities = {"all CPUs": None,
                   "one CPU": lambda: os.sched_setaffinity(0, {one_cpu})}

@@ -33,7 +33,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import blas, experiments, walks
+from covertime import blas, experiments, forkmap, walks
 from covertime.cli import main as cli_main
 from covertime.rng import derive_seed
 
@@ -356,13 +356,16 @@ def test_traced_names_resolve():
 # that runs the odd-indexed cells (grid order, seeds innermost)
 
 
+_USABLE_CPUS = forkmap.usable_cpus
+
+
 def _workers(monkeypatch, w: int) -> None:
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: w)
-
-
-def _assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    """As on a machine with w CPUs: the next map, the suite's cell map, sees
+    w. Maps after it, a cell's walks in its pinned share among them, see at
+    most w and at most the live mask (one CPU in a share)."""
+    first = iter([w])
+    monkeypatch.setattr(forkmap, "usable_cpus",
+                        lambda: next(first, None) or min(w, _USABLE_CPUS()))
 
 
 def _act_at(monkeypatch, tag: int, master_seed: int, actions: dict) -> None:
@@ -404,7 +407,7 @@ def test_suite_bytes_identical_in_one_and_two_processes(monkeypatch, case):
     assert reports[1] == reports[2]
     if case == "evolution-a-unusable-cells":
         assert [row["seeds"] for row in json.loads(reports[2])["rows"]] == [1, 2, 3]
-    _assert_no_child_left()
+    oc.assert_no_child_left()
 
 
 def _gw():
@@ -441,7 +444,7 @@ def test_cell_error_raised_as_in_a_serial_loop(monkeypatch, case):
         with pytest.raises(want_type) as info:
             build()
         assert type(info.value) is want_type and str(info.value) == want_message
-    _assert_no_child_left()
+    oc.assert_no_child_left()
 
 
 def test_child_cell_error_exits_2_from_the_cli(monkeypatch, capsys):
@@ -450,7 +453,7 @@ def test_child_cell_error_exits_2_from_the_cli(monkeypatch, capsys):
     argv = ["--seed", "2", "gw-scaling", "--k-grid", "16,32,64", "--seeds", "3", "--trials", "4"]
     assert cli_main(argv) == 2
     assert capsys.readouterr().err == "error: cell (16, 1)\n"
-    _assert_no_child_left()
+    oc.assert_no_child_left()
 
 
 def _in_child(act):
@@ -468,9 +471,10 @@ def test_child_that_dies_raises_in_the_parent(monkeypatch, code):
     # pipe empty, and the parent names the status rather than waiting
     _workers(monkeypatch, 2)
     _act_at(monkeypatch, 404, 2, {(32, 0): _in_child(lambda: os._exit(code))})
-    with pytest.raises(RuntimeError, match=f"worker 1 exited with status {code} after writing 0 bytes"):
+    want = f"^worker 1 exited with status {code} after writing 0 bytes$"
+    with pytest.raises(RuntimeError, match=want):
         _gw()
-    _assert_no_child_left()
+    oc.assert_no_child_left()
 
 
 class _Unwind(BaseException):
@@ -491,9 +495,4 @@ def test_parent_unwinding_kills_the_child(monkeypatch):
     with pytest.raises(_Unwind):
         _gw()
     assert time.perf_counter() - t0 < 60
-    _assert_no_child_left()
-
-
-def test_usable_cpus_follow_the_affinity_mask(monkeypatch):
-    monkeypatch.undo()  # the conftest cap
-    assert experiments._usable_cpus() == len(os.sched_getaffinity(0))
+    oc.assert_no_child_left()

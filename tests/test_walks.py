@@ -28,7 +28,7 @@ from covertime import (
     trace_local_times,
     uniform_labeled_tree,
 )
-from covertime import walks
+from covertime import forkmap, walks
 from covertime.rng import trial_key, trial_keys
 
 
@@ -176,14 +176,17 @@ class TestSimulateCover:
         sliced = simulate(c, "cover_return", start=2, trials=700, master_seed=4)
         assert np.array_equal(whole.samples, sliced.samples)
 
-    @pytest.mark.parametrize("trials", [50, 300])
-    def test_step_cap_is_exact_on_both_engines(self, trials):
+    @pytest.mark.parametrize("trials", [50, 300, 600])
+    def test_step_cap_is_exact_on_both_engines(self, trials, monkeypatch):
+        # at W = 2 the 50 and 600 trials run in two shares, 300 in one
         c = comp(path_graph(12))
-        longest = int(simulate(c, "cover", start=5, trials=trials, master_seed=3).samples.max())
-        capped = simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest)
-        assert int(capped.samples.max()) == longest
-        with pytest.raises(StepLimitExceeded):
-            simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest - 1)
+        for w in (1, 2):
+            monkeypatch.setattr(forkmap, "usable_cpus", lambda: w)
+            longest = int(simulate(c, "cover", start=5, trials=trials, master_seed=3).samples.max())
+            capped = simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest)
+            assert int(capped.samples.max()) == longest
+            with pytest.raises(StepLimitExceeded):
+                simulate(c, "cover", start=5, trials=trials, master_seed=3, step_cap=longest - 1)
 
     def test_reruns_bit_exact(self):
         c = comp(star_graph(5))
@@ -472,7 +475,9 @@ def test_pinned_samples(case):
 
 def _recording_scalar(mp):
     """Patch the scalar loop to record (t0, unvisited count, waypoints left)
-    of every walk it is handed, as the walk enters it."""
+    of every walk it is handed, as the walk enters it. A forked share's
+    walks would go unrecorded, so batches run in this process."""
+    mp.setattr(forkmap, "usable_cpus", lambda: 1)
     seen = []
     scalar = walks._walk_scalar
 
@@ -571,6 +576,7 @@ def test_scalar_rules_are_handed_lists(monkeypatch):
 
     monkeypatch.setattr(walks, "_walk_scalar", recording)
     monkeypatch.setattr(walks, "VECTOR_THRESHOLD", 150)
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 1)  # the spy sees this process only
     for quantity, kw in (("cover", dict(start=2)), ("cover_return", dict(start=6)),
                          ("hitting", dict(u=0, v=4)), ("commute", dict(u=1, v=6)),
                          ("blanket", dict(start=0))):
