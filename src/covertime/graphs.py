@@ -24,7 +24,8 @@ class MultiGraph:
     rejected.
     """
 
-    __slots__ = ("vertex_count", "edges", "degrees", "_adjacency", "_walk_np", "_walk_py")
+    __slots__ = ("vertex_count", "edges", "degrees", "_adjacency", "_walk_np", "_walk_py",
+                 "_steps")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
@@ -63,6 +64,7 @@ class MultiGraph:
         self._adjacency: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._walk_np = None
         self._walk_py = None
+        self._steps = None
 
     @property
     def edge_total(self) -> int:
@@ -138,6 +140,27 @@ class MultiGraph:
             degs = degrees.tolist()
             self._walk_py = (nbrs, degs, math.lcm(*{d for d in degs if d}))
         return self._walk_py
+
+    def step_tables(self, limit: int):
+        """(table, rows): the walk step by stream value, or None when the
+        table would hold more than limit entries.
+
+        With L the lcm of walk_tables_py, table is the (vertex_count, L)
+        int64 array with table[v, r] == nbrs[v][r % degree(v)], and rows is
+        the same table as Python lists. Vertex v's row is its edge ends
+        repeated L / degree(v) times, so row[r mod L] is the step that
+        stream value r takes from v. A vertex with no edge ends, which no
+        walk steps from, has a row of itself.
+        """
+        nbrs, _, lcm = self.walk_tables_py()
+        if self.vertex_count * lcm > limit:
+            return None
+        if self._steps is None:
+            rows = [nb * (lcm // len(nb)) if nb else [v] * lcm for v, nb in enumerate(nbrs)]
+            table = np.array(rows, dtype=np.int64).reshape(self.vertex_count, lcm)
+            table.flags.writeable = False
+            self._steps = (table, rows)
+        return self._steps
 
     def _check_vertex(self, v: int) -> None:
         if not (0 <= v < self.vertex_count):

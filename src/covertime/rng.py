@@ -76,8 +76,9 @@ def stream_chunk(key: int, t0: int, count: int) -> np.ndarray:
     return mix64(np.uint64(key) + t * _U_GOLDEN)
 
 
-def stream_values(keys: np.ndarray, t: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Values of many streams (uint64 keys) at one step t, written into out;
-    scratch is a work array of the same shape. Returns out."""
-    np.add(keys, np.uint64((t * GOLDEN) & _MASK), out=out)
+def stream_block(keys: np.ndarray, t: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Values of many streams (uint64 keys) at steps t..t+len(out)-1,
+    written into the (steps, len(keys)) uint64 array out, whose row s holds
+    step t + s; scratch is a work array of its shape. Returns out."""
+    np.add(keys, (np.arange(t, t + len(out), dtype=np.uint64) * _U_GOLDEN)[:, None], out=out)
     return mix64_inplace(out, scratch)

@@ -4,36 +4,52 @@ Monte Carlo estimates use one counter-based random stream per trial (both
 engines read its values from ``rng``), so every estimate is a pure
 function of (graph, parameters, master_seed) whatever the batching,
 engine or process count. ``simulate`` runs one batch per estimate (k *
-trials walks for the worst start). The batch is split into W contiguous
-shares, which ``forkmap.fork_map`` runs one per process, each process
-pinned to its own CPU; each share writes its samples into its slice of
-one buffer that the processes share, so they stay in trial order. W is
-the number of usable CPUs, at most trials // VECTOR_THRESHOLD on the
-vector engine, so that no share drops to the scalar engine, and at most
-the trials on the scalar engine. The local-time tail splits its trials
-the same way. Each engine has one stepping loop, and each quantity is a
-stop rule that the loop consults:
+trials walks for the worst start); a batch whose keys, starts and samples
+would exceed ``BATCH_BYTES`` is refused before any of them is allocated.
+The batch is split into W contiguous shares, which ``forkmap.fork_map``
+runs one per process, each process pinned to its own CPU; each share
+writes its samples into its slice of one buffer that the processes share,
+so they stay in trial order. W is the number of usable CPUs, at most
+trials // VECTOR_THRESHOLD on the vector engine, so that no share drops to
+the scalar engine, and at most the trials on the scalar engine. The
+local-time tail splits its trials the same way.
+
+Both engines step through the graph's step table (``step_tables``) when it
+holds at most ``STEP_TABLE_ENTRIES`` entries: with L the lcm of the
+degrees, row v lists v's edge ends repeated L / deg(v) times, so a stream
+value r steps from v to row_v[r mod L], which is the edge end r mod deg(v)
+of the walk without a table. A larger table is not built, and each step
+takes r mod the degree of its vertex; the choice is made once per call.
+Each engine has one stepping loop, and each quantity is a stop rule that
+the loop consults:
 
 * vector (batches of >= VECTOR_THRESHOLD trials except blanket, and the
   local-time tail): ``_walk_vector`` steps all active trials at once
   and asks the rule which are done; the rule keeps per-trial state
-  (visited rows, phase, visit counts). Trials run in slices that keep
-  cover's visited matrix under ``_VISITED_BYTES``. Once fewer than
-  VECTOR_THRESHOLD trials of a slice are running, each goes on in the
-  scalar loop from its position and step count, with a scalar rule that
-  carries its state (the local-time tail has none and stays here).
+  (visited set, phase, visit counts). Stream values come in blocks of S
+  steps of every trial from one call, S * trials about ``_BLOCK_VALUES``
+  and S at most ``_BLOCK_STEPS``, reduced mod L once per block, so a step
+  through the table is two gathers and an add. Cover on at most
+  ``MASK_VERTICES`` (64) vertices keeps one uint64 visited mask per trial
+  (a gather, an or and a compare a step); larger graphs keep a row of
+  visited flags per trial, in slices that keep the rows under
+  ``_VISITED_BYTES``. Once fewer than VECTOR_THRESHOLD // W trials of a
+  share are running, so that about one threshold of walks per batch is
+  left, each goes on in the scalar loop from its position and step count,
+  with a scalar rule that carries its state (the local-time tail has none
+  and stays here).
 * scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
   (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions,
   the Python list the stepping comprehension built, to the rule, which
   returns the index of the stopping step or None. The chunk's stream
-  values are reduced mod the lcm of the degrees in numpy, so the
-  comprehension indexes per-vertex neighbour lists with small ints. The
-  rules stay on the list, with C-level set and list methods and no numpy
-  round trip: cover intersects the chunk with its set of unvisited
-  vertices, and hitting, commute and cover_return's return home use
-  ``list.index``. Blanket runs here only; after cover its rule touches a
-  heap of one entry per vertex only at steps that can raise the minimum
-  local time.
+  values are reduced mod L in numpy, so the comprehension steps with small
+  ints: ``rows[pos][r]`` through the table, ``nbrs[pos][r % deg]``
+  without it. The rules stay on the list, with C-level set and list
+  methods and no numpy round trip: cover intersects the chunk with its set
+  of unvisited vertices, and hitting, commute and cover_return's return
+  home use ``list.index``. Blanket runs here only; after cover its rule
+  touches a heap of one entry per vertex only at steps that can raise the
+  minimum local time.
 
 On both engines a walk not stopped by step ``step_cap`` raises
 StepLimitExceeded.
@@ -51,13 +67,18 @@ import numpy as np
 from . import forkmap
 from .errors import ContractViolation, StepLimitExceeded
 from .graphs import ComponentView
-from .rng import mix64, stream_chunk, stream_values, trial_key, trial_keys
+from .rng import mix64, stream_block, stream_chunk, trial_key, trial_keys
 from .resistance import ResistanceOracle
 
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
 _FIRST_CHUNK = 256
 _CHUNK = 4096
 _VISITED_BYTES = 1 << 26
+_BLOCK_VALUES = 1 << 16
+_BLOCK_STEPS = 32
+STEP_TABLE_ENTRIES = 1 << 16
+MASK_VERTICES = 64
+BATCH_BYTES = 1 << 30
 VECTOR_THRESHOLD = 256
 WORST_START_LIMIT = 64
 EXACT_DP_LIMIT = 20
@@ -101,40 +122,67 @@ def _default_cap(component: ComponentView) -> int:
 # vector engine: rules see the positions of the active trials after a step
 
 
-def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
+def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0, shares=1):
     """One value per trial, stepping all trials until the rule stops each;
     make_rule(starts) builds the rule of one slice of trials, which holds
     row_bytes bytes per trial.
 
-    A slice steps here while at least ``VECTOR_THRESHOLD`` of its trials
-    run; each walk still running then goes on in ``_walk_scalar`` from its
-    position and step count, with the scalar rule ``rule.scalar(j)`` that
-    carries its state. A rule whose ``scalar`` is None keeps every walk
+    Stream values come in blocks of S steps of every trial (module
+    docstring); with the step table a block is reduced mod its lcm once.
+    A slice steps here while at least ``VECTOR_THRESHOLD // shares`` of its
+    trials run, so that a batch in that many shares hands about one
+    threshold of walks to the scalar loop; each walk still running then
+    goes on in ``_walk_scalar`` from its position and step count, with the
+    scalar rule ``rule.scalar(j)`` that carries its state. A rule whose ``scalar`` is None keeps every walk
     here to the end. Finished trials go on stepping, marked so that none
     is recorded twice, until a quarter of the arrays has finished and they
-    are dropped.
+    are dropped, with the rest of their block.
     """
     offsets, flat, degrees = graph.walk_tables()
-    degs_u = degrees.astype(np.uint64)
+    steps = graph.step_tables(STEP_TABLE_ENTRIES)
+    if steps is None:
+        degs_u = degrees.astype(np.uint64)
+    else:
+        table = steps[0]
+        lcm = np.uint64(table.shape[1])
+        rows, table = np.arange(len(table)) * table.shape[1], table.ravel()
     T = len(keys)
     out = np.zeros(T, dtype=np.int64)
     width = max(1, _VISITED_BYTES // row_bytes) if row_bytes else T
     for lo in range(0, T, width):
-        pos, keys_a = starts[lo:lo + width], keys[lo:lo + width]
+        home, keys_a = starts[lo:lo + width], keys[lo:lo + width]
         part = out[lo:lo + width]
-        rule = make_rule(pos)
-        floor = 1 if rule.scalar is None else VECTOR_THRESHOLD
-        idx = np.arange(len(pos))
-        live = np.ones(len(pos), dtype=bool)
-        running = len(pos)
-        z, scratch = np.empty(len(pos), dtype=np.uint64), np.empty(len(pos), dtype=np.uint64)
-        t = 0
+        rule = make_rule(home)
+        n = len(home)
+        floor = 1 if rule.scalar is None else max(1, VECTOR_THRESHOLD // shares)
+        idx = np.arange(n)
+        live = np.ones(n, dtype=bool)
+        running = n
+        pos = home
+        # room for a block and its scratch: S * len(pos) never exceeds it
+        values = np.empty((2, max(n, min(_BLOCK_STEPS * n, _BLOCK_VALUES))), dtype=np.uint64)
+        block, s, t = (), 0, 0
         while running >= floor:
-            stream_values(keys_a, t, z, scratch)
-            z %= degs_u[pos]
-            at = offsets[pos]
-            at += z.view(np.int64)
-            pos = flat[at]
+            if s == len(block):
+                size = min(_BLOCK_STEPS, max(1, _BLOCK_VALUES // len(pos))) * len(pos)
+                block, scratch = (v[:size].reshape(-1, len(pos)) for v in values)
+                stream_block(keys_a, t, block, scratch)
+                if steps is not None:  # mod lcm; floor division by a scalar is the fast one
+                    np.floor_divide(block, lcm, out=scratch)
+                    scratch *= lcm
+                    block -= scratch
+                    block = block.view(np.int64)
+                s = 0
+            if steps is None:
+                z = block[s] % degs_u[pos]
+                at = offsets[pos]
+                at += z.view(np.int64)
+                pos = flat[at]
+            else:
+                at = rows[pos]
+                at += block[s]
+                pos = table[at]
+            s += 1
             t += 1
             done = rule.step(pos)
             if done is not None:
@@ -146,9 +194,9 @@ def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
                     running -= finished
                     if 4 * running <= 3 * len(live):
                         idx, pos, keys_a = idx[live], pos[live], keys_a[live]
+                        block, s = block[s:, live], 0
                         rule.keep(live)
                         live = np.ones(running, dtype=bool)
-                        z, scratch = z[:running], scratch[:running]
             if t > cap:
                 raise StepLimitExceeded(f"walk exceeded {cap} steps")
         for j in np.flatnonzero(live).tolist():
@@ -157,16 +205,16 @@ def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0):
 
 
 class _VisitedRows:
-    """Cover: a trial is done once its visited row is full and, for
-    cover_return, it stands on its start again. The rows are one flat array,
-    trial i's row starting at base[i]."""
+    """Cover: a trial is done once its row has no unvisited vertex left and,
+    for cover_return, it stands on its start again. The rows are one flat
+    array, trial i's row starting at base[i]."""
 
     def __init__(self, k, starts, need_return):
         T = len(starts)
         self.k = k
         self.base = np.arange(T, dtype=np.int64) * k
-        self.visited = np.zeros(T * k, dtype=bool)
-        self.visited[self.base + starts] = True
+        self.unvisited = np.ones(T * k, dtype=bool)
+        self.unvisited[self.base + starts] = False
         self.unvis = np.full(T, k - 1, dtype=np.int64)
         self.home = starts if need_return else None
 
@@ -174,9 +222,9 @@ class _VisitedRows:
         """Done mask, or None when no trial can be done: without a return,
         only a step with a fresh visit can end a trial."""
         cell = self.base + pos
-        fresh = ~self.visited[cell]
+        fresh = self.unvisited[cell]
         if np.count_nonzero(fresh):
-            self.visited[cell] = True
+            self.unvisited[cell] = False
             self.unvis -= fresh
         elif self.home is None:
             return None
@@ -195,7 +243,39 @@ class _VisitedRows:
     def scalar(self, j):
         b = int(self.base[j])
         home = None if self.home is None else int(self.home[j])
-        return _Unvisited(set(np.flatnonzero(~self.visited[b:b + self.k]).tolist()), home)
+        return _Unvisited(set(np.flatnonzero(self.unvisited[b:b + self.k]).tolist()), home)
+
+
+class _VisitedMask:
+    """Cover on at most 64 vertices: bit v of a trial's mask is set once it
+    has visited v, and the trial is done once the mask is full and, for
+    cover_return, it stands on its start again."""
+
+    def __init__(self, k, starts, need_return):
+        self.k = k
+        self.bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+        self.full = np.uint64((1 << k) - 1)
+        self.mask = self.bits[starts]
+        self.home = starts if need_return else None
+
+    def step(self, pos):
+        self.mask |= self.bits[pos]
+        if self.home is None:
+            return self.mask == self.full
+        return (self.mask == self.full) & (pos == self.home)
+
+    def value(self, t, done):
+        return t
+
+    def keep(self, keep):
+        self.mask = self.mask[keep]
+        if self.home is not None:
+            self.home = self.home[keep]
+
+    def scalar(self, j):
+        m = int(self.mask[j])
+        home = None if self.home is None else int(self.home[j])
+        return _Unvisited({v for v in range(self.k) if not m >> v & 1}, home)
 
 
 class _WaypointRows:
@@ -254,19 +334,25 @@ def _walk_scalar(graph, start, key, rule, cap, t0=0):
 
     Stream values are reduced mod the lcm of the degrees before they become
     Python ints, which keeps them small; (r mod lcm) mod d == r mod d for
-    every degree d, so the walk is the same. An lcm of 2**63 or more leaves
-    the values as they are.
+    every degree d, so the walk is the same. With a step table each step
+    is one lookup, rows[pos][r]; without one it takes r mod the degree, and
+    an lcm of 2**63 or more leaves the values as they are.
     """
     nbrs, degs, lcm = graph.walk_tables_py()
     if degs[start] == 0:
         raise ContractViolation("walk cannot move from an isolated vertex")
+    steps = graph.step_tables(STEP_TABLE_ENTRIES)
+    rows = None if steps is None else steps[1]
     mod = np.uint64(lcm) if lcm < 1 << 63 else None
     pos, t, n = start, t0, _FIRST_CHUNK
     while True:
         vals = stream_chunk(key, t, n)
         if mod is not None:
             vals %= mod
-        path = [pos := nbrs[pos][r % degs[pos]] for r in vals.tolist()]
+        if rows is None:
+            path = [pos := nbrs[pos][r % degs[pos]] for r in vals.tolist()]
+        else:
+            path = [pos := rows[pos][r] for r in vals.tolist()]
         i = rule(path)
         t += n if i is None else i + 1
         if t > cap:
@@ -441,8 +527,17 @@ def _stationary_starts(graph, keys) -> np.ndarray:
     return np.searchsorted(cum, r.astype(np.int64), side="right").astype(np.int64)
 
 
+def _check_batch(walks):
+    """Raise before anything is allocated when the keys, starts and samples
+    of a batch of walks, 8 bytes each per walk, exceed ``BATCH_BYTES``."""
+    if 24 * walks > BATCH_BYTES:
+        raise ContractViolation(
+            f"a batch of {walks} walks needs {24 * walks} bytes of keys, starts and samples,"
+            f" over the budget of {BATCH_BYTES}")
+
+
 def _in_shares(run, trials, most):
-    """The samples of range(trials), run(lo, hi) giving those of [lo, hi).
+    """The samples of range(trials), run(lo, hi, W) giving those of [lo, hi).
     W = min(usable CPUs, most) contiguous shares run one per process and
     write their samples into one buffer that the forked processes share, so
     none goes through a pipe; the error of the first share that raised is
@@ -452,7 +547,7 @@ def _in_shares(run, trials, most):
     samples = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64)
 
     def fill(lo, hi):
-        samples[lo:hi] = run(lo, hi)
+        samples[lo:hi] = run(lo, hi, w)
 
     for ok, error in forkmap.fork_map(fill, list(zip(bounds, bounds[1:]))):
         if not ok:
@@ -474,17 +569,19 @@ def _run_batch(graph, quantity, starts, keys, waypoints, cap):
         vector_rule, scalar_rule = None, lambda s: _Blanket(graph, s)
     else:
         need_return = quantity == "cover_return"
-        vector_rule = lambda s: _VisitedRows(k, s, need_return)
+        if k <= MASK_VERTICES:
+            vector_rule, row_bytes = lambda s: _VisitedMask(k, s, need_return), 0
+        else:
+            vector_rule, row_bytes = lambda s: _VisitedRows(k, s, need_return), k
         scalar_rule = lambda s: _Unvisited.at(k, s, need_return)
-        row_bytes = k
     T = len(keys)
     if vector_rule is not None and T >= VECTOR_THRESHOLD:
         return _in_shares(
-            lambda lo, hi: _walk_vector(graph, starts[lo:hi], keys[lo:hi], vector_rule, cap,
-                                        row_bytes),
+            lambda lo, hi, w: _walk_vector(graph, starts[lo:hi], keys[lo:hi], vector_rule, cap,
+                                           row_bytes, w),
             T, T // VECTOR_THRESHOLD)
     return _in_shares(
-        lambda lo, hi: np.array(
+        lambda lo, hi, w: np.array(
             [_walk_scalar(graph, s, key, scalar_rule(s), cap)
              for s, key in zip(starts[lo:hi].tolist(), keys[lo:hi].tolist())],
             dtype=np.int64),
@@ -525,7 +622,6 @@ def simulate(
     g = component.graph
     k = g.vertex_count
     cap = step_cap if step_cap is not None else _default_cap(component)
-    keys = trial_keys(master_seed, trials)
     waypoints, extra = None, {}
 
     if quantity in ("hitting", "commute"):
@@ -542,11 +638,14 @@ def simulate(
     elif k > 1 and int(g.degrees.min()) == 0:
         raise ContractViolation("component has an isolated vertex; walk is stuck")
 
-    if start_policy == "worst_over_all_starts":
-        if k > WORST_START_LIMIT:
-            raise ContractViolation(
-                f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
-            )
+    worst = start_policy == "worst_over_all_starts"
+    if worst and k > WORST_START_LIMIT:
+        raise ContractViolation(
+            f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
+        )
+    _check_batch(k * trials if worst else trials)
+    keys = trial_keys(master_seed, trials)
+    if worst:
         # trial j of every start keeps stream key j
         starts, keys, policy = np.repeat(np.arange(k), trials), np.tile(keys, k), start_policy
     elif start_policy == "stationary":
@@ -662,11 +761,12 @@ def local_time_tail_check(
     d_v = g.degree(b)
     target = max(1, math.ceil(k_level * d_u - 1e-9))
     cap = step_cap if step_cap is not None else _default_cap(component) * max(1, target)
+    _check_batch(trials)
     keys = trial_keys(master_seed, trials)
     if target > 1:
         cv = _in_shares(
-            lambda lo, hi: _walk_vector(g, np.full(hi - lo, a, dtype=np.int64), keys[lo:hi],
-                                        lambda s: _TailRows(a, b, target, len(s)), cap),
+            lambda lo, hi, w: _walk_vector(g, np.full(hi - lo, a, dtype=np.int64), keys[lo:hi],
+                                           lambda s: _TailRows(a, b, target, len(s)), cap),
             trials, trials // VECTOR_THRESHOLD)
     else:
         cv = np.zeros(trials, dtype=np.int64)

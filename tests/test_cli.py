@@ -251,6 +251,13 @@ class TestInputErrors:
         self._assert_input_error(run_cli(
             "edge-add", "--mode", mode, "--n-max", "1", "--instances", "1"))
 
+    def test_trial_batch_over_budget(self):
+        # 10**12 walks would need 24 TB of keys, starts and samples
+        proc = run_cli("--trials", "1000000000000", "simulate", "--model", "tree", "--k", "10",
+                       "--quantity", "cover", "--start", "0")
+        self._assert_input_error(proc)
+        assert "over the budget" in proc.stderr and proc.stdout == ""
+
     def test_edge_add_mc_n_max_above_worst_start_limit(self):
         proc = run_cli("edge-add", "--mode", "mc", "--n-max", "200",
                        "--instances", "3", "--trials", "10")

@@ -270,3 +270,25 @@ def test_walk_tables_match_degrees():
     assert offsets.tolist() == [0, 2, 7, 8]
     # loop at 1 contributes two ends pointing back at 1
     assert flat[offsets[1]:offsets[2]].tolist().count(1) == 2
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+@settings(max_examples=60, deadline=None)
+def test_step_table_picks_the_edge_end_of_every_value(seed, n):
+    # table[v, r] is the edge end r mod deg(v) of v, for every r mod lcm
+    rng = np.random.default_rng(seed)
+    g = oc.random_connected_multigraph(rng, n, extra_edges=int(rng.integers(0, 8)),
+                                       loops=int(rng.integers(0, 3)), max_multiplicity=3)
+    nbrs, degs, lcm = g.walk_tables_py()
+    steps = g.step_tables(n * lcm)
+    assert steps is not None and g.step_tables(n * lcm - 1) is None
+    table, rows = steps
+    assert table.shape == (n, lcm) and table.tolist() == rows
+    for v in range(n):
+        if degs[v]:
+            assert rows[v] == [nbrs[v][r % degs[v]] for r in range(lcm)]
+
+
+def test_step_table_of_a_loopless_single_vertex():
+    table, rows = MultiGraph(1).step_tables(1)
+    assert table.tolist() == rows == [[0]]

@@ -562,6 +562,197 @@ class TestHandOff:
         assert seen == []
 
 
+# Every stepping path gives the same bits: the vector loop with and without
+# the step table, with the visited mask and with visited rows, and the
+# scalar loop with and without the table. Graphs of 63, 64 and 65 vertices
+# (loops, parallel edges, lcm 840) put the mask at its last width, its full
+# value 2**64 - 1, and past it.
+_GATES = [oc.random_connected_multigraph(np.random.default_rng(seed), k, extra_edges=6, loops=2,
+                                         max_multiplicity=2)
+          for k, seed in ((63, 2), (64, 9), (65, 3))]
+_PATHS = {"table+mask": {}, "table+rows": {"MASK_VERTICES": 0},
+          "modulo+mask": {"STEP_TABLE_ENTRIES": 0},
+          "modulo+rows": {"STEP_TABLE_ENTRIES": 0, "MASK_VERTICES": 0}}
+
+
+def test_gate_graphs_take_the_table():
+    for g in _GATES:
+        assert g.vertex_count * g.walk_tables_py()[2] <= walks.STEP_TABLE_ENTRIES
+        assert g.step_tables(walks.STEP_TABLE_ENTRIES) is not None
+
+
+@pytest.mark.parametrize("quantity", ["cover", "cover_return"])
+@pytest.mark.parametrize("gi", range(3))
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_every_path_gives_the_same_bits(quantity, gi, path):
+    c = comp(_GATES[gi])
+    want = _reference_samples(c, quantity, 300, 21 + gi, start=5)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _PATHS[path].items():
+            mp.setattr(walks, name, value)
+        vector = _sim(c, quantity, 300, 21 + gi, start=5)
+        scalar = _sim(c, quantity, 40, 21 + gi, start=5)
+    assert np.array_equal(vector, want) and np.array_equal(scalar, want[:40])
+
+
+def test_scalar_paths_step_alike():
+    # one long walk on each scalar path, its chunks compared position by position
+    g = _GATES[1]
+    paths = {}
+    for entries in (walks.STEP_TABLE_ENTRIES, 0):
+        seen = []
+
+        def rule(path):
+            seen.append(path)
+            return len(path) - 1 if len(seen) == 3 else None
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+            t = walks._walk_scalar(g, 7, trial_key(5, 3), rule, 10 ** 6)
+        paths[entries] = (t, seen)
+    assert paths[0] == paths[walks.STEP_TABLE_ENTRIES]
+    assert paths[0][0] == 256 + 512 + 1024
+
+
+class _Compactions:
+    """Wraps a vector rule and records the step of each compaction."""
+
+    def __init__(self, rule, steps):
+        self.rule, self.steps, self.t = rule, steps, None
+        self.scalar = rule.scalar
+
+    def step(self, pos):
+        return self.rule.step(pos)
+
+    def value(self, t, done):
+        self.t = t
+        return self.rule.value(t, done)
+
+    def keep(self, keep):
+        self.steps.append(self.t)
+        self.rule.keep(keep)
+
+
+@pytest.mark.parametrize("block_steps", [1, 3, 7, 32])
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_blocks_end_mid_compaction(block_steps, path):
+    # with S steps a block, blocks start at multiples of S: a compaction at
+    # any other step slices the rest of its block
+    c = comp(_GATES[1])
+    want = _reference_samples(c, "cover", 600, 31, start=0)[0]
+    compactions = []
+    vector = walks._walk_vector
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _PATHS[path].items():
+            mp.setattr(walks, name, value)
+        mp.setattr(forkmap, "usable_cpus", lambda: 1)  # the spy sees this process only
+        mp.setattr(walks, "_BLOCK_STEPS", block_steps)
+        mp.setattr(walks, "_BLOCK_VALUES", 1 << 30)
+        mp.setattr(walks, "_walk_vector", lambda g, s, k, make_rule, *a: vector(
+            g, s, k, lambda st: _Compactions(make_rule(st), compactions), *a))
+        got = _sim(c, "cover", 600, 31, start=0)
+    assert np.array_equal(got, want)
+    assert compactions
+    if block_steps > 1:
+        assert any(t % block_steps for t in compactions)
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_step_cap_at_a_block_boundary(path):
+    # every walk stays on the vector loop (threshold 1, one share); blocks of
+    # `longest` steps end at the longest walk's last step, blocks of
+    # `longest - 1` steps at the step before it
+    c = comp(_GATES[0])
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _PATHS[path].items():
+            mp.setattr(walks, name, value)
+        mp.setattr(forkmap, "usable_cpus", lambda: 1)
+        mp.setattr(walks, "VECTOR_THRESHOLD", 1)
+        longest = int(_sim(c, "cover", 300, 41, start=0).max())
+        for block_steps in (1, 2, longest - 1, longest, longest + 1):
+            mp.setattr(walks, "_BLOCK_STEPS", block_steps)
+            mp.setattr(walks, "_BLOCK_VALUES", 1 << 30)
+            assert int(_sim(c, "cover", 300, 41, start=0, step_cap=longest).max()) == longest
+            with pytest.raises(StepLimitExceeded, match=f"exceeded {longest - 1} steps"):
+                _sim(c, "cover", 300, 41, start=0, step_cap=longest - 1)
+
+
+@pytest.mark.parametrize("entries", [walks.STEP_TABLE_ENTRIES, 0])
+def test_scalar_step_cap_at_a_chunk_boundary(entries):
+    # the first chunk holds 256 steps: a walk stopped at its last step
+    # meets a cap of 256 and exceeds one of 255
+    stop_at_end = lambda path: len(path) - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+        assert walks._walk_scalar(_GATES[2], 0, 99, stop_at_end, 256) == 256
+        with pytest.raises(StepLimitExceeded, match="exceeded 255 steps"):
+            walks._walk_scalar(_GATES[2], 0, 99, stop_at_end, 255)
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+def test_mask_state_handed_off_between_cover_and_return(path):
+    c = comp(_GATES[1])
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in _PATHS[path].items():
+            mp.setattr(walks, name, value)
+        mp.setattr(walks, "VECTOR_THRESHOLD", 150)
+        seen = _recording_scalar(mp)
+        got = _sim(c, "cover_return", 300, 51, start=3)
+    assert 0 < len(seen) < 150 and all(t0 > 0 for t0, _, _ in seen)
+    assert any(unvis == 0 for _, unvis, _ in seen)
+    assert any(unvis > 0 for _, unvis, _ in seen)
+    assert np.array_equal(got, _reference_samples(c, "cover_return", 300, 51, start=3)[0])
+
+
+@pytest.mark.parametrize("entries", [walks.STEP_TABLE_ENTRIES, 0])
+def test_commute_handed_off_after_reaching_v_on_each_path(entries):
+    c = comp(_GATES[2])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+        mp.setattr(walks, "VECTOR_THRESHOLD", 150)
+        seen = _recording_scalar(mp)
+        got = _sim(c, "commute", 300, 61, u=1, v=60)
+    assert [1] in [todo for _, _, todo in seen]  # back to u only
+    assert [60, 1] in [todo for _, _, todo in seen]
+    assert np.array_equal(got, _reference_samples(c, "commute", 300, 61, u=1, v=60)[0])
+
+
+def test_one_scalar_tail_per_batch(monkeypatch):
+    # each of W = 2 shares hands off below VECTOR_THRESHOLD // 2 walks; the
+    # shares run in this process so that the spy sees both
+    c = comp(uniform_labeled_tree(256, 4))
+    one = simulate(c, "cover", start=0, trials=2000, master_seed=6)
+    seen = _recording_scalar(monkeypatch)
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(forkmap, "fork_map",
+                        lambda fn, jobs: [forkmap._outcome(fn, job) for job in jobs])
+    two = simulate(c, "cover", start=0, trials=2000, master_seed=6)
+    assert 0 < len(seen) <= 2 * (walks.VECTOR_THRESHOLD // 2 - 1) <= 255
+    assert two.samples.tobytes() == one.samples.tobytes() and two.to_dict() == one.to_dict()
+
+
+def test_batch_over_budget_rejected_before_allocating(monkeypatch):
+    # 10**5 walks: their keys alone would take 800 kB
+    c = comp(cycle_graph(5))
+    simulate(c, "cover", start=0, trials=300, master_seed=1)  # first-call imports and tables
+    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 10 ** 5 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match="batch of 100000 walks"):
+            simulate(c, "cover", start=0, trials=10 ** 5, master_seed=1)
+        with pytest.raises(ContractViolation, match="batch of 100000 walks"):  # k walks a trial
+            simulate(c, "cover", start_policy="worst_over_all_starts", trials=2 * 10 ** 4,
+                     master_seed=1)
+        with pytest.raises(ContractViolation, match="batch of 100000 walks"):
+            local_time_tail_check(c, 0, 2, 3.0, [1.0], trials=10 ** 5, master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 10 ** 4, peak
+    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 300)  # the budget itself is allowed
+    assert simulate(c, "cover", start=0, trials=300, master_seed=1).trials == 300
+
+
 def test_scalar_rules_are_handed_lists(monkeypatch):
     # every scalar rule, those the vector loop hands its last walks to
     # included, gets each chunk as the list the comprehension built
