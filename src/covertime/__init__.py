@@ -59,6 +59,7 @@ from .graphs import (
     MultiGraph,
     connected_components,
     from_edge_list,
+    largest_component,
     load_edge_list,
     to_edge_list_text,
 )

@@ -1,10 +1,12 @@
 """Experiment orchestration: bound reports, scaling suites, edge addition.
 
 Scaling suites spread their (size, seed) cells over the CPUs of the
-affinity mask with ``forkmap.fork_map``, one process per CPU, each pinned
-to its CPU; a cell's ``simulate`` then sees one CPU and runs its walks in
-the cell's process. Each cell is a pure function of the master seed, so
-reports are byte-identical across reruns and process counts.
+affinity mask with ``forkmap.fork_shares``, cell i in process i mod W, each
+process pinned to its CPU. A process samples its cells and computes their
+bound reports, then runs the walks of all of them, worst-start and
+fixed-start, in pooled batches (``walks._estimates``), which see one CPU
+and stay in the process. Each cell is a pure function of the master seed,
+so reports are byte-identical across reruns and process counts.
 """
 from __future__ import annotations
 
@@ -24,12 +26,14 @@ from .bounds import (
 )
 from .errors import ContractViolation, DegenerateModelError
 from .generators import gnp, uniform_labeled_tree
-from .graphs import ComponentView, MultiGraph, connected_components
+from .graphs import ComponentView, MultiGraph, largest_component
 from .resistance import DENSE_LIMIT, ResistanceOracle, resistance_diameter
 from .rng import derive_seed
 from .walks import (
     EXACT_DP_LIMIT,
     WORST_START_LIMIT,
+    _estimates,
+    _request,
     exact_cover_time_worst,
     simulate,
 )
@@ -96,13 +100,8 @@ class CellResult:
         }
 
 
-def evaluate_cell(
-    component: ComponentView,
-    *,
-    trials: int,
-    master_seed: int,
-) -> CellResult:
-    """Bounds plus simulated cover time for one component.
+def _prepare_cell(component: ComponentView, *, trials: int, master_seed: int):
+    """The bound report of one cell and the request of its cover walks.
 
     Components small enough for the exact worst start use it; larger ones
     start from the smaller endpoint of the resistance-diameter pair, a
@@ -110,15 +109,15 @@ def evaluate_cell(
     """
     report = compute_bound_report(component)
     if component.size <= WORST_START_LIMIT:
-        est = simulate(
-            component, "cover", start_policy="worst_over_all_starts",
-            trials=trials, master_seed=master_seed, keep_samples=False,
-        )
+        request = _request(component, "cover", start_policy="worst_over_all_starts",
+                           trials=trials, master_seed=master_seed)
     else:
-        est = simulate(
-            component, "cover", start_policy="fixed", start=min(report.diameter_pair),
-            trials=trials, master_seed=master_seed, keep_samples=False,
-        )
+        request = _request(component, "cover", start_policy="fixed",
+                           start=min(report.diameter_pair), trials=trials, master_seed=master_seed)
+    return report, request
+
+
+def _cell_result(component: ComponentView, report: BoundReport, est) -> CellResult:
     return CellResult(
         size=component.size,
         edge_total=component.graph.edge_total,
@@ -129,9 +128,49 @@ def evaluate_cell(
         upper_theorem=report.upper_theorem,
         cover_mean=est.mean,
         cover_std_err=est.std_err,
-        trials=trials,
+        trials=est.trials,
         start_policy=est.start_policy,
     )
+
+
+def evaluate_cell(
+    component: ComponentView,
+    *,
+    trials: int,
+    master_seed: int,
+) -> CellResult:
+    """Bounds plus simulated cover time for one component (``_prepare_cell``),
+    its walks a one-request pooled batch."""
+    report, request = _prepare_cell(component, trials=trials, master_seed=master_seed)
+    (ok, est), = _estimates([request])
+    if not ok:
+        raise est
+    return _cell_result(component, report, est)
+
+
+def _run_cells(sample, jobs, trials):
+    """One process's cells: ``(True, CellResult or None)`` or ``(False,
+    error)`` for each (x, s) job, as a serial loop of sampling, bounds and
+    walks would meet them. ``sample(x, s)`` draws the cell's component and
+    walk seed, or None for an unusable sample. The walks of the cells run
+    in pooled batches (``walks._estimates``) once the bounds are done."""
+    outcomes = []
+    for job in jobs:
+        try:
+            drawn = sample(*job)
+            if drawn is not None:
+                comp, seed = drawn
+                drawn = (comp, *_prepare_cell(comp, trials=trials, master_seed=seed))
+        except Exception as exc:
+            # a serial loop stops here: the cells after it are never read
+            outcomes += [(False, exc)] * (len(jobs) - len(outcomes))
+            break
+        outcomes.append((True, drawn))
+    ready = [i for i, (ok, got) in enumerate(outcomes) if ok and got is not None]
+    for i, (ok, est) in zip(ready, _estimates([outcomes[i][1][2] for i in ready])):
+        comp, report, _ = outcomes[i][1]
+        outcomes[i] = (True, _cell_result(comp, report, est)) if ok else (False, est)
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +290,8 @@ def _regime_settings(regime: str, n: int, lam: float, eps_power: float):
 def _scaling_suite(
     x_grid: Sequence[int],
     seeds: int,
-    cell: Callable[[int, int], CellResult | None],
+    trials: int,
+    sample: Callable[[int, int], tuple[ComponentView, int] | None],
     law: Callable[[int], float],
     abscissa: Callable[[int], float],
     reference: Callable[[int], float] | None,
@@ -261,11 +301,14 @@ def _scaling_suite(
     params: dict,
     master_seed: int,
 ) -> ScalingReport:
-    """Shared by both scaling suites: ``cell(x, s)`` for every grid point and
-    seed index through ``forkmap.fork_map``, read in grid order (None marks
-    an unusable sample; a cell's exception is raised where a serial loop meets
-    it), per-x medians, and the log-log fit of median cover on ``abscissa(x)``."""
-    outcomes = iter(forkmap.fork_map(cell, [(x, s) for x in x_grid for s in range(seeds)]))
+    """Shared by both scaling suites: the cell of every grid point and seed
+    index, ``sample(x, s)`` then bounds and walks, its processes' cells at
+    once through ``forkmap.fork_shares`` (``_run_cells``), read in grid
+    order (None marks an unusable sample; a cell's exception is raised where
+    a serial loop meets it), per-x medians, and the log-log fit of median
+    cover on ``abscissa(x)``."""
+    jobs = [(x, s) for x in x_grid for s in range(seeds)]
+    outcomes = iter(forkmap.fork_shares(lambda share: _run_cells(sample, share, trials), jobs))
     rows = []
     cells = []
     for x in x_grid:
@@ -328,15 +371,12 @@ def evolution_suite(
         # both laws take log(eps^3 n) and need eps^3 n = n^(1 - 3 eps_power) > 1
         raise ContractViolation(f"eps_power must be in (0, 1/3), got {eps_power}")
 
-    def cell(n, s):
+    def sample(n, s):
         p, _ = _regime_settings(regime, n, lam, eps_power)
-        g = gnp(n, p, derive_seed(master_seed, 101, n, s))
-        comp = connected_components(g)[0]
+        comp = largest_component(gnp(n, p, derive_seed(master_seed, 101, n, s)))
         if comp.size < 2:
             return None
-        return evaluate_cell(
-            comp, trials=trials, master_seed=derive_seed(master_seed, 202, n, s)
-        )
+        return comp, derive_seed(master_seed, 202, n, s)
 
     def law(n):
         return _regime_settings(regime, n, lam, eps_power)[1]
@@ -345,7 +385,7 @@ def evolution_suite(
         return cooper_frieze_phi(1.0 + n ** (-eps_power)) * n * math.log(n) ** 2
 
     return _scaling_suite(
-        n_grid, seeds, cell, law, law,
+        n_grid, seeds, trials, sample, law, law,
         cooper_frieze_reference if regime == "c" else None,
         regime=_REGIME_NAMES[regime],
         x_name="n",
@@ -376,15 +416,12 @@ def gw_scaling_suite(
     if seeds < 1 or trials < 1:
         raise ContractViolation("seeds and trials must be >= 1")
 
-    def cell(k, s):
+    def sample(k, s):
         tree = uniform_labeled_tree(k, derive_seed(master_seed, 303, k, s))
-        comp = connected_components(tree)[0]
-        return evaluate_cell(
-            comp, trials=trials, master_seed=derive_seed(master_seed, 404, k, s)
-        )
+        return largest_component(tree), derive_seed(master_seed, 404, k, s)
 
     return _scaling_suite(
-        k_grid, seeds, cell, lambda k: float(k) ** 1.5, float, None,
+        k_grid, seeds, trials, sample, lambda k: float(k) ** 1.5, float, None,
         regime="gw_tree",
         x_name="k",
         params={
@@ -447,7 +484,7 @@ def _random_connected_gnp(rng: np.random.Generator, n_max: int) -> MultiGraph:
         n = int(rng.integers(2, n_max + 1))
         p = float(rng.uniform(0.25, 0.9))
         g = gnp(n, p, int(rng.integers(0, 2 ** 63 - 1)))
-        if connected_components(g)[0].size == n:
+        if largest_component(g).size == n:
             return g
 
 

@@ -4,6 +4,14 @@ Every sampler is a pure function of (parameters, seed): the same seed
 always yields the same graph, byte for byte. Randomness comes from one
 numpy Generator seeded once per call, consumed in a fixed documented
 order.
+
+A graph takes up to about ``_EDGE_BYTES`` (400) bytes an edge and
+``_VERTEX_BYTES`` (64) a vertex while it is built (the edge tuples, their
+merge and the numpy tables; under tracemalloc a 2*10^5-edge tree peaks at
+316 bytes an edge and a 60^3 torus at 364). Every sampler given a size
+checks its vertex count and its expected edge count against
+``GRAPH_BYTES`` before it draws or allocates anything, and raises
+ContractViolation above it.
 """
 from __future__ import annotations
 
@@ -15,10 +23,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ContractViolation, DegenerateModelError
-from .graphs import ComponentView, MultiGraph, connected_components, load_edge_list
+from .graphs import ComponentView, MultiGraph, largest_component, load_edge_list
 
 _KERNEL_TRIES = 20_000
 _MODEL_RESAMPLES = 100
+GRAPH_BYTES = 1 << 32
+_VERTEX_BYTES = 64
+_EDGE_BYTES = 400
+
+
+def _check_size(vertices: float, edges: float) -> None:
+    """Raise before sampling when a graph of this many vertices and
+    (expected) edges would take more than ``GRAPH_BYTES`` to build."""
+    need = _VERTEX_BYTES * vertices + _EDGE_BYTES * edges
+    if need > GRAPH_BYTES:
+        raise ContractViolation(
+            f"a graph of {vertices:.0f} vertices and about {edges:.0f} edges needs about"
+            f" {need:.3g} bytes, over the budget of {GRAPH_BYTES}")
 
 
 # ---------------------------------------------------------------------------
@@ -26,20 +47,24 @@ _MODEL_RESAMPLES = 100
 
 
 def path_graph(n: int) -> MultiGraph:
+    _check_size(n, n)
     return MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> MultiGraph:
     if n < 3:
         raise ContractViolation("cycle needs >= 3 vertices")
+    _check_size(n, n)
     return MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> MultiGraph:
+    _check_size(n, n * (n - 1) / 2)
     return MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def star_graph(leaves: int) -> MultiGraph:
+    _check_size(leaves + 1, leaves)
     return MultiGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -47,6 +72,7 @@ def hypercube_graph(m: int) -> MultiGraph:
     """Hamming hypercube on 2^m vertices; ids are bit patterns."""
     if m < 0:
         raise ContractViolation("hypercube needs m >= 0")
+    _check_size(2.0 ** m, 2.0 ** m * m / 2)
     n = 1 << m
     edges = [(v, v | (1 << b)) for v in range(n) for b in range(m) if not (v >> b) & 1]
     return MultiGraph(n, edges)
@@ -56,6 +82,7 @@ def torus_graph(m: int, d: int) -> MultiGraph:
     """d-dimensional discrete torus with m vertices per axis (m >= 2)."""
     if m < 2 or d < 1:
         raise ContractViolation("torus needs m >= 2 and d >= 1")
+    _check_size(float(m) ** d, float(m) ** d * d)
     n = m ** d
     strides = [m ** i for i in range(d)]
     pairs = set()
@@ -70,6 +97,7 @@ def torus_graph(m: int, d: int) -> MultiGraph:
 def random_regular_graph(n: int, d: int, seed: int) -> MultiGraph:
     """d-regular graph by the configuration model, rejecting pairings with
     loops or parallel edges until a simple one appears."""
+    _check_size(n, n * d / 2)
     rng = np.random.default_rng(seed)
     return _configuration_simple([d] * n, rng)
 
@@ -108,6 +136,7 @@ def gnp(n: int, p: float, seed: int) -> MultiGraph:
         raise ContractViolation("p must be in [0, 1]")
     if n < 0:
         raise ContractViolation("n must be >= 0")
+    _check_size(n, p * n * (n - 1) / 2)
     if p >= 1.0:
         return complete_graph(n)
     edges = []
@@ -135,6 +164,7 @@ def uniform_labeled_tree(k: int, seed: int) -> MultiGraph:
     so trees are exactly equidistributed."""
     if k < 1:
         raise ContractViolation("k must be >= 1")
+    _check_size(k, k - 1)
     if k == 1:
         return MultiGraph(1, [])
     if k == 2:
@@ -293,6 +323,7 @@ def giant_model(
     (b) each kernel edge replaced by a path of i.i.d. geometric length on
     {1, 2, ...} with mean 1/(1 - mu), (c) one independent Poisson(mu)
     branching tree attached to every vertex of the subdivided kernel."""
+    _check_size(params.n, params.n)
     rng = np.random.default_rng(seed)
     mu = params.mu
     lam_sd = math.sqrt(params.lambda_var)
@@ -393,6 +424,7 @@ def _build_base(spec: BaseGraphSpec, rng: np.random.Generator) -> MultiGraph:
     if spec.kind == "torus":
         return torus_graph(spec.m, spec.d)
     if spec.kind == "random_regular":
+        _check_size(spec.n, spec.n * spec.d / 2)
         return _configuration_simple([spec.d] * spec.n, rng)
     if spec.kind == "from_file":
         return load_edge_list(spec.path)
@@ -419,4 +451,4 @@ def percolate(spec: BaseGraphSpec, seed: int) -> tuple[MultiGraph, ComponentView
             if keep:
                 kept.append((u, v, keep))
     full = MultiGraph(base.vertex_count, kept)
-    return full, connected_components(full)[0]
+    return full, largest_component(full)

@@ -185,16 +185,17 @@ class ComponentView:
 
     ``vertices`` holds the original ids in sorted order; local id i maps to
     original id vertices[i]. Public APIs downstream (resistance, walks)
-    speak original ids and translate through this view. The sorted ids,
-    the index of each id and the induced graph are built on first use.
+    speak original ids and translate through this view. The members may be
+    a slice of a numpy id array, held without a copy; the sorted ids, the
+    index of each id and the induced graph are built on first use.
     """
 
     __slots__ = ("parent", "_members", "_vertices", "_index", "_graph")
 
     def __init__(self, parent: MultiGraph, vertices: Iterable[int]) -> None:
         self.parent = parent
-        self._members = members = list(vertices)
-        if not members:
+        self._members = vertices if isinstance(vertices, np.ndarray) else list(vertices)
+        if not len(self._members):
             raise ContractViolation("a component must contain at least one vertex")
         self._vertices = self._index = self._graph = None
 
@@ -211,7 +212,9 @@ class ComponentView:
     @property
     def vertices(self) -> tuple[int, ...]:
         if self._vertices is None:
-            self._vertices = tuple(sorted(int(v) for v in self._members))
+            members = self._members
+            ids = members.tolist() if isinstance(members, np.ndarray) else map(int, members)
+            self._vertices = tuple(sorted(ids))
         return self._vertices
 
     @property
@@ -300,9 +303,20 @@ def connected_components(g: MultiGraph) -> list[ComponentView]:
     order = roots[np.argsort(-sizes[roots], kind="stable")]
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(len(order))
-    ids = np.argsort(rank[labels], kind="stable").tolist()  # ascending within each component
+    ids = np.argsort(rank[labels], kind="stable")  # ascending within each component
     cuts = np.cumsum(sizes[order]).tolist()
+    # each view holds a slice of ids, not a copy
     return [ComponentView(g, ids[a:b]) for a, b in zip([0] + cuts, cuts)]
+
+
+def largest_component(g: MultiGraph) -> ComponentView:
+    """``connected_components(g)[0]`` without the views of the other
+    components: a near-critical G(n, 1/n) has thousands of them."""
+    if g.vertex_count == 0:
+        raise ContractViolation("graph has no vertices")
+    labels = _component_labels(g)
+    root = int(np.bincount(labels).argmax())  # the first largest: the smallest root of a tie
+    return ComponentView(g, np.flatnonzero(labels == root))
 
 
 def from_edge_list(data: str | bytes | IO) -> MultiGraph:

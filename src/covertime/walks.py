@@ -3,41 +3,73 @@
 Monte Carlo estimates use one counter-based random stream per trial (both
 engines read its values from ``rng``), so every estimate is a pure
 function of (graph, parameters, master_seed) whatever the batching,
-engine or process count. ``simulate`` runs one batch per estimate (k *
-trials walks for the worst start); a batch whose keys, starts and samples
-would exceed ``BATCH_BYTES`` is refused before any of them is allocated.
-The batch is split into W contiguous shares, which ``forkmap.fork_map``
-runs one per process, each process pinned to its own CPU; each share
-writes its samples into its slice of one buffer that the processes share,
-so they stay in trial order. W is the number of usable CPUs, at most
-trials // VECTOR_THRESHOLD on the vector engine, so that no share drops to
-the scalar engine, and at most the trials on the scalar engine. The
-local-time tail splits its trials the same way.
+engine or process count.
 
-Both engines step through the graph's step table (``step_tables``) when it
-holds at most ``STEP_TABLE_ENTRIES`` entries: with L the lcm of the
-degrees, row v lists v's edge ends repeated L / deg(v) times, so a stream
-value r steps from v to row_v[r mod L], which is the edge end r mod deg(v)
-of the walk without a table. A larger table is not built, and each step
-takes r mod the degree of its vertex; the choice is made once per call.
+Pooled batches. An estimate is a request: (component, quantity, start
+policy, trials, seed, step cap). ``_estimates`` runs the walks of a list
+of requests (k * trials walks for the worst start) in pooled batches:
+consecutive requests share one while their walks number at most
+``_POOL_WALKS`` (``_BLOCK_VALUES``, where a block is down to one step, so
+a larger batch spreads the per-block cost no thinner) and fit
+``BATCH_BYTES``; a request with more walks is a batch of its own, refused
+with its own error, before anything is allocated, when its keys, starts
+and samples would exceed ``BATCH_BYTES``. A batch runs on the disjoint
+union of its components (``_Union``): vertex v of a component is its
+offset plus v, and each vertex keeps its edge ends in order, so a stream
+value takes the same step as on the component alone. Each walk has its
+own cap, and its rule state covers its own component only; a request
+with a walk past its cap fails with StepLimitExceeded and leaves the
+other requests of the batch as they are. ``simulate`` is a one-request
+call, and each process of a scaling suite pools the walks of its cells.
+A batch is split into W contiguous shares, which ``forkmap.fork_map``
+runs one per process, each process pinned to its own CPU; each share
+writes its samples into its slice of one buffer that the processes
+share, so they stay in batch order. W is the number of usable CPUs, at
+most the walks on the scalar engine and at most walks // ``_SHARE_WALKS``
+(256) on the vector engine: a second process costs about 3 ms on a
+2-vCPU VM, the vector loop's time for 256 walks of about 600 steps.
+
+Both engines step through a one-component batch's step table
+(``step_tables``) when it holds at most ``STEP_TABLE_ENTRIES`` entries:
+with L the lcm of the degrees, row v lists v's edge ends repeated
+L / deg(v) times, so a stream value r steps from v to row_v[r mod L],
+which is the edge end r mod deg(v) of the walk without a table. A larger
+table is not built, and each step takes r mod the degree of its vertex,
+as on the union of several components; the choice is made once per call.
 Each engine has one stepping loop, and each quantity is a stop rule that
 the loop consults:
 
-* vector (batches of >= VECTOR_THRESHOLD trials except blanket, and the
-  local-time tail): ``_walk_vector`` steps all active trials at once
-  and asks the rule which are done; the rule keeps per-trial state
-  (visited set, phase, visit counts). Stream values come in blocks of S
-  steps of every trial from one call, S * trials about ``_BLOCK_VALUES``
-  and S at most ``_BLOCK_STEPS``, reduced mod L once per block, so a step
-  through the table is two gathers and an add. Cover on at most
-  ``MASK_VERTICES`` (64) vertices keeps one uint64 visited mask per trial
-  (a gather, an or and a compare a step); larger graphs keep a row of
-  visited flags per trial, in slices that keep the rows under
-  ``_VISITED_BYTES``. Once fewer than VECTOR_THRESHOLD // W trials of a
-  share are running, so that about one threshold of walks per batch is
-  left, each goes on in the scalar loop from its position and step count,
-  with a scalar rule that carries its state (the local-time tail has none
-  and stays here).
+* vector (a batch of at least VECTOR_THRESHOLD walks with a vector rule
+  per usable CPU, and the local-time tail): ``_walk_vector``
+  steps all running walks at once through a block of S steps and keeps
+  the block's (S, walks) positions. S starts at ``_FIRST_BLOCK`` (16) and
+  doubles up to ``_BLOCK_STEPS`` (128), S * walks at most
+  ``_BLOCK_VALUES``, so that the walks of a short batch step few steps
+  past their stop (a 2000-walk cover of a 256-vertex tree ran about 9%
+  faster than with S = 128 from the start); the stream values of a block
+  come from one call, reduced mod L once per block on the table path, so
+  a step through the table is two gathers and an add. Each rule then takes
+  the whole block in one call, folds it into its per-walk state (visited
+  set, phase, visit counts) with reductions over the steps, and returns
+  the walks that stopped in the block and the step at which each did;
+  only those are followed step by step. Cover on at most
+  ``MASK_VERTICES`` (64) vertices keeps one uint64 mask of the unvisited
+  vertices per walk (a gather and an and-reduce a block); larger
+  components keep a row of unvisited flags per walk, in slices that keep
+  the rows under ``_VISITED_BYTES``, and find a block's first visits with
+  one stable sort. Once fewer than VECTOR_THRESHOLD // W walks of a share
+  are running at a block's end, so that about one threshold of walks per
+  batch is left, each goes on in the scalar loop on its own component,
+  from its position and step count, with a scalar rule that carries its
+  state (the local-time tail has none and stays here). VECTOR_THRESHOLD
+  (32) is the crossover with the scalar engine, measured on a 2-vCPU VM
+  with cover walks on trees of 256 and 1024 vertices (modulo path): a
+  block step of 32 walks costs about 2.8 us, 88 ns a walk, and 40 walks
+  78 ns, where the scalar loop takes about 80 ns a step on long walks
+  and 160-330 ns on walks of a few thousand steps or fewer. A batch
+  below W thresholds of walks, on W CPUs, stays on the scalar engine,
+  whose W shares run at once: one vector process (W = 1 below
+  ``_SHARE_WALKS`` walks) would not beat them.
 * scalar (the rest): ``_walk_scalar`` steps one walk a chunk at a time
   (256 steps, doubling up to ``_CHUNK``) and hands the chunk's positions,
   the Python list the stepping comprehension built, to the rule, which
@@ -51,8 +83,8 @@ the loop consults:
   touches a heap of one entry per vertex only at steps that can raise the
   minimum local time.
 
-On both engines a walk not stopped by step ``step_cap`` raises
-StepLimitExceeded.
+On both engines a walk not stopped by step ``step_cap`` fails its request
+with StepLimitExceeded.
 """
 from __future__ import annotations
 
@@ -60,7 +92,7 @@ import heapq
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -75,11 +107,14 @@ _FIRST_CHUNK = 256
 _CHUNK = 4096
 _VISITED_BYTES = 1 << 26
 _BLOCK_VALUES = 1 << 16
-_BLOCK_STEPS = 32
+_FIRST_BLOCK = 16
+_BLOCK_STEPS = 128
 STEP_TABLE_ENTRIES = 1 << 16
 MASK_VERTICES = 64
 BATCH_BYTES = 1 << 30
-VECTOR_THRESHOLD = 256
+_POOL_WALKS = _BLOCK_VALUES
+VECTOR_THRESHOLD = 32
+_SHARE_WALKS = 256
 WORST_START_LIMIT = 64
 EXACT_DP_LIMIT = 20
 _DP_BLOCK = 1 << 10
@@ -119,208 +154,607 @@ def _default_cap(component: ComponentView) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vector engine: rules see the positions of the active trials after a step
+# pooled batches: requests, the union of their components, their walks
 
 
-def _walk_vector(graph, starts, keys, make_rule, cap, row_bytes=0, shares=1):
-    """One value per trial, stepping all trials until the rule stops each;
-    make_rule(starts) builds the rule of one slice of trials, which holds
-    row_bytes bytes per trial.
+class _Union:
+    """Disjoint union of the graphs of one batch: vertex v of graphs[i] is
+    base[i] + v, and its edge ends keep their order, so a stream value takes
+    the same step from it as from v on graphs[i]. One graph is its own
+    union, with its own tables."""
 
-    Stream values come in blocks of S steps of every trial (module
-    docstring); with the step table a block is reduced mod its lcm once.
-    A slice steps here while at least ``VECTOR_THRESHOLD // shares`` of its
-    trials run, so that a batch in that many shares hands about one
-    threshold of walks to the scalar loop; each walk still running then
-    goes on in ``_walk_scalar`` from its position and step count, with the
-    scalar rule ``rule.scalar(j)`` that carries its state. A rule whose ``scalar`` is None keeps every walk
-    here to the end. Finished trials go on stepping, marked so that none
-    is recorded twice, until a quarter of the arrays has finished and they
-    are dropped, with the rest of their block.
-    """
-    offsets, flat, degrees = graph.walk_tables()
-    steps = graph.step_tables(STEP_TABLE_ENTRIES)
-    if steps is None:
-        degs_u = degrees.astype(np.uint64)
+    def __init__(self, graphs):
+        self.graphs = graphs
+        sizes = [g.vertex_count for g in graphs]
+        self.base = np.cumsum([0] + sizes[:-1]).tolist()
+        self.vertex_count = sum(sizes)
+
+    def walk_tables(self):
+        """(offsets, flat, degrees) as ``MultiGraph.walk_tables`` gives them."""
+        if len(self.graphs) == 1:
+            return self.graphs[0].walk_tables()
+        parts = [g.walk_tables() for g in self.graphs]
+        ends = np.cumsum([0] + [len(flat) for _, flat, _ in parts])
+        return (np.concatenate([o[:-1] + e for (o, _, _), e in zip(parts, ends)] + [ends[-1:]]),
+                np.concatenate([flat + b for (_, flat, _), b in zip(parts, self.base)]),
+                np.concatenate([degrees for _, _, degrees in parts]))
+
+    def step_table(self, limit):
+        """The step table of ``MultiGraph.step_tables`` of one graph, or
+        None: a union of several takes each value mod the degree, as the lcm
+        of all their degrees makes a table of them large."""
+        steps = self.graphs[0].step_tables(limit) if len(self.graphs) == 1 else None
+        return None if steps is None else steps[0]
+
+
+@dataclass
+class _Request:
+    """The walks of one estimate: trials walks of a quantity on one
+    component from its start policy (k * trials for the worst start), each
+    failing the request past step cap. vector is the (rule class, argument)
+    of the vector loop, or None; scalar(start) builds the scalar rule of a
+    walk, or is None; with neither, every walk stops at step 0."""
+
+    component: ComponentView
+    quantity: str
+    policy: str
+    start: int | None                  # the fixed start, an original id
+    waypoints: tuple[int, ...] | None  # hitting (v,), commute (v, u): local ids
+    trials: int
+    master_seed: int
+    cap: int
+    extra: dict
+    vector: tuple | None
+    scalar: Callable | None
+
+    @property
+    def graph(self):
+        return self.component.graph
+
+    @property
+    def worst(self) -> bool:
+        return self.policy == "worst_over_all_starts"
+
+    @property
+    def walk_count(self) -> int:
+        return self.component.size * self.trials if self.worst else self.trials
+
+    def walks(self):
+        """(local starts, stream keys) of the request's walks."""
+        keys = trial_keys(self.master_seed, self.trials)
+        if self.worst:  # trial j of every start keeps stream key j
+            k = self.component.size
+            return np.repeat(np.arange(k), self.trials), np.tile(keys, k)
+        if self.policy == "stationary":
+            return _stationary_starts(self.graph, keys), keys
+        return np.full(self.trials, self.component.to_local(self.start), dtype=np.int64), keys
+
+    def estimate(self, samples, keep_samples):
+        """(True, WalkEstimate) from the walks' samples, or (False,
+        StepLimitExceeded) when a walk went past the cap (sample -1)."""
+        if samples.min() < 0:
+            return False, StepLimitExceeded(f"walk exceeded {self.cap} steps")
+        start = self.start
+        if self.worst:  # keep the first start with the largest mean
+            per_start = samples.reshape(self.component.size, self.trials)
+            s_local = int(per_start.sum(axis=1).argmax())
+            samples, start = per_start[s_local].copy(), self.component.to_original(s_local)
+        trials = self.trials
+        std_err = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+        return True, WalkEstimate(
+            self.quantity, self.policy, float(samples.mean()), std_err, trials,
+            self.master_seed, samples if keep_samples else None, start, **self.extra,
+        )
+
+
+def _request(
+    component: ComponentView,
+    quantity: str,
+    *,
+    start_policy: str = "fixed",
+    start: int | None = None,
+    u: int | None = None,
+    v: int | None = None,
+    trials: int = 1000,
+    master_seed: int = 0,
+    step_cap: int | None = None,
+) -> _Request:
+    """The request of one ``simulate`` call, its arguments checked."""
+    if quantity not in QUANTITIES:
+        raise ContractViolation(f"unknown quantity {quantity!r}")
+    if trials < 1:
+        raise ContractViolation("trials must be >= 1")
+    g = component.graph
+    k = g.vertex_count
+    cap = step_cap if step_cap is not None else _default_cap(component)
+    waypoints, extra = None, {}
+
+    if quantity in ("hitting", "commute"):
+        if u is None or v is None:
+            raise ContractViolation(f"{quantity} requires u and v")
+        a = component.to_local(u)
+        b = component.to_local(v)
+        if quantity == "commute" and a == b:
+            raise ContractViolation("commute requires u != v")
+        if g.degree(a) == 0:
+            raise ContractViolation("walk cannot move from an isolated vertex")
+        waypoints = (b,) if quantity == "hitting" else (b, a)
+        start_policy, start, extra = "fixed", u, {"u": u, "v": v}
+    elif k > 1 and int(g.degrees.min()) == 0:
+        raise ContractViolation("component has an isolated vertex; walk is stuck")
+
+    if start_policy == "worst_over_all_starts":
+        if k > WORST_START_LIMIT:
+            raise ContractViolation(
+                f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
+            )
+        policy = start_policy
+    elif start_policy == "stationary":
+        policy, start = "stationary", None
+    elif start_policy != "fixed":
+        raise ContractViolation(f"unknown start_policy {start_policy!r}")
+    elif start is None:
+        raise ContractViolation("fixed start_policy requires start")
     else:
-        table = steps[0]
-        lcm = np.uint64(table.shape[1])
-        rows, table = np.arange(len(table)) * table.shape[1], table.ravel()
-    T = len(keys)
-    out = np.zeros(T, dtype=np.int64)
-    width = max(1, _VISITED_BYTES // row_bytes) if row_bytes else T
-    for lo in range(0, T, width):
-        home, keys_a = starts[lo:lo + width], keys[lo:lo + width]
-        part = out[lo:lo + width]
-        rule = make_rule(home)
-        n = len(home)
-        floor = 1 if rule.scalar is None else max(1, VECTOR_THRESHOLD // shares)
-        idx = np.arange(n)
-        live = np.ones(n, dtype=bool)
-        running = n
-        pos = home
-        # room for a block and its scratch: S * len(pos) never exceeds it
-        values = np.empty((2, max(n, min(_BLOCK_STEPS * n, _BLOCK_VALUES))), dtype=np.uint64)
-        block, s, t = (), 0, 0
-        while running >= floor:
-            if s == len(block):
-                size = min(_BLOCK_STEPS, max(1, _BLOCK_VALUES // len(pos))) * len(pos)
-                block, scratch = (v[:size].reshape(-1, len(pos)) for v in values)
-                stream_block(keys_a, t, block, scratch)
-                if steps is not None:  # mod lcm; floor division by a scalar is the fast one
-                    np.floor_divide(block, lcm, out=scratch)
-                    scratch *= lcm
-                    block -= scratch
-                    block = block.view(np.int64)
-                s = 0
-            if steps is None:
-                z = block[s] % degs_u[pos]
-                at = offsets[pos]
-                at += z.view(np.int64)
-                pos = flat[at]
-            else:
-                at = rows[pos]
-                at += block[s]
-                pos = table[at]
-            s += 1
-            t += 1
-            done = rule.step(pos)
-            if done is not None:
-                done &= live
-                finished = int(np.count_nonzero(done))
-                if finished:
-                    part[idx[done]] = rule.value(t, done)
-                    live ^= done  # done is a subset of live
-                    running -= finished
-                    if 4 * running <= 3 * len(live):
-                        idx, pos, keys_a = idx[live], pos[live], keys_a[live]
-                        block, s = block[s:, live], 0
-                        rule.keep(live)
-                        live = np.ones(running, dtype=bool)
-            if t > cap:
-                raise StepLimitExceeded(f"walk exceeded {cap} steps")
-        for j in np.flatnonzero(live).tolist():
-            part[idx[j]] = _walk_scalar(graph, int(pos[j]), int(keys_a[j]), rule.scalar(j), cap, t)
+        component.to_local(start)
+        policy = f"fixed({start})"
+
+    if waypoints is not None:
+        vector, scalar = (_WaypointRows, None), lambda s: _WaypointScan(waypoints)
+    elif k == 1:
+        vector, scalar = None, None
+    elif quantity == "blanket":
+        vector, scalar = None, lambda s: _Blanket(g, s)
+    else:
+        need_return = quantity == "cover_return"
+        vector = (_VisitedMask if k <= MASK_VERTICES else _VisitedRows, need_return)
+        scalar = lambda s: _Unvisited.at(k, s, need_return)
+    return _Request(component, quantity, policy, start, waypoints, trials, master_seed, cap,
+                    extra, vector, scalar)
+
+
+class _Batch:
+    """The walks of a list of requests, in one order: those with a vector
+    rule first, grouped by rule, then those with a scalar rule only; a
+    request with neither takes no place. Walk i belongs to request req[i],
+    starts at union vertex starts[i] and reads stream keys[i]; the
+    per-request arrays (base, size, cap, waypoints) are indexed by req.
+    Whether the vector part runs on the vector loop (``vectorize``) and
+    the most shares it takes (``most``) follow the usable cpus (module
+    docstring)."""
+
+    def __init__(self, requests, cpus=1):
+        self.requests = requests
+        graphs = list({id(r.graph): r.graph for r in requests}.values())
+        self.union = _Union(graphs)
+        base_of = {id(g): b for g, b in zip(graphs, self.union.base)}
+        self.base_r = np.array([base_of[id(r.graph)] for r in requests], dtype=np.int64)
+        self.size_r = np.array([r.component.size for r in requests], dtype=np.int64)
+        self.cap_r = np.array([r.cap for r in requests], dtype=np.int64)
+        # hitting walks reach their one waypoint first; commute reaches v, then u
+        self.waypoints_r = np.array([(r.waypoints * 2)[:2] if r.waypoints else (-1, -1)
+                                     for r in requests], dtype=np.int64).reshape(-1, 2)
+        self.waypoints_r += self.base_r[:, None]
+        rules = list(dict.fromkeys(r.vector for r in requests if r.vector is not None))
+        order = [i for rule in rules for i, r in enumerate(requests) if r.vector == rule]
+        self.vector_end = sum(requests[i].walk_count for i in order)
+        order += [i for i, r in enumerate(requests) if r.vector is None and r.scalar is not None]
+        counts = [requests[i].walk_count for i in order]
+        ends = np.cumsum([0] + counts).tolist()
+        self.spans = {i: (a, b) for i, a, b in zip(order, ends, ends[1:])}
+        self.groups, a = [], 0
+        for rule in rules:
+            b = a + sum(requests[i].walk_count for i in order if requests[i].vector == rule)
+            self.groups.append((a, b, *rule))
+            a = b
+        self.size = ends[-1]
+        self.req = np.repeat(np.array(order, dtype=np.int64), counts)
+        starts, keys = [], []
+        for i in order:
+            s, key = requests[i].walks()
+            starts.append(s + self.base_r[i])
+            keys.append(key)
+        self.starts = np.concatenate(starts) if order else np.zeros(0, dtype=np.int64)
+        self.keys = np.concatenate(keys) if order else np.zeros(0, dtype=np.uint64)
+        # one vector process must beat the scalar loop on each of the cpus
+        self.vectorize = self.vector_end >= VECTOR_THRESHOLD * cpus or any(
+            requests[i].scalar is None for i in order if requests[i].vector is not None)
+        self.most = self.vector_end // _SHARE_WALKS if self.vectorize else self.size
+
+    def rules(self, lo, hi):
+        """[(rule, walks)] of the vector walks lo..hi-1, in batch order."""
+        return [(cls(self, max(a, lo), min(b, hi), arg), min(b, hi) - max(a, lo))
+                for a, b, cls, arg in self.groups if a < hi and b > lo]
+
+    def slices(self, lo, hi):
+        """Cuts of lo..hi-1 into runs whose visited rows (one byte per
+        vertex of a walk's component, cover on more than MASK_VERTICES
+        vertices) stay under ``_VISITED_BYTES``, one walk at least."""
+        nbytes = np.zeros(hi - lo, dtype=np.int64)
+        for a, b, cls, _ in self.groups:
+            a, b = max(a, lo), min(b, hi)
+            if cls is _VisitedRows and a < b:
+                nbytes[a - lo:b - lo] = self.size_r[self.req[a:b]]
+        cum = np.cumsum(nbytes)
+        cuts = [lo]
+        while cuts[-1] < hi:
+            c = cuts[-1]
+            held = int(cum[c - lo - 1]) if c > lo else 0
+            fit = lo + int(np.searchsorted(cum, held + _VISITED_BYTES, side="right"))
+            cuts.append(min(hi, max(c + 1, fit)))
+        return list(zip(cuts, cuts[1:]))
+
+    def run(self, lo, hi, shares):
+        """Samples of walks lo..hi-1: the vector part on the vector loop
+        when the batch vectorizes, the rest one walk at a time."""
+        out = np.empty(hi - lo, dtype=np.int64)
+        mid = min(max(lo, self.vector_end if self.vectorize else lo), hi)
+        if mid > lo:
+            out[:mid - lo] = _walk_vector(self, lo, mid, shares)
+        failed = set()  # requests with a walk past its cap: their other walks need not run
+        for j, (i, s, key) in enumerate(zip(self.req[mid:hi].tolist(),
+                                            self.starts[mid:hi].tolist(),
+                                            self.keys[mid:hi].tolist()), mid - lo):
+            out[j] = -1 if i in failed else self.scalar_walk(i, s, key, None, 0)
+            if out[j] < 0:
+                failed.add(i)
+        return out
+
+    def scalar_walk(self, i, pos, key, rule, t):
+        """Stopping time of a walk of request i on its own component, at
+        union vertex pos after step t, with its scalar rule (a fresh one
+        when rule is None); -1 past the request's cap."""
+        r = self.requests[i]
+        pos -= int(self.base_r[i])
+        try:
+            rule = r.scalar(pos) if rule is None else rule
+            return _walk_scalar(r.graph, pos, key, rule, r.cap, t)
+        except StepLimitExceeded:
+            return -1
+
+
+def _pool(requests) -> list[np.ndarray]:
+    """The samples of each request, from one batch of all their walks
+    (``_Batch``) in shares (``_in_shares``); -1 marks a walk past its
+    request's cap."""
+    _check_batch(sum(r.walk_count for r in requests))
+    cpus = forkmap.usable_cpus()
+    batch = _Batch(requests, cpus)
+    samples = np.zeros(0, dtype=np.int64)
+    if batch.size:
+        samples = _in_shares(batch.run, batch.size, min(cpus, batch.most))
+    return [samples[slice(*batch.spans[i])] if i in batch.spans
+            else np.zeros(r.walk_count, dtype=np.int64) for i, r in enumerate(requests)]
+
+
+def _pools(requests):
+    """Consecutive runs of requests whose walks, together, number at most
+    ``_POOL_WALKS`` and fit ``BATCH_BYTES``; a request with more walks is a
+    run of its own."""
+    most = min(_POOL_WALKS, BATCH_BYTES // 24)
+    run, walks = [], 0
+    for r in requests:
+        if run and walks + r.walk_count > most:
+            yield run
+            run, walks = [], 0
+        run.append(r)
+        walks += r.walk_count
+    if run:
+        yield run
+
+
+def _estimates(requests, keep_samples=False):
+    """(True, WalkEstimate) or (False, error) of each request, their walks
+    run in pooled batches (``_pools``). A batch that raises, as one over the
+    budget does, fails each of its requests with that error."""
+    out = []
+    for pool in _pools(requests):
+        try:
+            samples = _pool(pool)
+        except Exception as exc:
+            out += [(False, exc)] * len(pool)
+        else:
+            out += [r.estimate(s, keep_samples) for r, s in zip(pool, samples)]
     return out
 
 
-class _VisitedRows:
-    """Cover: a trial is done once its row has no unvisited vertex left and,
-    for cover_return, it stands on its start again. The rows are one flat
-    array, trial i's row starting at base[i]."""
+# ---------------------------------------------------------------------------
+# vector engine: rules see a block of positions of the running walks
 
-    def __init__(self, k, starts, need_return):
-        T = len(starts)
-        self.k = k
-        self.base = np.arange(T, dtype=np.int64) * k
-        self.unvisited = np.ones(T * k, dtype=bool)
-        self.unvisited[self.base + starts] = False
-        self.unvis = np.full(T, k - 1, dtype=np.int64)
-        self.home = starts if need_return else None
 
-    def step(self, pos):
-        """Done mask, or None when no trial can be done: without a return,
-        only a step with a fresh visit can end a trial."""
-        cell = self.base + pos
-        fresh = self.unvisited[cell]
-        if np.count_nonzero(fresh):
-            self.unvisited[cell] = False
-            self.unvis -= fresh
-        elif self.home is None:
-            return None
-        if self.home is None:
-            return self.unvis == 0
-        return (self.unvis == 0) & (pos == self.home)
+def _walk_vector(batch, lo, hi, shares=1):
+    """Samples of the batch's walks lo..hi-1, -1 for a walk past its cap,
+    stepping all running walks at once until their rules stop them.
 
-    def value(self, t, done):
-        return t
+    The walks step through blocks of S steps (module docstring), and each
+    rule takes the (S, walks) positions of its walks in one call. A slice of
+    walks steps here while at least ``VECTOR_THRESHOLD // shares`` of them
+    run, so that a batch in that many shares hands about one threshold of
+    walks to the scalar loop; each walk still running then goes on in
+    ``_walk_scalar`` on its own component from its position and step count,
+    with the scalar rule ``rule.scalar(j, i)`` (walk j of the rule, of
+    request i) that carries its state. A rule whose ``scalar`` is None keeps
+    every walk here to the end. Finished walks go on stepping, marked so
+    that none is recorded twice, until a quarter of the arrays has finished
+    and they are dropped where a block ends.
+    """
+    offsets, flat, degrees = batch.union.walk_tables()
+    table = batch.union.step_table(STEP_TABLE_ENTRIES)
+    if table is None:
+        degs_u = degrees.astype(np.uint64)
+    else:
+        lcm = np.uint64(table.shape[1])
+        rows, table = np.arange(len(table)) * table.shape[1], table.ravel()
+    out = np.zeros(hi - lo, dtype=np.int64)
+    for a, b in batch.slices(lo, hi):
+        part = out[a - lo:b - lo]
+        spans = batch.rules(a, b)
+        n = b - a
+        floor = 1 if any(rule.scalar is None for rule, _ in spans) else max(
+            1, VECTOR_THRESHOLD // shares)
+        idx = np.arange(n)
+        live = np.ones(n, dtype=bool)
+        running = n
+        pos, keys_a, req = batch.starts[a:b], batch.keys[a:b], batch.req[a:b]
+        cap_min = int(batch.cap_r[req].min())  # no walk stops past its cap before
+        # room for a block and its scratch: S * len(pos) never exceeds it
+        values = np.empty((2, max(n, min(_BLOCK_STEPS * n, _BLOCK_VALUES))), dtype=np.uint64)
+        t, grow = 0, _FIRST_BLOCK
+        while running >= floor:
+            m = len(pos)
+            S = max(1, min(grow, _BLOCK_STEPS, _BLOCK_VALUES // m))
+            grow = 2 * S
+            block, scratch = (v[:S * m].reshape(S, m) for v in values)
+            stream_block(keys_a, t, block, scratch)
+            trail = []
+            if table is None:
+                for r in block:
+                    z = r % degs_u[pos]
+                    at = offsets[pos]
+                    at += z.view(np.int64)
+                    pos = flat[at]
+                    trail.append(pos)
+            else:  # mod lcm; floor division by a scalar is the fast one
+                np.floor_divide(block, lcm, out=scratch)
+                scratch *= lcm
+                block -= scratch
+                for r in block.view(np.int64):
+                    at = rows[pos]
+                    at += r
+                    pos = table[at]
+                    trail.append(pos)
+            P = pos[None] if S == 1 else np.concatenate(trail).reshape(S, m)
+            t0, t = t, t + S
+            col = 0
+            for rule, count in spans:
+                c1 = col + count
+                got = rule.block(P[:, col:c1] if count < m else P, live[col:c1])
+                if got is not None:
+                    cols, s = got
+                    times = s + (t0 + 1)
+                    vals = rule.value(times, cols, s)
+                    cols += col
+                    if t > cap_min:
+                        vals[times > batch.cap_r[req[cols]]] = -1  # stopped past its cap
+                    part[idx[cols]] = vals
+                    live[cols] = False
+                    running -= len(cols)
+                col = c1
+            if t > cap_min:  # walks still running past their cap
+                over = live & (batch.cap_r[req] < t)
+                if over.any():
+                    part[idx[over]] = -1
+                    live &= ~over
+                    running -= int(np.count_nonzero(over))
+            if 4 * running <= 3 * m:
+                idx, pos, keys_a, req = idx[live], pos[live], keys_a[live], req[live]
+                col, kept = 0, []
+                for rule, count in spans:
+                    keep = live[col:col + count]
+                    rule.keep(keep)
+                    kept.append((rule, int(np.count_nonzero(keep))))
+                    col += count
+                spans = kept
+                live = np.ones(running, dtype=bool)
+        col = 0
+        for rule, count in spans:
+            for j in np.flatnonzero(live[col:col + count]).tolist():
+                i = int(req[col + j])
+                part[idx[col + j]] = batch.scalar_walk(
+                    i, int(pos[col + j]), int(keys_a[col + j]), rule.scalar(j, i), t)
+            col += count
+    return out
 
-    def keep(self, keep):
-        self.base, self.unvis = self.base[keep], self.unvis[keep]
-        if self.home is not None:
-            self.home = self.home[keep]
 
-    def scalar(self, j):
-        b = int(self.base[j])
-        home = None if self.home is None else int(self.home[j])
-        return _Unvisited(set(np.flatnonzero(self.unvisited[b:b + self.k]).tolist()), home)
+def _first(done, cols):
+    """(cols, steps): the entries of cols whose column of done, a (steps,
+    len(cols)) bool array, holds a true entry, and the first such step."""
+    s = done.argmax(axis=0)
+    hit = done[s, np.arange(len(cols))]
+    return cols[hit], s[hit]
 
 
 class _VisitedMask:
-    """Cover on at most 64 vertices: bit v of a trial's mask is set once it
-    has visited v, and the trial is done once the mask is full and, for
-    cover_return, it stands on its start again."""
+    """Cover on components of at most 64 vertices: a walk's mask holds a bit
+    for each local vertex it has not visited; the walk is done once the
+    mask is empty and, for cover_return, it stands on its start again.
+    A block is folded into the masks with one and-reduce; only the walks
+    it empties are followed step by step."""
 
-    def __init__(self, k, starts, need_return):
-        self.k = k
-        self.bits = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-        self.full = np.uint64((1 << k) - 1)
-        self.mask = self.bits[starts]
+    def __init__(self, batch, a, b, need_return):
+        self.batch = batch
+        req = batch.req[a:b]
+        # every bit but that of the vertex's local id (on graphs of at most 64 vertices)
+        self.others = ~np.concatenate([
+            np.left_shift(np.uint64(1), np.arange(g.vertex_count, dtype=np.uint64))
+            if g.vertex_count <= 64 else np.zeros(g.vertex_count, dtype=np.uint64)
+            for g in batch.union.graphs])
+        full = [(1 << k) - 1 if k <= 64 else 0 for k in batch.size_r.tolist()]
+        starts = batch.starts[a:b]
+        self.missing = np.array(full, dtype=np.uint64)[req] & self.others[starts]
         self.home = starts if need_return else None
 
-    def step(self, pos):
-        self.mask |= self.bits[pos]
-        if self.home is None:
-            return self.mask == self.full
-        return (self.mask == self.full) & (pos == self.home)
+    def block(self, P, live):
+        left = self.others[P]
+        before = self.missing
+        self.missing = before & (left[0] if len(P) == 1 else np.bitwise_and.reduce(left, axis=0))
+        cols = np.flatnonzero((self.missing == 0) & live)
+        if not len(cols):
+            return None
+        done = np.bitwise_and.accumulate(left[:, cols], axis=0)
+        done &= before[cols]
+        done = done == 0
+        if self.home is not None:
+            done &= P[:, cols] == self.home[cols]
+        return _first(done, cols)
 
-    def value(self, t, done):
-        return t
+    def value(self, times, cols, s):
+        return times
 
     def keep(self, keep):
-        self.mask = self.mask[keep]
+        self.missing = self.missing[keep]
         if self.home is not None:
             self.home = self.home[keep]
 
-    def scalar(self, j):
-        m = int(self.mask[j])
-        home = None if self.home is None else int(self.home[j])
-        return _Unvisited({v for v in range(self.k) if not m >> v & 1}, home)
+    def scalar(self, j, i):
+        m = int(self.missing[j])
+        home = None if self.home is None else int(self.home[j]) - int(self.batch.base_r[i])
+        return _Unvisited({v for v in range(m.bit_length()) if m >> v & 1}, home)
+
+
+class _VisitedRows:
+    """Cover on larger components: each walk keeps a row of unvisited flags,
+    one per vertex of its component, in one flat array; the flag of union
+    vertex v for walk j is cell[j] + v. A walk is done at the step of its
+    last first visit and, for cover_return, at its first return home after
+    it."""
+
+    def __init__(self, batch, a, b, need_return):
+        self.batch = batch
+        req = batch.req[a:b]
+        k = batch.size_r[req]
+        self.cell = np.cumsum(k) - k - batch.base_r[req]
+        self.unvisited = np.ones(int(k.sum()), dtype=bool)
+        starts = batch.starts[a:b]
+        self.unvisited[self.cell + starts] = False
+        self.unvis = k - 1
+        self.home = starts if need_return else None
+
+    def block(self, P, live):
+        S, m = P.shape
+        cells = P + self.cell
+        fresh = np.flatnonzero(self.unvisited[cells])  # in step order
+        left = self.unvis
+        if not len(fresh) and self.home is None:
+            return None  # no first visit: no walk covers in this block
+        if len(fresh):
+            # a vertex new to the block counts at its first step only: the
+            # stable sort puts that step first among its equal cells
+            c = cells.ravel()[fresh]
+            order = np.argsort(c, kind="stable")
+            c = c[order]
+            head = np.ones(len(c), dtype=bool)
+            np.not_equal(c[1:], c[:-1], out=head[1:])
+            first = fresh[order[head]]
+            self.unvisited[c] = False
+            self.unvis = left - np.bincount(first % m, minlength=m)
+        cols = np.flatnonzero((self.unvis == 0) & live)
+        if not len(cols):
+            return None
+        covered = np.full(len(cols), -1)  # the covering step; -1: covered before the block
+        new = left[cols] > 0
+        if new.any():
+            firsts = np.zeros((S, m), dtype=bool)
+            firsts.flat[first] = True
+            got = cols[new]
+            covered[new] = (np.cumsum(firsts[:, got], axis=0) >= left[got]).argmax(axis=0)
+        if self.home is None:
+            return cols, covered
+        done = P[:, cols] == self.home[cols]
+        done &= np.arange(S)[:, None] > covered
+        return _first(done, cols)
+
+    def value(self, times, cols, s):
+        return times
+
+    def keep(self, keep):
+        self.cell, self.unvis = self.cell[keep], self.unvis[keep]
+        if self.home is not None:
+            self.home = self.home[keep]
+
+    def scalar(self, j, i):
+        base, k = int(self.batch.base_r[i]), int(self.batch.size_r[i])
+        row = int(self.cell[j]) + base
+        home = None if self.home is None else int(self.home[j]) - base
+        return _Unvisited(set(np.flatnonzero(self.unvisited[row:row + k]).tolist()), home)
 
 
 class _WaypointRows:
-    """Hitting (one waypoint) or commute (target, then back at the start)."""
+    """Hitting (first waypoint equal to the last, reached from the start) or
+    commute (the first waypoint, then the last one, back at the start). Only
+    the walks that meet the last waypoint in a block are followed step by
+    step."""
 
-    def __init__(self, waypoints, T):
-        self.waypoints = waypoints
-        self.phase = np.zeros(T, dtype=bool)
+    def __init__(self, batch, a, b, arg):
+        self.batch = batch
+        self.first, self.last = batch.waypoints_r[batch.req[a:b]].T
+        self.reached = self.first == self.last
 
-    def step(self, pos):
-        if len(self.waypoints) == 1:
-            return pos == self.waypoints[0]
-        self.phase |= pos == self.waypoints[0]
-        return self.phase & (pos == self.waypoints[1])
+    def block(self, P, live):
+        at_last = P == self.last
+        before = self.reached
+        if not before.all():
+            self.reached = before | (P == self.first).any(axis=0)
+        cols = np.flatnonzero(at_last.any(axis=0) & self.reached & live)
+        if not len(cols):
+            return None
+        done = at_last[:, cols]
+        if not before[cols].all():
+            done &= np.logical_or.accumulate(P[:, cols] == self.first[cols], axis=0) | before[cols]
+        return _first(done, cols)
 
-    def value(self, t, done):
-        return t
+    def value(self, times, cols, s):
+        return times
 
     def keep(self, keep):
-        self.phase = self.phase[keep]
+        self.reached = self.reached[keep]
+        self.first, self.last = self.first[keep], self.last[keep]
 
-    def scalar(self, j):
-        return _WaypointScan(self.waypoints[1:] if self.phase[j] else self.waypoints)
+    def scalar(self, j, i):
+        todo = (self.last[j],) if self.reached[j] else (self.first[j], self.last[j])
+        return _WaypointScan([int(w) - int(self.batch.base_r[i]) for w in todo])
 
 
 class _TailRows:
     """Local-time tail: walks from u stop when their visits to u reach
-    target and report their visits to v."""
+    target and report their visits to v; arg is (u, v, target), local ids.
+    Only the walks that reach target in a block are counted step by step."""
 
     scalar = None  # no scalar form: tail walks stay on the vector loop
 
-    def __init__(self, u, v, target, T):
-        self.u, self.v, self.target = u, v, target
-        self.cu = np.ones(T, dtype=np.int64)
-        self.cv = np.zeros(T, dtype=np.int64)
+    def __init__(self, batch, a, b, arg):
+        u, v, self.target = arg
+        base = batch.base_r[batch.req[a:b]]
+        self.u, self.v = base + u, base + v
+        self.cu = np.ones(b - a, dtype=np.int64)
+        self.cv = np.zeros(b - a, dtype=np.int64)
 
-    def step(self, pos):
-        self.cu += pos == self.u
-        self.cv += pos == self.v
-        return self.cu >= self.target
+    def block(self, P, live):
+        at_u, at_v = P == self.u, P == self.v
+        cu, cv = self.cu, self.cv
+        self.cu, self.cv = cu + at_u.sum(axis=0), cv + at_v.sum(axis=0)
+        cols = np.flatnonzero((self.cu >= self.target) & live)
+        if not len(cols):
+            return None
+        cols, s = _first(np.cumsum(at_u[:, cols], axis=0) + cu[cols] >= self.target, cols)
+        self.stop = cv[cols] + np.cumsum(at_v[:, cols], axis=0)[s, np.arange(len(cols))]
+        return cols, s
 
-    def value(self, t, done):
-        return self.cv[done]
+    def value(self, times, cols, s):
+        return self.stop
 
     def keep(self, keep):
+        self.u, self.v = self.u[keep], self.v[keep]
         self.cu, self.cv = self.cu[keep], self.cv[keep]
 
 
@@ -536,13 +970,13 @@ def _check_batch(walks):
             f" over the budget of {BATCH_BYTES}")
 
 
-def _in_shares(run, trials, most):
+def _in_shares(run, trials, w):
     """The samples of range(trials), run(lo, hi, W) giving those of [lo, hi).
-    W = min(usable CPUs, most) contiguous shares run one per process and
+    W = max(1, w) contiguous shares run one per process and
     write their samples into one buffer that the forked processes share, so
     none goes through a pipe; the error of the first share that raised is
     raised."""
-    w = max(1, min(forkmap.usable_cpus(), most))
+    w = max(1, w)
     bounds = [trials * i // w for i in range(w + 1)]
     samples = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64)
 
@@ -553,39 +987,6 @@ def _in_shares(run, trials, most):
         if not ok:
             raise error
     return samples
-
-
-def _run_batch(graph, quantity, starts, keys, waypoints, cap):
-    """Samples of one batch of trials, on the engine the quantity and the
-    trial count select, in shares (``_in_shares``) that each keep it."""
-    k = graph.vertex_count
-    row_bytes = 0
-    if waypoints is not None:
-        vector_rule = lambda s: _WaypointRows(waypoints, len(s))
-        scalar_rule = lambda s: _WaypointScan(waypoints)
-    elif k == 1:
-        return np.zeros(len(keys), dtype=np.int64)
-    elif quantity == "blanket":
-        vector_rule, scalar_rule = None, lambda s: _Blanket(graph, s)
-    else:
-        need_return = quantity == "cover_return"
-        if k <= MASK_VERTICES:
-            vector_rule, row_bytes = lambda s: _VisitedMask(k, s, need_return), 0
-        else:
-            vector_rule, row_bytes = lambda s: _VisitedRows(k, s, need_return), k
-        scalar_rule = lambda s: _Unvisited.at(k, s, need_return)
-    T = len(keys)
-    if vector_rule is not None and T >= VECTOR_THRESHOLD:
-        return _in_shares(
-            lambda lo, hi, w: _walk_vector(graph, starts[lo:hi], keys[lo:hi], vector_rule, cap,
-                                           row_bytes, w),
-            T, T // VECTOR_THRESHOLD)
-    return _in_shares(
-        lambda lo, hi, w: np.array(
-            [_walk_scalar(graph, s, key, scalar_rule(s), cap)
-             for s, key in zip(starts[lo:hi].tolist(), keys[lo:hi].tolist())],
-            dtype=np.int64),
-        T, T)
 
 
 def simulate(
@@ -613,60 +1014,15 @@ def simulate(
     "worst_over_all_starts" (size <= 64 only: one batch of k * trials walks
     runs the full trial set from every start; the estimate keeps the start
     with the maximum mean). Hitting and commute always start at u. The
-    batch runs in shares on the usable CPUs (module docstring).
+    walks are a one-request pooled batch, run in shares on the usable CPUs
+    (module docstring).
     """
-    if quantity not in QUANTITIES:
-        raise ContractViolation(f"unknown quantity {quantity!r}")
-    if trials < 1:
-        raise ContractViolation("trials must be >= 1")
-    g = component.graph
-    k = g.vertex_count
-    cap = step_cap if step_cap is not None else _default_cap(component)
-    waypoints, extra = None, {}
-
-    if quantity in ("hitting", "commute"):
-        if u is None or v is None:
-            raise ContractViolation(f"{quantity} requires u and v")
-        a = component.to_local(u)
-        b = component.to_local(v)
-        if quantity == "commute" and a == b:
-            raise ContractViolation("commute requires u != v")
-        if g.degree(a) == 0:
-            raise ContractViolation("walk cannot move from an isolated vertex")
-        waypoints = (b,) if quantity == "hitting" else (b, a)
-        start_policy, start, extra = "fixed", u, {"u": u, "v": v}
-    elif k > 1 and int(g.degrees.min()) == 0:
-        raise ContractViolation("component has an isolated vertex; walk is stuck")
-
-    worst = start_policy == "worst_over_all_starts"
-    if worst and k > WORST_START_LIMIT:
-        raise ContractViolation(
-            f"worst_over_all_starts only for size <= {WORST_START_LIMIT}, got {k}"
-        )
-    _check_batch(k * trials if worst else trials)
-    keys = trial_keys(master_seed, trials)
-    if worst:
-        # trial j of every start keeps stream key j
-        starts, keys, policy = np.repeat(np.arange(k), trials), np.tile(keys, k), start_policy
-    elif start_policy == "stationary":
-        starts, policy, start = _stationary_starts(g, keys), "stationary", None
-    elif start_policy != "fixed":
-        raise ContractViolation(f"unknown start_policy {start_policy!r}")
-    elif start is None:
-        raise ContractViolation("fixed start_policy requires start")
-    else:
-        starts = np.full(trials, component.to_local(start), dtype=np.int64)
-        policy = f"fixed({start})"
-    samples = _run_batch(g, quantity, starts, keys, waypoints, cap)
-    if policy == "worst_over_all_starts":  # keep the first start with the largest mean
-        per_start = samples.reshape(k, trials)
-        s_local = int(per_start.sum(axis=1).argmax())
-        samples, start = per_start[s_local].copy(), component.to_original(s_local)
-    std_err = float(samples.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return WalkEstimate(
-        quantity, policy, float(samples.mean()), std_err, trials, master_seed,
-        samples if keep_samples else None, start, **extra,
-    )
+    request = _request(component, quantity, start_policy=start_policy, start=start, u=u, v=v,
+                       trials=trials, master_seed=master_seed, step_cap=step_cap)
+    (ok, got), = _estimates([request], keep_samples)
+    if not ok:
+        raise got
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -762,12 +1118,12 @@ def local_time_tail_check(
     target = max(1, math.ceil(k_level * d_u - 1e-9))
     cap = step_cap if step_cap is not None else _default_cap(component) * max(1, target)
     _check_batch(trials)
-    keys = trial_keys(master_seed, trials)
     if target > 1:
-        cv = _in_shares(
-            lambda lo, hi, w: _walk_vector(g, np.full(hi - lo, a, dtype=np.int64), keys[lo:hi],
-                                           lambda s: _TailRows(a, b, target, len(s)), cap),
-            trials, trials // VECTOR_THRESHOLD)
+        request = _Request(component, "tail", f"fixed({u})", u, None, trials, master_seed, cap, {},
+                           (_TailRows, (a, b, target)), None)
+        cv = _pool([request])[0]
+        if cv.min() < 0:
+            raise StepLimitExceeded(f"walk exceeded {cap} steps")
     else:
         cv = np.zeros(trials, dtype=np.int64)
     gap = target / d_u - cv / d_v

@@ -8,7 +8,8 @@ Matthews bound), covering numbers via exhaustive set cover, cover times
 via closed forms and a one-solve-per-visited-set dynamic program,
 blanket times via one walk in plain Python with a heap push per step,
 batches of walks via a vector loop that steps every walk to its end,
-scalar stop rules that scan each chunk of positions as an ndarray,
+block stop rules by one rule per walk fed one position at a time, scalar
+stop rules that scan each chunk of positions as an ndarray,
 components with every view built eagerly, covering profiles via one
 greedy pass per level with an adaptive depth, branching-process size laws
 via convolution, the path interpolation as a scipy CSR product, the
@@ -26,7 +27,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, blas
+from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, blas, walks
 from covertime.bounds import (
     LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, _dedupe_sets, ball_radius, required_levels,
 )
@@ -297,6 +298,55 @@ def vector_batch_reference(graph: MultiGraph, quantity: str, starts: np.ndarray,
     return out
 
 
+class StepRule:
+    """Reference for one walk's vector stop rule, fed one position at a time
+    (union ids, as the block rules see them): cover and cover_return on
+    the component base..base+k-1, hitting and commute by their waypoints
+    (first == last for hitting), the local-time tail by (u, v, target).
+    ``step(pos)`` returns True at the stopping step; ``value`` is the
+    sample the walk reports there, with ``t`` its stopping time."""
+
+    def __init__(self, kind, start, base=0, k=1, first=None, last=None, tail=None):
+        self.kind, self.base, self.t = kind, base, 0
+        self.unvisited = set(range(base, base + k)) - {start}
+        self.home = start if kind == "cover_return" else None
+        self.first, self.last = first, last
+        self.reached = first == last
+        if tail is not None:
+            self.u, self.v, self.target = tail
+            self.cu, self.cv = 1, 0
+
+    def step(self, pos):
+        self.t += 1
+        if self.kind in ("cover", "cover_return"):
+            self.unvisited.discard(pos)
+            return not self.unvisited and (self.home is None or pos == self.home)
+        if self.kind == "waypoints":
+            self.reached |= pos == self.first
+            return self.reached and pos == self.last
+        self.cu += pos == self.u
+        self.cv += pos == self.v
+        return self.cu >= self.target
+
+    @property
+    def value(self):
+        return self.cv if self.kind == "tail" else self.t
+
+    def scalar_state(self):
+        """What the walk's scalar rule must carry from here: its unvisited
+        local vertices, or the waypoints still to reach, in local ids."""
+        if self.kind in ("cover", "cover_return"):
+            return {v - self.base for v in self.unvisited}
+        return [w - self.base for w in ((self.last,) if self.reached else (self.first, self.last))]
+
+
+def pooled_reference(requests) -> list[np.ndarray]:
+    """Samples of each request of a pooled batch, each request's walks run on
+    ``vector_batch_reference`` on its own component."""
+    return [vector_batch_reference(r.graph, r.quantity, *r.walks(), r.waypoints, r.cap)
+            for r in requests]
+
+
 class UnvisitedArray:
     """Cover stop rule on one walk's chunk of positions as an int64 array:
     a bool visited row and its count of unvisited vertices; done at the
@@ -516,6 +566,17 @@ def random_connected_multigraph(
         v = int(rng.integers(0, n))
         edges.append((v, v, int(rng.integers(1, max_multiplicity + 1))))
     return MultiGraph(n, edges)
+
+
+def pooled_sizes(monkeypatch) -> list[int]:
+    """Record the walk count of every pooled batch that starts in this
+    process."""
+    sizes: list[int] = []
+    pool = walks._pool
+    monkeypatch.setattr(walks, "_pool",
+                        lambda requests: sizes.append(sum(r.walk_count for r in requests))
+                        or pool(requests))
+    return sizes
 
 
 def assert_no_child_left() -> None:

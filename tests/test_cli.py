@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -257,6 +258,22 @@ class TestInputErrors:
                        "--quantity", "cover", "--start", "0")
         self._assert_input_error(proc)
         assert "over the budget" in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("model", [
+        ["--model", "tree", "--k", "10000000000"],
+        ["--model", "gnp", "--n", "10000000000", "--p", "1e-10"],
+        ["--model", "giant", "--n", "10000000000", "--epsilon", "0.3"],
+        ["--model", "percolation", "--base", "torus", "--m", "100000", "--d", "3"],
+    ], ids=["tree", "gnp", "giant", "torus"])
+    def test_generate_over_budget(self, model, capsys):
+        # a tree array of 10**10 entries, or 10**10 skips of the G(n, p)
+        # loop, would run out of memory or time; the size is refused first
+        t0 = time.perf_counter()
+        assert main(["generate", *model]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+        assert "over the budget" in out.err
 
     def test_edge_add_mc_n_max_above_worst_start_limit(self):
         proc = run_cli("edge-add", "--mode", "mc", "--n-max", "200",

@@ -371,8 +371,9 @@ def _workers(monkeypatch, w: int) -> None:
 def _act_at(monkeypatch, tag: int, master_seed: int, actions: dict) -> None:
     """Make the cell (x, s) of a suite with this master seed run
     actions[(x, s)] first: an exception to raise or a function to call. The
-    cell's walk seed is derive_seed(master_seed, tag, x, s)."""
-    real = experiments.evaluate_cell
+    action runs where the cell's bounds and walk request are made, after
+    its sampling; the cell's walk seed is derive_seed(master_seed, tag, x, s)."""
+    real = experiments._prepare_cell
     by_seed = {derive_seed(master_seed, tag, x, s): act for (x, s), act in actions.items()}
 
     def cell(comp, *, trials, master_seed):
@@ -383,7 +384,7 @@ def _act_at(monkeypatch, tag: int, master_seed: int, actions: dict) -> None:
             act()
         return real(comp, trials=trials, master_seed=master_seed)
 
-    monkeypatch.setattr(experiments, "evaluate_cell", cell)
+    monkeypatch.setattr(experiments, "_prepare_cell", cell)
 
 
 MAP_SUITES = {
@@ -407,6 +408,41 @@ def test_suite_bytes_identical_in_one_and_two_processes(monkeypatch, case):
     assert reports[1] == reports[2]
     if case == "evolution-a-unusable-cells":
         assert [row["seeds"] for row in json.loads(reports[2])["rows"]] == [1, 2, 3]
+    oc.assert_no_child_left()
+
+
+def test_suite_cells_pool_under_the_batch_budget(monkeypatch):
+    # worst-start cells of 64, 128 and 256 walks; a budget of 256 walks fits
+    # each cell alone but no 256-walk cell together with another, so each
+    # process runs several batches, and the report stays that of one batch
+    def suite():
+        return json.dumps(gw_scaling_suite([16, 32, 64], seeds=3, trials=4,
+                                           master_seed=2).to_dict(), indent=2)
+
+    _workers(monkeypatch, 1)
+    whole = suite()
+    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 256)
+    sizes = oc.pooled_sizes(monkeypatch)
+    reports = {}
+    for w in (1, 2):
+        _workers(monkeypatch, w)
+        reports[w] = suite()
+    assert reports[1] == reports[2] == whole
+    # this process's batches: all nine cells at W = 1, the even ones at W = 2
+    assert sizes == [192, 256, 128, 256, 256, 256] + [256, 256, 256]
+    oc.assert_no_child_left()
+
+
+def test_cell_over_the_batch_budget_fails_alone(monkeypatch):
+    # a budget of 255 walks: each k = 64 cell (256 walks) is refused on its
+    # own, the first of them in grid order raises, at every worker count
+    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 255)
+    for w in (1, 2):
+        _workers(monkeypatch, w)
+        with pytest.raises(ContractViolation, match="^a batch of 256 walks needs 6144 bytes"):
+            gw_scaling_suite([16, 32, 64], seeds=3, trials=4, master_seed=2)
+        with pytest.raises(ContractViolation, match="^a batch of 256 walks"):
+            evaluate_cell(connected_components(path_graph(64))[0], trials=4, master_seed=1)
     oc.assert_no_child_left()
 
 

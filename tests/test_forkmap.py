@@ -154,10 +154,11 @@ def test_step_limit_in_a_child_share_reaches_the_caller(monkeypatch, trials):
 
 @pytest.mark.skipif(forkmap.usable_cpus() < 2, reason="pinning needs two CPUs")
 def test_suite_cells_do_not_fork_again(monkeypatch, tmp_path):
-    # every cell's worst-start batch (16, 32 or 64 starts of 40 walks) holds
-    # more than 2 * VECTOR_THRESHOLD walks, so a simulate that saw two CPUs
-    # would fork; pinned to one, the cells' walks stay in their process
-    assert 16 * 40 > 2 * walks.VECTOR_THRESHOLD
+    # every cell's worst-start walks (16, 32 or 64 starts of 40 walks), and
+    # so each process's pooled batch of them, hold more than 2 * _SHARE_WALKS
+    # walks: a batch that saw two CPUs would fork; pinned to one, the cells'
+    # walks stay in their process
+    assert 16 * 40 > 2 * walks._SHARE_WALKS
     mask = os.sched_getaffinity(0)
     forks = _count_forks(monkeypatch, tmp_path)
     report = json.dumps(gw_scaling_suite([16, 32, 64], seeds=2, trials=40, master_seed=5).to_dict())

@@ -1,11 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 import oracles as oc
+from covertime import generators
 from covertime import (
     BaseGraphSpec,
     ContractViolation,
@@ -28,6 +30,12 @@ class TestGnp:
     def test_extremes(self):
         assert gnp(6, 0.0, 1).edge_total == 0
         assert gnp(6, 1.0, 1) == complete_graph(6)
+
+    @pytest.mark.parametrize("p", [1e-12, 1e-17, 1e-20])
+    def test_tiny_p_skips_past_every_pair(self, p):
+        # a skip of about 1/p pair indices is far beyond int64 at p = 1e-20
+        for seed in range(5):
+            assert gnp(10, p, seed).edge_total == 0
 
     def test_seed_determinism(self):
         assert gnp(200, 0.02, 77) == gnp(200, 0.02, 77)
@@ -238,3 +246,35 @@ class TestPercolation:
         full, _ = percolate(BaseGraphSpec.torus(20, 2, 0.5), 3)
         base_edges = 2 * 400
         assert abs(full.edge_total - 0.5 * base_edges) < 4 * math.sqrt(base_edges * 0.25)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda: uniform_labeled_tree(10 ** 10, 0),
+    lambda: gnp(10 ** 10, 1e-10, 0),
+    lambda: gnp(10 ** 6, 0.5, 0),
+    lambda: giant_model(GiantModelParams(10 ** 10, 0.3), 0),
+    lambda: complete_graph(10 ** 5),
+    lambda: hypercube_graph(40),
+    lambda: torus_graph(10 ** 5, 3),
+    lambda: percolate(BaseGraphSpec.random_regular(10 ** 10, 3, 0.5), 0),
+], ids=["tree", "gnp-sparse", "gnp-dense", "giant", "complete", "hypercube", "torus",
+        "regular"])
+def test_size_over_budget_refused_before_allocating(sample):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match="over the budget"):
+            sample()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 4, peak
+
+
+def test_size_budget_is_the_stated_bytes(monkeypatch):
+    # a 1000-vertex tree takes 64 * 1000 + 400 * 999 bytes by the stated rates
+    need = 64 * 1000 + 400 * 999
+    monkeypatch.setattr(generators, "GRAPH_BYTES", need)
+    assert uniform_labeled_tree(1000, 1).vertex_count == 1000
+    monkeypatch.setattr(generators, "GRAPH_BYTES", need - 1)
+    with pytest.raises(ContractViolation, match="1000 vertices and about 999 edges"):
+        uniform_labeled_tree(1000, 1)

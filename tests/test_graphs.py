@@ -14,6 +14,8 @@ from covertime import (
     VertexRangeError,
     connected_components,
     from_edge_list,
+    gnp,
+    largest_component,
     to_edge_list_text,
 )
 
@@ -210,6 +212,30 @@ def test_components_match_eager_views(g):
         assert [c.to_original(i) for i in range(len(ids))] == list(ids)
         assert [v in c for v in range(g.vertex_count)] == [v in index for v in range(g.vertex_count)]
         assert c.graph == graph
+
+
+@given(sparse_multigraphs())
+@settings(max_examples=80, deadline=None)
+def test_largest_component_is_the_first_view(g):
+    if g.vertex_count == 0:
+        with pytest.raises(ContractViolation):
+            largest_component(g)
+        return
+    first, largest = connected_components(g)[0], largest_component(g)
+    assert largest.vertices == first.vertices and largest.graph == first.graph
+
+
+def test_near_critical_views_keep_their_ids_and_order():
+    # G(6000, 1/n) has about 3000 components, ties in size among them; each
+    # view holds a slice of one id array and reads as the eager view did
+    g = gnp(6000, 1 / 6000, 3)
+    comps = connected_components(g)
+    ref = oc.eager_components(g)
+    assert len(comps) == len(ref) > 2000
+    assert [c.vertices for c in comps] == [ids for ids, _, _ in ref]
+    assert all(isinstance(c._members, np.ndarray) for c in comps)
+    assert comps[0].graph == ref[0][2] and comps[-1].graph == ref[-1][2]
+    assert largest_component(g).vertices == ref[0][0]
 
 
 def test_components_of_a_long_shuffled_path(monkeypatch):

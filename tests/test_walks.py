@@ -114,16 +114,16 @@ class TestSimulateCover:
 
     def test_worst_start_is_one_batch(self, monkeypatch):
         batches = []
-        run_batch = walks._run_batch
+        pool = walks._pool
 
-        def counting(graph, quantity, starts, keys, waypoints, cap):
-            batches.append(len(keys))
-            return run_batch(graph, quantity, starts, keys, waypoints, cap)
+        def counting(requests):
+            batches.append([r.walk_count for r in requests])
+            return pool(requests)
 
-        monkeypatch.setattr(walks, "_run_batch", counting)
+        monkeypatch.setattr(walks, "_pool", counting)
         est = simulate(_LOOPY, "cover", start_policy="worst_over_all_starts",
                        trials=30, master_seed=14)
-        assert batches == [7 * 30]
+        assert batches == [[7 * 30]]
         assert est.trials == 30 and est.samples.shape == (30,)
 
     def test_matches_exact_dp_randomized(self):
@@ -491,7 +491,7 @@ def _recording_scalar(mp):
 
 def _reference_samples(c, quantity, trials, seed, **kw):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walks, "_run_batch", oc.vector_batch_reference)
+        mp.setattr(walks, "_pool", oc.pooled_reference)
         est = simulate(c, quantity, trials=trials, master_seed=seed, **kw)
     return est.samples, est.start
 
@@ -618,15 +618,15 @@ class _Compactions:
     """Wraps a vector rule and records the step of each compaction."""
 
     def __init__(self, rule, steps):
-        self.rule, self.steps, self.t = rule, steps, None
+        self.rule, self.steps, self.t = rule, steps, 0
         self.scalar = rule.scalar
 
-    def step(self, pos):
-        return self.rule.step(pos)
+    def block(self, P, live):
+        self.t += len(P)
+        return self.rule.block(P, live)
 
-    def value(self, t, done):
-        self.t = t
-        return self.rule.value(t, done)
+    def value(self, times, cols, s):
+        return self.rule.value(times, cols, s)
 
     def keep(self, keep):
         self.steps.append(self.t)
@@ -636,25 +636,27 @@ class _Compactions:
 @pytest.mark.parametrize("block_steps", [1, 3, 7, 32])
 @pytest.mark.parametrize("path", sorted(_PATHS))
 def test_blocks_end_mid_compaction(block_steps, path):
-    # with S steps a block, blocks start at multiples of S: a compaction at
-    # any other step slices the rest of its block
+    # with S steps a block, blocks start at multiples of S and the arrays
+    # are compacted where a block ends; walks stop inside their blocks,
+    # each at its own step
     c = comp(_GATES[1])
     want = _reference_samples(c, "cover", 600, 31, start=0)[0]
     compactions = []
-    vector = walks._walk_vector
+    rules = walks._Batch.rules
     with pytest.MonkeyPatch.context() as mp:
         for name, value in _PATHS[path].items():
             mp.setattr(walks, name, value)
         mp.setattr(forkmap, "usable_cpus", lambda: 1)  # the spy sees this process only
         mp.setattr(walks, "_BLOCK_STEPS", block_steps)
+        mp.setattr(walks, "_FIRST_BLOCK", block_steps)
         mp.setattr(walks, "_BLOCK_VALUES", 1 << 30)
-        mp.setattr(walks, "_walk_vector", lambda g, s, k, make_rule, *a: vector(
-            g, s, k, lambda st: _Compactions(make_rule(st), compactions), *a))
+        mp.setattr(walks._Batch, "rules", lambda batch, lo, hi: [
+            (_Compactions(rule, compactions), n) for rule, n in rules(batch, lo, hi)])
         got = _sim(c, "cover", 600, 31, start=0)
     assert np.array_equal(got, want)
-    assert compactions
+    assert compactions and all(t % block_steps == 0 for t in compactions)
     if block_steps > 1:
-        assert any(t % block_steps for t in compactions)
+        assert any(t % block_steps for t in got.tolist())
 
 
 @pytest.mark.parametrize("path", sorted(_PATHS))
@@ -671,6 +673,7 @@ def test_step_cap_at_a_block_boundary(path):
         longest = int(_sim(c, "cover", 300, 41, start=0).max())
         for block_steps in (1, 2, longest - 1, longest, longest + 1):
             mp.setattr(walks, "_BLOCK_STEPS", block_steps)
+            mp.setattr(walks, "_FIRST_BLOCK", block_steps)
             mp.setattr(walks, "_BLOCK_VALUES", 1 << 30)
             assert int(_sim(c, "cover", 300, 41, start=0, step_cap=longest).max()) == longest
             with pytest.raises(StepLimitExceeded, match=f"exceeded {longest - 1} steps"):
