@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one memory budget."""
+
+MEMORY_BYTES = 1 << 32
 
 
 class CovertimeError(Exception):
@@ -31,3 +33,11 @@ class DegenerateModelError(CovertimeError, RuntimeError):
 
 class StepLimitExceeded(CovertimeError, RuntimeError):
     """A simulated walk ran past its safety step cap (indicates a bug)."""
+
+
+def require(nbytes: float, what: str) -> None:
+    """Charge nbytes, the measured peak of what an input asks for, before it
+    is allocated: ContractViolation naming both above ``MEMORY_BYTES``."""
+    if nbytes > MEMORY_BYTES:
+        raise ContractViolation(
+            f"{what} needs {nbytes:.0f} bytes, over the budget of {MEMORY_BYTES}")

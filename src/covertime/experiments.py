@@ -153,13 +153,15 @@ def _run_cells(sample, jobs, trials):
     error)`` for each (x, s) job, as a serial loop of sampling, bounds and
     walks would meet them. ``sample(x, s)`` draws the cell's component and
     walk seed, or None for an unusable sample. The walks of the cells run
-    in pooled batches (``walks._estimates``) once the bounds are done."""
+    in pooled batches (``walks._estimates``) once the bounds are done, each
+    cell holding only its component's induced graph and ids till then."""
     outcomes = []
     for job in jobs:
         try:
             drawn = sample(*job)
             if drawn is not None:
                 comp, seed = drawn
+                comp = ComponentView(comp.graph, comp.vertices)
                 drawn = (comp, *_prepare_cell(comp, trials=trials, master_seed=seed))
         except Exception as exc:
             # a serial loop stops here: the cells after it are never read
@@ -278,12 +280,10 @@ def _regime_settings(regime: str, n: int, lam: float, eps_power: float):
     elif regime == "b":
         p = (1.0 + lam * n ** (-1.0 / 3.0)) / n
         law = float(n)
-    elif regime == "c":
+    else:  # "c": evolution_suite admits no other regime
         eps = n ** (-eps_power)
         p = (1.0 + eps) / n
         law = n * math.log(eps ** 3 * n) ** 2
-    else:
-        raise ContractViolation(f"unknown regime {regime!r}")
     return p, law
 
 
@@ -526,20 +526,13 @@ def edge_addition_suite(
         E = g.edge_total
         bound = 4.0 if k_edges == 1 else 2 * k_edges + 1 + 2 * k_edges ** 2 / E
         if mode == "exact":
-            before = exact_cover_time_worst(ComponentView.whole(g))
-            after = exact_cover_time_worst(ComponentView.whole(g_plus))
+            before, after = (exact_cover_time_worst(ComponentView.whole(h)) for h in (g, g_plus))
             std_err = None
         else:
-            est_b = simulate(
-                ComponentView.whole(g), "cover", start_policy="worst_over_all_starts",
-                trials=trials, master_seed=derive_seed(master_seed, 606, inst, 0),
-                keep_samples=False,
-            )
-            est_a = simulate(
-                ComponentView.whole(g_plus), "cover", start_policy="worst_over_all_starts",
-                trials=trials, master_seed=derive_seed(master_seed, 606, inst, 1),
-                keep_samples=False,
-            )
+            est_b, est_a = (simulate(
+                ComponentView.whole(h), "cover", start_policy="worst_over_all_starts",
+                trials=trials, master_seed=derive_seed(master_seed, 606, inst, j),
+                keep_samples=False) for j, h in enumerate((g, g_plus)))
             before, after = est_b.mean, est_a.mean
             std_err = math.hypot(est_b.std_err, est_a.std_err)
         ratio = after / before if before > 0 else float("inf")

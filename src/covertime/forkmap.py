@@ -1,10 +1,10 @@
 """One map that runs jobs on the CPUs of the affinity mask, one forked
 process per CPU, each pinned to its own CPU.
 
-Scaling suites map their cells through it, a process's cells at once
-(``fork_shares``), and ``walks`` maps the shares of a batch of walks. A
-map called from inside a share sees the one CPU its process is pinned to
-and runs in that process, so nested maps never fork.
+Scaling suites map their cells through it, a process's cells at once, and
+``walks`` maps the shares of a batch of walks. A map called from inside a
+share sees the one CPU its process is pinned to and runs in that process,
+so nested maps never fork.
 """
 from __future__ import annotations
 
@@ -18,19 +18,6 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _outcome(fn: Callable, job: tuple) -> tuple[bool, object]:
-    try:
-        return True, fn(*job)
-    except Exception as exc:
-        return False, exc
-
-
-def fork_map(fn: Callable, jobs: list[tuple]) -> list[tuple[bool, object]]:
-    """``(True, fn(*job))`` or ``(False, its exception)`` for each job, in
-    order, the jobs spread over processes as ``fork_shares`` spreads them."""
-    return fork_shares(lambda share: [_outcome(fn, job) for job in share], jobs)
-
-
 def fork_shares(run: Callable, jobs: list) -> list:
     """The outcomes of every job, in order, where ``run(jobs[w::W])`` gives
     those of the jobs of process w, one outcome per job, and W = min(usable
@@ -41,9 +28,9 @@ def fork_shares(run: Callable, jobs: list) -> list:
     short map share it); the parent's mask is restored after its share. The
     fork is safe though numpy's OpenBLAS may hold a thread pool: OpenBLAS
     stops it in a ``pthread_atfork`` handler, and the children run only
-    package code. A child that dies, raises or writes nothing raises
-    ``RuntimeError`` naming its exit status; children left when the parent
-    unwinds are killed and reaped."""
+    package code. After its own share the parent raises the exception of
+    the first child whose share raised, or ``RuntimeError`` naming the exit
+    status of one that died; children left are killed and reaped."""
     workers = max(1, min(usable_cpus(), len(jobs)))
     if workers == 1:
         return run(jobs)
@@ -59,8 +46,12 @@ def fork_shares(run: Callable, jobs: list) -> list:
                 try:
                     os.close(read_fd)
                     os.sched_setaffinity(0, {cpus[w % len(cpus)]})
+                    try:
+                        outcome = True, run(jobs[w::workers])
+                    except Exception as exc:
+                        outcome = False, exc
                     with os.fdopen(write_fd, "wb") as out:
-                        out.write(pickle.dumps(run(jobs[w::workers])))
+                        out.write(pickle.dumps(outcome))
                     os._exit(0)
                 finally:
                     os._exit(1)
@@ -79,7 +70,10 @@ def fork_shares(run: Callable, jobs: list) -> list:
             if status != 0 or not data:
                 raise RuntimeError(f"worker {w} exited with status {status} "
                                    f"after writing {len(data)} bytes")
-            outcomes[w::workers] = pickle.loads(data)
+            ok, got = pickle.loads(data)
+            if not ok:
+                raise got
+            outcomes[w::workers] = got
     finally:
         for pid, (_, pipe) in children.items():
             pipe.close()

@@ -1,4 +1,5 @@
-"""Undirected multigraphs with integer multiplicities, loops, and dense ids."""
+"""Undirected multigraphs with integer multiplicities, loops, and dense ids;
+each is charged ``graph_bytes`` against the memory budget before it is built."""
 from __future__ import annotations
 
 import itertools
@@ -7,9 +8,15 @@ from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractViolation, EdgeListParseError, VertexRangeError
+from .errors import ContractViolation, EdgeListParseError, VertexRangeError, require
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def graph_bytes(vertices: float, edges: float) -> float:
+    """Bytes to build a graph: 64 a vertex and 400 an edge (under tracemalloc
+    a 2*10^5-edge tree peaks at 316 bytes an edge, a 60^3 torus at 364)."""
+    return 64 * vertices + 400 * edges
 
 
 class MultiGraph:
@@ -49,6 +56,7 @@ class MultiGraph:
             merged[key] = merged.get(key, 0) + m
         if 2 * sum(merged.values()) > _INT64_MAX:
             raise ContractViolation("degree sum exceeds the int64 range")
+        require(graph_bytes(n, len(merged)), f"a graph of {n} vertices and {len(merged)} edges")
         self.vertex_count = n
         self.edges: tuple[tuple[int, int, int], ...] = tuple(
             (u, v, m) for (u, v), m in sorted(merged.items())

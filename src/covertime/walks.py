@@ -10,10 +10,10 @@ policy, trials, seed, step cap). ``_estimates`` runs the walks of a list
 of requests (k * trials walks for the worst start) in pooled batches:
 consecutive requests share one while their walks number at most
 ``_POOL_WALKS`` (``_BLOCK_VALUES``, where a block is down to one step, so
-a larger batch spreads the per-block cost no thinner) and fit
-``BATCH_BYTES``; a request with more walks is a batch of its own, refused
-with its own error, before anything is allocated, when its keys, starts
-and samples would exceed ``BATCH_BYTES``. A batch runs on the disjoint
+a larger batch spreads the per-block cost no thinner) and fit the memory
+budget; a request with more walks is a batch of its own. A batch is
+charged its measured peak (``_batch_bytes``) before it allocates anything,
+so one over the budget fails its requests. A batch runs on the disjoint
 union of its components (``_Union``): vertex v of a component is its
 offset plus v, and each vertex keeps its edge ends in order, so a stream
 value takes the same step as on the component alone. Each walk has its
@@ -21,7 +21,7 @@ own cap, and its rule state covers its own component only; a request
 with a walk past its cap fails with StepLimitExceeded and leaves the
 other requests of the batch as they are. ``simulate`` is a one-request
 call, and each process of a scaling suite pools the walks of its cells.
-A batch is split into W contiguous shares, which ``forkmap.fork_map``
+A batch is split into W contiguous shares, which ``forkmap.fork_shares``
 runs one per process, each process pinned to its own CPU; each share
 writes its samples into its slice of one buffer that the processes
 share, so they stay in batch order. W is the number of usable CPUs, at
@@ -56,7 +56,7 @@ the loop consults:
   ``MASK_VERTICES`` (64) vertices keeps one uint64 mask of the unvisited
   vertices per walk (a gather and an and-reduce a block); larger
   components keep a row of unvisited flags per walk, in slices that keep
-  the rows under ``_VISITED_BYTES``, and find a block's first visits with
+  the rows under ``_visited_bytes()``, and find a block's first visits with
   one stable sort. Once fewer than VECTOR_THRESHOLD // W walks of a share
   are running at a block's end, so that about one threshold of walks per
   batch is left, each goes on in the scalar loop on its own component,
@@ -96,8 +96,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import forkmap
-from .errors import ContractViolation, StepLimitExceeded
+from . import errors, forkmap
+from .errors import ContractViolation, StepLimitExceeded, require
 from .graphs import ComponentView
 from .rng import mix64, stream_block, stream_chunk, trial_key, trial_keys
 from .resistance import ResistanceOracle
@@ -105,13 +105,11 @@ from .resistance import ResistanceOracle
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
 _FIRST_CHUNK = 256
 _CHUNK = 4096
-_VISITED_BYTES = 1 << 26
 _BLOCK_VALUES = 1 << 16
 _FIRST_BLOCK = 16
 _BLOCK_STEPS = 128
 STEP_TABLE_ENTRIES = 1 << 16
 MASK_VERTICES = 64
-BATCH_BYTES = 1 << 30
 _POOL_WALKS = _BLOCK_VALUES
 VECTOR_THRESHOLD = 32
 _SHARE_WALKS = 256
@@ -218,6 +216,12 @@ class _Request:
     @property
     def walk_count(self) -> int:
         return self.component.size * self.trials if self.worst else self.trials
+
+    @property
+    def row_bytes(self) -> int:
+        """Bytes of its walks' visited rows on the vector loop."""
+        rows = self.vector is not None and self.vector[0] is _VisitedRows
+        return self.component.size * self.walk_count if rows else 0
 
     def walks(self):
         """(local starts, stream keys) of the request's walks."""
@@ -369,18 +373,19 @@ class _Batch:
     def slices(self, lo, hi):
         """Cuts of lo..hi-1 into runs whose visited rows (one byte per
         vertex of a walk's component, cover on more than MASK_VERTICES
-        vertices) stay under ``_VISITED_BYTES``, one walk at least."""
+        vertices) stay under ``_visited_bytes()``, one walk at least."""
         nbytes = np.zeros(hi - lo, dtype=np.int64)
         for a, b, cls, _ in self.groups:
             a, b = max(a, lo), min(b, hi)
             if cls is _VisitedRows and a < b:
                 nbytes[a - lo:b - lo] = self.size_r[self.req[a:b]]
         cum = np.cumsum(nbytes)
+        visited = _visited_bytes()
         cuts = [lo]
         while cuts[-1] < hi:
             c = cuts[-1]
             held = int(cum[c - lo - 1]) if c > lo else 0
-            fit = lo + int(np.searchsorted(cum, held + _VISITED_BYTES, side="right"))
+            fit = lo + int(np.searchsorted(cum, held + visited, side="right"))
             cuts.append(min(hi, max(c + 1, fit)))
         return list(zip(cuts, cuts[1:]))
 
@@ -413,11 +418,26 @@ class _Batch:
             return -1
 
 
+def _visited_bytes():
+    """The most bytes of visited rows a slice of walks holds: 64 MiB."""
+    return errors.MEMORY_BYTES // 64
+
+
+def _batch_bytes(walks, rows=0):
+    """The most bytes a batch of this many walks holds, rows bytes of
+    visited rows among them: 160 a walk (under tracemalloc at one CPU
+    98-141, and the 8-byte shared sample buffer it does not see), 4 MiB for
+    a block's arrays (up to 3.9 MB), and the rows of two slices at most,
+    which meet while the next slice's are built."""
+    return (4 << 20) + 160 * walks + min(rows, 2 * _visited_bytes())
+
+
 def _pool(requests) -> list[np.ndarray]:
     """The samples of each request, from one batch of all their walks
     (``_Batch``) in shares (``_in_shares``); -1 marks a walk past its
     request's cap."""
-    _check_batch(sum(r.walk_count for r in requests))
+    walks = sum(r.walk_count for r in requests)
+    require(_batch_bytes(walks, sum(r.row_bytes for r in requests)), f"a batch of {walks} walks")
     cpus = forkmap.usable_cpus()
     batch = _Batch(requests, cpus)
     samples = np.zeros(0, dtype=np.int64)
@@ -429,16 +449,16 @@ def _pool(requests) -> list[np.ndarray]:
 
 def _pools(requests):
     """Consecutive runs of requests whose walks, together, number at most
-    ``_POOL_WALKS`` and fit ``BATCH_BYTES``; a request with more walks is a
-    run of its own."""
-    most = min(_POOL_WALKS, BATCH_BYTES // 24)
-    run, walks = [], 0
+    ``_POOL_WALKS`` and fit the memory budget (``_batch_bytes``); a request
+    with more walks is a run of its own."""
+    run, walks, rows = [], 0, 0
     for r in requests:
-        if run and walks + r.walk_count > most:
+        w, b = walks + r.walk_count, rows + r.row_bytes
+        if run and (w > _POOL_WALKS or _batch_bytes(w, b) > errors.MEMORY_BYTES):
             yield run
-            run, walks = [], 0
+            run, w, b = [], r.walk_count, r.row_bytes
         run.append(r)
-        walks += r.walk_count
+        walks, rows = w, b
     if run:
         yield run
 
@@ -574,7 +594,14 @@ def _first(done, cols):
     return cols[hit], s[hit]
 
 
-class _VisitedMask:
+class _StopTimes:
+    """A vector rule whose stopped walks report their stopping times."""
+
+    def value(self, times, cols, s):
+        return times
+
+
+class _VisitedMask(_StopTimes):
     """Cover on components of at most 64 vertices: a walk's mask holds a bit
     for each local vertex it has not visited; the walk is done once the
     mask is empty and, for cover_return, it stands on its start again.
@@ -608,9 +635,6 @@ class _VisitedMask:
             done &= P[:, cols] == self.home[cols]
         return _first(done, cols)
 
-    def value(self, times, cols, s):
-        return times
-
     def keep(self, keep):
         self.missing = self.missing[keep]
         if self.home is not None:
@@ -622,7 +646,7 @@ class _VisitedMask:
         return _Unvisited({v for v in range(m.bit_length()) if m >> v & 1}, home)
 
 
-class _VisitedRows:
+class _VisitedRows(_StopTimes):
     """Cover on larger components: each walk keeps a row of unvisited flags,
     one per vertex of its component, in one flat array; the flag of union
     vertex v for walk j is cell[j] + v. A walk is done at the step of its
@@ -674,9 +698,6 @@ class _VisitedRows:
         done &= np.arange(S)[:, None] > covered
         return _first(done, cols)
 
-    def value(self, times, cols, s):
-        return times
-
     def keep(self, keep):
         self.cell, self.unvis = self.cell[keep], self.unvis[keep]
         if self.home is not None:
@@ -689,7 +710,7 @@ class _VisitedRows:
         return _Unvisited(set(np.flatnonzero(self.unvisited[row:row + k]).tolist()), home)
 
 
-class _WaypointRows:
+class _WaypointRows(_StopTimes):
     """Hitting (first waypoint equal to the last, reached from the start) or
     commute (the first waypoint, then the last one, back at the start). Only
     the walks that meet the last waypoint in a block are followed step by
@@ -712,9 +733,6 @@ class _WaypointRows:
         if not before[cols].all():
             done &= np.logical_or.accumulate(P[:, cols] == self.first[cols], axis=0) | before[cols]
         return _first(done, cols)
-
-    def value(self, times, cols, s):
-        return times
 
     def keep(self, keep):
         self.reached = self.reached[keep]
@@ -961,15 +979,6 @@ def _stationary_starts(graph, keys) -> np.ndarray:
     return np.searchsorted(cum, r.astype(np.int64), side="right").astype(np.int64)
 
 
-def _check_batch(walks):
-    """Raise before anything is allocated when the keys, starts and samples
-    of a batch of walks, 8 bytes each per walk, exceed ``BATCH_BYTES``."""
-    if 24 * walks > BATCH_BYTES:
-        raise ContractViolation(
-            f"a batch of {walks} walks needs {24 * walks} bytes of keys, starts and samples,"
-            f" over the budget of {BATCH_BYTES}")
-
-
 def _in_shares(run, trials, w):
     """The samples of range(trials), run(lo, hi, W) giving those of [lo, hi).
     W = max(1, w) contiguous shares run one per process and
@@ -980,12 +989,12 @@ def _in_shares(run, trials, w):
     bounds = [trials * i // w for i in range(w + 1)]
     samples = np.frombuffer(mmap.mmap(-1, 8 * trials), dtype=np.int64)
 
-    def fill(lo, hi):
-        samples[lo:hi] = run(lo, hi, w)
+    def fill(share):
+        for lo, hi in share:
+            samples[lo:hi] = run(lo, hi, w)
+        return [None] * len(share)
 
-    for ok, error in forkmap.fork_map(fill, list(zip(bounds, bounds[1:]))):
-        if not ok:
-            raise error
+    forkmap.fork_shares(fill, list(zip(bounds, bounds[1:])))
     return samples
 
 
@@ -1117,7 +1126,7 @@ def local_time_tail_check(
     d_v = g.degree(b)
     target = max(1, math.ceil(k_level * d_u - 1e-9))
     cap = step_cap if step_cap is not None else _default_cap(component) * max(1, target)
-    _check_batch(trials)
+    require(_batch_bytes(trials), f"a batch of {trials} walks")
     if target > 1:
         request = _Request(component, "tail", f"fixed({u})", u, None, trials, master_seed, cap, {},
                            (_TailRows, (a, b, target)), None)
@@ -1166,7 +1175,9 @@ def trace_local_times(
         raise ContractViolation("trial must be >= 0")
     key = trial_key(master_seed, trial)
     s = component.to_local(start)
-    rule = _Checkpoints(g.vertex_count, s, cps)
+    k = g.vertex_count
+    require(8 * len(cps) * k, f"a trace of {len(cps)} checkpoints on {k} vertices")
+    rule = _Checkpoints(k, s, cps)
     if rule.j < len(cps):
         _walk_scalar(g, s, key, rule, cps[-1])
     return LocalTimeTrace(cps, rule.out, g.degrees.copy())

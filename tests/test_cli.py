@@ -259,6 +259,36 @@ class TestInputErrors:
         self._assert_input_error(proc)
         assert "over the budget" in proc.stderr and proc.stdout == ""
 
+    def test_trial_batch_over_the_measured_charge(self, capsys):
+        # 4 * 10**7 walks passed a charge of 24 bytes a walk and then ran out
+        # of memory; at the measured charge they are refused, 10**5 still run
+        argv = ["simulate", "--model", "tree", "--k", "10", "--quantity", "cover", "--start", "0"]
+        t0 = time.perf_counter()
+        assert main(["--trials", "40000000", *argv]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: a batch of 40000000 walks needs ")
+        assert main(["--trials", "100000", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["trials"] == 100000
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--edges", "{path}"],
+        ["bound", "--edges", "{path}"],
+        ["simulate", "--edges", "{path}", "--quantity", "cover", "--start", "0"],
+        ["generate", "--model", "percolation", "--base", "file", "--base-file", "{path}"],
+    ], ids=["generate", "bound", "simulate", "percolation"])
+    def test_edge_list_header_over_budget(self, tmp_path, capsys, argv):
+        # the header asks for a degree table of 80 GB
+        path = tmp_path / "huge.txt"
+        path.write_text("n 10000000000\n0 1\n")
+        t0 = time.perf_counter()
+        assert main([a.format(path=path) for a in argv]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: a graph of 10000000000 vertices and 1 edges needs ")
+
     @pytest.mark.parametrize("model", [
         ["--model", "tree", "--k", "10000000000"],
         ["--model", "gnp", "--n", "10000000000", "--p", "1e-10"],

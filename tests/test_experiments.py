@@ -33,7 +33,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import blas, experiments, forkmap, walks
+from covertime import blas, errors, experiments, forkmap, walks
 from covertime.cli import main as cli_main
 from covertime.rng import derive_seed
 
@@ -387,6 +387,26 @@ def _act_at(monkeypatch, tag: int, master_seed: int, actions: dict) -> None:
     monkeypatch.setattr(experiments, "_prepare_cell", cell)
 
 
+@pytest.mark.parametrize("case", ["evolution-a", "evolution-b"])
+def test_suite_cells_keep_only_their_induced_graph(monkeypatch, case):
+    # from its sampling to its walks a cell holds a view of its own induced
+    # graph, with the sampled ids, not the sampled G(n, p); the report is
+    # the pinned one
+    build, want = PINNED_SUITES[case]
+    _workers(monkeypatch, 1)
+    real = experiments._prepare_cell
+    views = []
+
+    def cell(comp, *, trials, master_seed):
+        views.append((comp.parent is comp.graph, comp.vertices))
+        return real(comp, trials=trials, master_seed=master_seed)
+
+    monkeypatch.setattr(experiments, "_prepare_cell", cell)
+    assert _report_sha(build().to_dict()) == want
+    assert views and all(own for own, _ in views)
+    assert any(ids != tuple(range(len(ids))) for _, ids in views)
+
+
 MAP_SUITES = {
     **{case: build for case, (build, _) in PINNED_SUITES.items()},
     # n = 5, 6, 7 below the window: 4 of the 12 largest components are one vertex
@@ -421,7 +441,7 @@ def test_suite_cells_pool_under_the_batch_budget(monkeypatch):
 
     _workers(monkeypatch, 1)
     whole = suite()
-    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 256)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(256))
     sizes = oc.pooled_sizes(monkeypatch)
     reports = {}
     for w in (1, 2):
@@ -436,10 +456,11 @@ def test_suite_cells_pool_under_the_batch_budget(monkeypatch):
 def test_cell_over_the_batch_budget_fails_alone(monkeypatch):
     # a budget of 255 walks: each k = 64 cell (256 walks) is refused on its
     # own, the first of them in grid order raises, at every worker count
-    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 255)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(255))
+    need = f"^a batch of 256 walks needs {walks._batch_bytes(256)} bytes, over the budget of "
     for w in (1, 2):
         _workers(monkeypatch, w)
-        with pytest.raises(ContractViolation, match="^a batch of 256 walks needs 6144 bytes"):
+        with pytest.raises(ContractViolation, match=need):
             gw_scaling_suite([16, 32, 64], seeds=3, trials=4, master_seed=2)
         with pytest.raises(ContractViolation, match="^a batch of 256 walks"):
             evaluate_cell(connected_components(path_graph(64))[0], trials=4, master_seed=1)

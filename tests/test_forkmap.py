@@ -4,6 +4,7 @@ and ``simulate`` and the local-time tail give the same bytes at every
 worker count W."""
 import json
 import os
+import time
 
 import pytest
 
@@ -50,12 +51,11 @@ def test_usable_cpus_follow_the_affinity_mask():
 @pytest.mark.skipif(forkmap.usable_cpus() < 2, reason="pinning needs two CPUs")
 def test_each_share_runs_pinned_to_its_own_cpu():
     mask = os.sched_getaffinity(0)
-    got = forkmap.fork_map(lambda i: (os.getpid(), os.sched_getaffinity(0)),
-                           [(i,) for i in range(len(mask))])
-    assert all(ok for ok, _ in got)
-    pids = {pid for _, (pid, _) in got}
-    shares = [cpus for _, (_, cpus) in got]
-    assert len(pids) == len(mask)
+    got = forkmap.fork_shares(lambda share: [(os.getpid(), os.sched_getaffinity(0))] * len(share),
+                              list(range(len(mask))))
+    pids = {pid for pid, _ in got}
+    shares = [cpus for _, cpus in got]
+    assert len(got) == len(pids) == len(mask)
     assert all(len(cpus) == 1 for cpus in shares)
     assert set().union(*shares) == mask
     assert os.sched_getaffinity(0) == mask
@@ -71,18 +71,50 @@ def test_parent_mask_restored_when_its_share_raises(monkeypatch, error):
     mask = os.sched_getaffinity(0)
     _workers(monkeypatch, 2)
 
-    def job(i):
-        if i == 0:
+    def run(share):
+        if share == [0]:
             raise error("share 0")
-        return i
+        return share
 
-    if error is _Unwind:
-        with pytest.raises(_Unwind):
-            forkmap.fork_map(job, [(0,), (1,)])
-    else:
-        got = forkmap.fork_map(job, [(0,), (1,)])
-        assert not got[0][0] and str(got[0][1]) == "share 0" and got[1] == (True, 1)
+    with pytest.raises(error, match="share 0"):
+        forkmap.fork_shares(run, [0, 1])
     assert os.sched_getaffinity(0) == mask
+    oc.assert_no_child_left()
+
+
+def test_child_error_raised_after_the_parents_share(monkeypatch):
+    # the first child that raised, in share order, after the parent's share
+    # ran to its end; the share after it is killed and reaped
+    mask = os.sched_getaffinity(0)
+    _workers(monkeypatch, 4)
+    ran = []
+
+    def run(share):
+        ran.append(share)  # seen in the parent only
+        if share in ([1], [2]):
+            raise StepLimitExceeded(f"share {share[0]}")
+        if share == [3]:
+            time.sleep(60)
+        return share
+
+    with pytest.raises(StepLimitExceeded, match="^share 1$"):
+        forkmap.fork_shares(run, [0, 1, 2, 3])
+    assert ran == [[0]]
+    assert os.sched_getaffinity(0) == mask
+    oc.assert_no_child_left()
+    assert forkmap.fork_shares(lambda share: [2 * j for j in share], [0, 1, 2, 3]) == [0, 2, 4, 6]
+
+
+def test_child_that_dies_raises_runtime_error(monkeypatch):
+    _workers(monkeypatch, 2)
+
+    def run(share):
+        if share == [1]:
+            os._exit(3)
+        return share
+
+    with pytest.raises(RuntimeError, match="worker 1 exited with status 3 after writing 0 bytes"):
+        forkmap.fork_shares(run, [0, 1])
     oc.assert_no_child_left()
 
 

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import chi2
 
 import oracles as oc
-from covertime import generators
+from covertime import errors
 from covertime import (
     BaseGraphSpec,
     ContractViolation,
@@ -273,8 +273,8 @@ def test_size_over_budget_refused_before_allocating(sample):
 def test_size_budget_is_the_stated_bytes(monkeypatch):
     # a 1000-vertex tree takes 64 * 1000 + 400 * 999 bytes by the stated rates
     need = 64 * 1000 + 400 * 999
-    monkeypatch.setattr(generators, "GRAPH_BYTES", need)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", need)
     assert uniform_labeled_tree(1000, 1).vertex_count == 1000
-    monkeypatch.setattr(generators, "GRAPH_BYTES", need - 1)
-    with pytest.raises(ContractViolation, match="1000 vertices and about 999 edges"):
+    monkeypatch.setattr(errors, "MEMORY_BYTES", need - 1)
+    with pytest.raises(ContractViolation, match="^a tree of 1000 vertices needs 463600 bytes"):
         uniform_labeled_tree(1000, 1)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from covertime import graphs
+from covertime import errors, graphs
 from covertime import (
     ComponentView,
     ContractViolation,
@@ -18,6 +19,35 @@ from covertime import (
     largest_component,
     to_edge_list_text,
 )
+
+
+def test_graph_over_budget_refused_before_allocating(tmp_path):
+    # a header of 10**10 vertices: a degree table of 80 GB
+    path = tmp_path / "huge.txt"
+    path.write_text("n 10000000000\n0 1\n")
+    need = ("^a graph of 10000000000 vertices and 1 edges needs 640000000400 bytes,"
+            f" over the budget of {errors.MEMORY_BYTES}$")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation, match=need):
+            graphs.load_edge_list(path)
+        with pytest.raises(ContractViolation, match=need):
+            MultiGraph(10 ** 10, [(0, 1), (1, 0, 2)])  # one distinct edge
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 4, peak
+
+
+def test_graph_charges_its_vertices_and_distinct_edges(monkeypatch):
+    # 1000 vertices, 3 distinct edges among 5 lines: 64 * 1000 + 400 * 3 bytes
+    edges = [(0, 1), (1, 0), (1, 2, 4), (2, 2), (2, 2)]
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 400 * 3)
+    assert MultiGraph(1000, edges).edge_total == 8
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 400 * 3 - 1)
+    need = "^a graph of 1000 vertices and 3 edges needs 65200 bytes"
+    with pytest.raises(ContractViolation, match=need):
+        MultiGraph(1000, edges)
 
 
 class TestFromEdgeList:

@@ -17,7 +17,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import forkmap, walks
+from covertime import errors, forkmap, walks
 
 
 def comp(g: MultiGraph) -> ComponentView:
@@ -147,22 +147,24 @@ def test_pooled_batch_of_every_kind_and_gate():
         assert ok and est.samples.tobytes() == simulate(c, **kw).samples.tobytes()
 
 
-@pytest.mark.parametrize("budget, pools", [(24 * 10 ** 6, [1500]), (24 * 700, [400, 700, 400]),
-                                           (24 * 699, [400, 700, 400])])
+@pytest.mark.parametrize("budget, pools", [(10 ** 6, [1500]), (700, [400, 700, 400]),
+                                           (699, [400, 700, 400])])
 def test_requests_pool_in_runs_under_the_budget(monkeypatch, budget, pools):
-    # runs of consecutive requests whose walks fit the budget together; a
-    # request over it alone is a batch of its own, refused with its own error
-    # (700 walks, one over the smallest budget), and the others run
+    # runs of consecutive requests whose walks fit a budget of that many
+    # walks together; a request over it alone is a batch of its own, refused
+    # with its own error (700 walks, one over the smallest budget), and the
+    # others run
     monkeypatch.setattr(forkmap, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(walks, "BATCH_BYTES", budget)
+    real = errors.MEMORY_BYTES
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(budget))
     cases = [(_LOOPY, _kwargs(_LOOPY, "cover", "fixed", n, j))
              for j, n in enumerate([300, 100, 700, 150, 250])]
     sizes = oc.pooled_sizes(monkeypatch)
     got = walks._estimates([walks._request(c, **kw) for c, kw in cases], keep_samples=True)
     assert sizes == pools
-    monkeypatch.setattr(walks, "BATCH_BYTES", 1 << 30)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", real)
     for j, ((ok, est), (c, kw)) in enumerate(zip(got, cases)):
-        if j == 2 and budget < 24 * 700:
+        if j == 2 and budget < 700:
             assert not ok and type(est) is ContractViolation
             assert str(est).startswith("a batch of 700 walks")
         else:

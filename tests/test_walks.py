@@ -28,7 +28,7 @@ from covertime import (
     trace_local_times,
     uniform_labeled_tree,
 )
-from covertime import forkmap, walks
+from covertime import errors, forkmap, walks
 from covertime.rng import trial_key, trial_keys
 
 
@@ -169,10 +169,13 @@ class TestSimulateCover:
         assert np.array_equal(lo.samples, hi.samples[:50])
 
     def test_vector_slices_agree(self, monkeypatch):
-        # the visited matrix is bounded by running trials in slices
-        c = comp(cycle_graph(9))
+        # the visited rows are bounded by running trials in slices of a 64th
+        # of the memory budget: 700 rows of 400 vertices in at least 4
+        c = comp(star_graph(399))
         whole = simulate(c, "cover_return", start=2, trials=700, master_seed=4)
-        monkeypatch.setattr(walks, "_VISITED_BYTES", 9 * 100)
+        monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(700, 400 * 700))
+        request = walks._request(c, "cover_return", start=2, trials=700, master_seed=4)
+        assert len(walks._Batch([request]).slices(0, 700)) >= 4
         sliced = simulate(c, "cover_return", start=2, trials=700, master_seed=4)
         assert np.array_equal(whole.samples, sliced.samples)
 
@@ -727,8 +730,7 @@ def test_one_scalar_tail_per_batch(monkeypatch):
     one = simulate(c, "cover", start=0, trials=2000, master_seed=6)
     seen = _recording_scalar(monkeypatch)
     monkeypatch.setattr(forkmap, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(forkmap, "fork_map",
-                        lambda fn, jobs: [forkmap._outcome(fn, job) for job in jobs])
+    monkeypatch.setattr(forkmap, "fork_shares", lambda run, jobs: run(jobs))
     two = simulate(c, "cover", start=0, trials=2000, master_seed=6)
     assert 0 < len(seen) <= 2 * (walks.VECTOR_THRESHOLD // 2 - 1) <= 255
     assert two.samples.tobytes() == one.samples.tobytes() and two.to_dict() == one.to_dict()
@@ -738,7 +740,7 @@ def test_batch_over_budget_rejected_before_allocating(monkeypatch):
     # 10**5 walks: their keys alone would take 800 kB
     c = comp(cycle_graph(5))
     simulate(c, "cover", start=0, trials=300, master_seed=1)  # first-call imports and tables
-    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 10 ** 5 - 1)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(10 ** 5) - 1)
     tracemalloc.start()
     try:
         with pytest.raises(ContractViolation, match="batch of 100000 walks"):
@@ -752,8 +754,66 @@ def test_batch_over_budget_rejected_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 10 ** 4, peak
-    monkeypatch.setattr(walks, "BATCH_BYTES", 24 * 300)  # the budget itself is allowed
+    # the budget itself is allowed
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(300))
     assert simulate(c, "cover", start=0, trials=300, master_seed=1).trials == 300
+
+
+# Every kind of batch at one CPU: masks from a fixed start and from every
+# start, rows on a 200-vertex tree, commute, and the local-time tail, each
+# with enough walks that the per-walk bytes show past a block's arrays.
+CHARGE_CASES = {
+    "mask-fixed": (lambda: uniform_labeled_tree(10, 3), dict(quantity="cover", start=0), 200000),
+    "mask-worst": (lambda: uniform_labeled_tree(10, 3),
+                   dict(quantity="cover", start_policy="worst_over_all_starts"), 20000),
+    "rows": (lambda: star_graph(199), dict(quantity="cover_return", start=0), 20000),
+    "commute": (lambda: path_graph(4), dict(quantity="commute", u=0, v=3), 200000),
+    "tail": (lambda: path_graph(4), None, 200000),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHARGE_CASES))
+def test_batch_peak_within_its_charge(monkeypatch, case):
+    # the traced peak of a whole call, plus the 8-byte shared sample buffer
+    # a walk that tracemalloc does not see, stays within the batch's charge
+    make, kw, trials = CHARGE_CASES[case]
+    c = comp(make())
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 1)
+    if kw is None:
+        run = lambda n: local_time_tail_check(c, 0, 3, 4.0, [1.0], trials=n, master_seed=2)
+        walk_count, rows = trials, 0
+    else:
+        run = lambda n: simulate(c, trials=n, master_seed=2, **kw)
+        request = walks._request(c, trials=trials, **kw)
+        walk_count, rows = request.walk_count, request.row_bytes
+    run(100)  # first-call imports and the graph's tables
+    tracemalloc.start()
+    try:
+        run(trials)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rows > 0) == (case == "rows")
+    assert peak + 8 * walk_count <= walks._batch_bytes(walk_count, rows), (peak, walk_count)
+
+
+def test_trace_over_budget_rejected_before_allocating(monkeypatch):
+    # 10 checkpoints on 100 vertices: a table of 8000 bytes
+    c = comp(path_graph(100))
+    trace_local_times(c, 0, [5], master_seed=1)  # first-call imports and tables
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 8000 - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ContractViolation,
+                           match="^a trace of 10 checkpoints on 100 vertices needs 8000 bytes"):
+            trace_local_times(c, 0, range(0, 100, 10), master_seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 4, peak
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 8000)
+    trace = trace_local_times(c, 0, range(0, 100, 10), master_seed=1)
+    assert trace.visit_counts.shape == (10, 100)
 
 
 def test_scalar_rules_are_handed_lists(monkeypatch):
