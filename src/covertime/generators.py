@@ -6,11 +6,16 @@ numpy Generator seeded once per call, consumed in a fixed documented
 order.
 
 Every sampler given a size charges its vertex count and expected edge
-count (``graphs.graph_bytes``) before it draws or allocates anything.
+count (``graphs.graph_bytes``, 64 bytes a vertex and 400 an edge) before it
+draws or allocates anything; a lattice too large for a float is charged
+inf. Samplers build the edges as one int64 array that ``MultiGraph``
+takes as it is: they loop over batches, axes, levels or runs, not over
+edges.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -28,52 +33,74 @@ _MODEL_RESAMPLES = 100
 # structured base graphs
 
 
+def _pairs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (E, 2) integer array of edges (lo[i], hi[i])."""
+    return np.stack([lo, hi], axis=1)
+
+
 def path_graph(n: int) -> MultiGraph:
     require(graph_bytes(n, n), f"a path of {n} vertices")
-    return MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
+    ids = np.arange(max(n, 1))
+    return MultiGraph(n, _pairs(ids[:-1], ids[1:]))
 
 
 def cycle_graph(n: int) -> MultiGraph:
     if n < 3:
         raise ContractViolation("cycle needs >= 3 vertices")
     require(graph_bytes(n, n), f"a cycle of {n} vertices")
-    return MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+    ids = np.arange(n)
+    return MultiGraph(n, _pairs(ids, (ids + 1) % n))
 
 
 def complete_graph(n: int) -> MultiGraph:
     require(graph_bytes(n, n * (n - 1) / 2), f"a complete graph on {n} vertices")
-    return MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return MultiGraph(n, _pairs(*np.triu_indices(max(n, 0), 1)))
 
 
 def star_graph(leaves: int) -> MultiGraph:
     require(graph_bytes(leaves + 1, leaves), f"a star of {leaves} leaves")
-    return MultiGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    leaf = np.arange(1, max(leaves, 0) + 1)
+    return MultiGraph(leaves + 1, _pairs(np.zeros_like(leaf), leaf))
+
+
+def _power(base: int, exponent: int) -> float:
+    """base ** exponent as a float, inf past the float range."""
+    try:
+        return float(base) ** exponent
+    except OverflowError:
+        return math.inf
 
 
 def hypercube_graph(m: int) -> MultiGraph:
     """Hamming hypercube on 2^m vertices; ids are bit patterns."""
     if m < 0:
         raise ContractViolation("hypercube needs m >= 0")
-    require(graph_bytes(2.0 ** m, 2.0 ** m * m / 2), f"a hypercube of dimension {m}")
+    size = _power(2, m)
+    require(graph_bytes(size, size * m / 2), f"a hypercube of dimension {m}")
     n = 1 << m
-    edges = [(v, v | (1 << b)) for v in range(n) for b in range(m) if not (v >> b) & 1]
-    return MultiGraph(n, edges)
+    v = np.arange(n)[:, None]
+    bit = 1 << np.arange(m)
+    low = (v & bit) == 0  # each edge once, from its end with the bit clear
+    return MultiGraph(n, _pairs(np.broadcast_to(v, low.shape)[low], (v | bit)[low]))
 
 
 def torus_graph(m: int, d: int) -> MultiGraph:
     """d-dimensional discrete torus with m vertices per axis (m >= 2)."""
     if m < 2 or d < 1:
         raise ContractViolation("torus needs m >= 2 and d >= 1")
-    require(graph_bytes(float(m) ** d, float(m) ** d * d), f"a torus of {m}^{d} vertices")
+    size = _power(m, d)
+    require(graph_bytes(size, size * d), f"a torus of {m}^{d} vertices")
     n = m ** d
-    strides = [m ** i for i in range(d)]
-    pairs = set()
-    for v in range(n):
-        for axis in range(d):
-            coord = (v // strides[axis]) % m
-            up = v + ((coord + 1) % m - coord) * strides[axis]
-            pairs.add((min(v, up), max(v, up)))
-    return MultiGraph(n, sorted(pairs))
+    v = np.arange(n)
+    keys = []
+    for axis in range(d):
+        stride = m ** axis
+        coord = (v // stride) % m
+        up = v + ((coord + 1) % m - coord) * stride
+        keys.append(np.minimum(v, up) * n + np.maximum(v, up))
+    # at m = 2 both steps along an axis reach the same neighbour: one edge
+    keys = np.unique(np.concatenate(keys))
+    return MultiGraph(n, _pairs(keys // n, keys % n))
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> MultiGraph:
@@ -101,7 +128,7 @@ def _configuration_simple(degrees: Sequence[int], rng: np.random.Generator) -> M
         pairs = lo * n + hi
         if np.unique(pairs).size != pairs.size:
             continue
-        return MultiGraph(n, list(zip(lo.tolist(), hi.tolist())))
+        return MultiGraph(n, _pairs(lo, hi))
     raise DegenerateModelError(
         f"configuration model failed to produce a simple graph in {_KERNEL_TRIES} tries"
     )
@@ -112,8 +139,15 @@ def _configuration_simple(degrees: Sequence[int], rng: np.random.Generator) -> M
 
 
 def gnp(n: int, p: float, seed: int) -> MultiGraph:
-    """G(n, p) by geometric skipping over the pair index, so the cost is
-    O(n + edges) for sparse p."""
+    """G(n, p) by geometric skipping over the pair index (Batagelj and
+    Brandes 2005), so the cost is O(n + edges) for sparse p.
+
+    Pair (v, w), w < v, has index v(v-1)/2 + w. From index -1, uniform r
+    moves the index on by 1 + floor(log(1 - r) / log(1 - p)), and each
+    index below n(n-1)/2 is an edge. The uniforms are drawn in batches of
+    about the expected edge count (``rng.random(k)`` gives the same
+    doubles as k scalar draws) and the indices decoded in numpy.
+    """
     if not 0.0 <= p <= 1.0:
         raise ContractViolation("p must be in [0, 1]")
     if n < 0:
@@ -121,19 +155,47 @@ def gnp(n: int, p: float, seed: int) -> MultiGraph:
     require(graph_bytes(n, p * n * (n - 1) / 2), f"G({n}, {p})")
     if p >= 1.0:
         return complete_graph(n)
-    edges = []
-    if p > 0.0:
+    pairs = n * (n - 1) // 2
+    found = [np.empty(0, dtype=np.int64)]
+    if p > 0.0 and pairs:
         rng = np.random.default_rng(seed)
         lp = math.log1p(-p)
-        v, w = 1, -1
-        while v < n:
-            w += 1 + int(math.log(1.0 - rng.random()) / lp)
-            while w >= v and v < n:
-                w -= v
-                v += 1
-            if v < n:
-                edges.append((v, w))
-    return MultiGraph(n, edges)
+        last = -1
+        while last < pairs:
+            # the edges expected past the last and four standard deviations
+            # more, and the draw that ends: a second batch is rare
+            mean = p * (pairs - last)
+            r = rng.random(int(mean + 4 * math.sqrt(mean)) + 1)
+            index = last + np.cumsum(1 + _skips(r, lp, pairs))
+            # the first index past the pairs ends the draws; the int64 sums
+            # after it may wrap, and are never read
+            past = np.flatnonzero(index >= pairs)
+            found.append(index[:past[0]] if len(past) else index)
+            last = pairs if len(past) else int(index[-1])
+    w, v = _pair_ends(np.concatenate(found))
+    return MultiGraph(n, _pairs(w, v))
+
+
+def _pair_ends(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, v), w < v, of each pair index v(v-1)/2 + w: v is the floor of
+    (1 + sqrt(1 + 8 index)) / 2, which float64 gives exactly up to
+    v = 2^27 (checked at every v(v-1)/2 and the index before it), past
+    the 2^26 vertices that the memory budget admits."""
+    v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
+    return index - v * (v - 1) // 2, v
+
+
+def _skips(r: np.ndarray, lp: float, cap: int) -> np.ndarray:
+    """floor(math.log(1 - r) / lp) for each uniform r, at most cap.
+
+    numpy's log can be an ulp off math.log, which moves the floor only of
+    a quotient next to an integer: those few are taken with math.log.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny p: inf, capped below
+        q = np.log(1.0 - r) / lp
+        near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0))
+    q[near] = [math.log(1.0 - x) / lp for x in r[near].tolist()]
+    return np.minimum(q, cap).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -153,22 +215,16 @@ def uniform_labeled_tree(k: int, seed: int) -> MultiGraph:
         return MultiGraph(2, [(0, 1)])
     rng = np.random.default_rng(seed)
     seq = rng.integers(0, k, size=k - 2)
-    degree = np.ones(k, dtype=np.int64)
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(k) if degree[v] == 1]
-    heapq.heapify(leaves)
+    # 1 + the later entries of seq naming each vertex: 1 once it is a leaf
+    degree = (1 + np.bincount(seq, minlength=k)).tolist()
+    leaves = [v for v, d in enumerate(degree) if d == 1]  # ascending: a heap
     edges = []
     for x in seq.tolist():
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[leaf] -= 1
+        edges.append((heapq.heappop(leaves), x))
         degree[x] -= 1
         if degree[x] == 1:
             heapq.heappush(leaves, x)
-    a = heapq.heappop(leaves)
-    b = heapq.heappop(leaves)
-    edges.append((a, b))
+    edges.append((leaves[0], leaves[1]))
     return MultiGraph(k, edges)
 
 
@@ -192,27 +248,20 @@ def _pgw_offspring(rng: np.random.Generator, mu: float, size_cap: int, root: int
     height = 0
     truncated = False
     while frontier:
-        offspring = rng.poisson(mu, size=len(frontier))
-        total = int(offspring.sum())
+        offspring = rng.poisson(mu, size=len(frontier)).tolist()
+        total = sum(offspring)
         if total == 0:
             break
         if size + total > size_cap:
             truncated = True
             total = size_cap - size
-        nxt = []
-        produced = 0
-        for parent, c in zip(frontier, offspring.tolist()):
-            for _ in range(c):
-                if produced == total:
-                    break
-                child = next_id
-                next_id += 1
-                edges.append((parent, child))
-                nxt.append(child)
-                produced += 1
-            if produced == total:
-                break
-        size += produced
+        # the first total children, each parent's in turn
+        parents = itertools.islice(
+            itertools.chain.from_iterable(map(itertools.repeat, frontier, offspring)), total)
+        nxt = list(range(next_id, next_id + total))
+        edges += zip(parents, nxt)
+        next_id += total
+        size += total
         if nxt:
             height += 1
         if truncated:
@@ -327,26 +376,29 @@ def giant_model(
             continue
         kernel_edges = [(u, v) for u, v, _ in kernel.edges]
         lengths = rng.geometric(1.0 - mu, size=len(kernel_edges))
-        edges: list[tuple[int, int]] = []
-        next_id = N
-        for (a, b), length in zip(kernel_edges, lengths.tolist()):
-            prev = a
-            for _ in range(length - 1):
-                edges.append((prev, next_id))
-                prev = next_id
-                next_id += 1
-            edges.append((prev, b))
-        core_size = next_id
+        # kernel edge i, (a, b), becomes the path a, x, x + 1, ..., b through
+        # lengths[i] - 1 new vertices, numbered from N on, path after path:
+        # entry j of the paths laid end to end is N + j - 2i - 1 inside path i
+        ends = np.cumsum(lengths + 1)
+        paths = N + np.arange(ends[-1]) - np.repeat(2 * np.arange(len(lengths)) + 1, lengths + 1)
+        paths[ends - lengths - 1] = kernel.edge_array[:, 0]
+        paths[ends - 1] = kernel.edge_array[:, 1]
+        step = np.ones(len(paths) - 1, dtype=bool)
+        step[ends[:-1] - 1] = False  # a path's end does not lead to the next path
+        path_edges = np.stack([paths[:-1][step], paths[1:][step]], axis=1)
+        tree_edges: list[tuple[int, int]] = []
+        next_id = core_size = N + int(lengths.sum()) - len(lengths)
         tree_sizes = np.empty(core_size, dtype=np.int64)
         truncated = 0
         for core_v in range(core_size):
             t_edges, t_size, _, t_flag, next_id = _pgw_offspring(
                 rng, mu, tree_size_cap, core_v, next_id
             )
-            edges.extend(t_edges)
+            tree_edges += t_edges
             tree_sizes[core_v] = t_size
             truncated += int(t_flag)
-        graph = MultiGraph(next_id, edges)
+        graph = MultiGraph(next_id, np.concatenate(
+            [path_edges, np.array(tree_edges, dtype=np.int64).reshape(-1, 2)]))
         return GiantSample(
             graph=graph,
             lambda_value=lam,
@@ -424,13 +476,19 @@ def percolate(spec: BaseGraphSpec, seed: int) -> tuple[MultiGraph, ComponentView
     base = _build_base(spec, rng)
     if base.vertex_count == 0:
         raise ContractViolation("percolation base graph has no vertices")
-    kept: list[tuple[int, int, int]] = []
-    if p >= 1.0:
-        kept = list(base.edges)
-    elif p > 0.0:
-        for u, v, m in base.edges:
-            keep = int(rng.binomial(m, p)) if m > 1 else int(rng.random() < p)
-            if keep:
-                kept.append((u, v, keep))
-    full = MultiGraph(base.vertex_count, kept)
+    edges = base.edge_array
+    if p < 1.0:
+        # in edge order: one uniform per unit edge, drawn a run of unit
+        # edges at a time, and one binomial per multi-edge
+        kept = np.zeros(len(edges), dtype=np.int64)
+        if p > 0.0:
+            m = edges[:, 2]
+            multi = np.flatnonzero(m > 1).tolist()
+            for a, b in zip([0] + [i + 1 for i in multi], multi + [len(edges)]):
+                if b > a:
+                    kept[a:b] = rng.random(b - a) < p
+                if b < len(edges):
+                    kept[b] = rng.binomial(int(m[b]), p)
+        edges = np.stack([edges[:, 0], edges[:, 1], kept], axis=1)[kept > 0]
+    full = MultiGraph(base.vertex_count, edges)
     return full, largest_component(full)

@@ -1,22 +1,139 @@
-"""Undirected multigraphs with integer multiplicities, loops, and dense ids;
-each is charged ``graph_bytes`` against the memory budget before it is built."""
+"""Undirected multigraphs with integer multiplicities, loops, and dense ids.
+
+A graph is one int64 ``(E, 3)`` array of its distinct edges (u, v, m),
+u <= v, sorted by (u, v). Numpy validates and merges the edges it is given
+and derives every other table from that array: degrees, adjacency, the
+walk tables, component labels and induced graphs. A graph is charged
+``graph_bytes`` against the memory budget before it is built; its walk
+tables are charged ``walk_bytes``, ``walk_list_bytes`` and
+``step_table_bytes`` before they are built on first use.
+"""
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import IO, Iterable, Sequence
 
 import numpy as np
 
+from . import errors
 from .errors import ContractViolation, EdgeListParseError, VertexRangeError, require
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def graph_bytes(vertices: float, edges: float) -> float:
-    """Bytes to build a graph: 64 a vertex and 400 an edge (under tracemalloc
-    a 2*10^5-edge tree peaks at 316 bytes an edge, a 60^3 torus at 364)."""
+    """Bytes to sample and build a graph: 64 a vertex and 400 an edge.
+    Under tracemalloc, past 64 bytes a vertex, a 2*10^5-vertex uniform tree
+    peaks at 157 bytes an edge, G(3000, 0.3) at 137 and a 60^3 torus at 84
+    (316, 315 and 364 when every edge was a Python tuple)."""
     return 64 * vertices + 400 * edges
+
+
+def walk_bytes(vertices: float, ends: float) -> float:
+    """Bytes to build ``walk_tables``: 16 a vertex and 64 an edge end (under
+    tracemalloc 8 and 61 on a 2*10^5-vertex tree, 8 and 58 on a 60^3 torus)."""
+    return 16 * vertices + 64 * ends
+
+
+def walk_list_bytes(vertices: float, ends: float) -> float:
+    """Bytes to build ``walk_tables_py`` from ``walk_tables``: 80 a vertex and
+    64 an edge end (under tracemalloc 80 and 64 on a 2*10^5-vertex tree, 80
+    and 53 on a 60^3 torus)."""
+    return 80 * vertices + 64 * ends
+
+
+def step_table_bytes(vertices: float, entries: float) -> float:
+    """Bytes to build ``step_tables`` from the walk tables: 80 a vertex and
+    72 an entry (under tracemalloc a 3*10^4-cycle's 6*10^4 entries take 84
+    bytes an entry with its rows, a 64-vertex tree's 768 take 37)."""
+    return 80 * vertices + 72 * entries
+
+
+def _charge(vertices: int, edges: int) -> None:
+    require(graph_bytes(vertices, edges), f"a graph of {vertices} vertices and {edges} edges")
+
+
+def _pair_order(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """An order that sorts the pairs (a, b) of ids below n, each pair
+    distinct or merged later, so that ties may fall in any order."""
+    if n * n <= _INT64_MAX:
+        return np.argsort(a * n + b)
+    return np.lexsort((b, a))
+
+
+def _edge_rows(n: int, edges) -> np.ndarray:
+    """The edges as (u, v, m) rows in input order, m = 1 where the edge
+    has two fields: an int64 array, or an object array when a field is
+    past the int64 range. Raises for the first bad edge in input order,
+    as a loop over the edges checking each in turn would: its field
+    count, then its multiplicity, then its ends."""
+    if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] in (2, 3) \
+            and edges.dtype.kind == "i":
+        fields, width = edges, edges.shape[1]
+    else:
+        widths = set(map(len, edges)) or {2}
+        width = widths.pop() if len(widths) == 1 else None  # None: the counts differ
+        counts = None if width is not None else np.fromiter(map(len, edges), np.int64, len(edges))
+        size = width * len(edges) if width is not None else int(counts.sum())
+        try:
+            fields = np.fromiter(itertools.chain.from_iterable(edges), np.int64, size)
+        except OverflowError:
+            fields = np.fromiter(itertools.chain.from_iterable(edges), object, size)
+    if width is not None:
+        cut = len(edges) if width in (2, 3) else 0
+        rows = np.empty((cut, 3), dtype=fields.dtype if fields.dtype == object else np.int64)
+        rows[:, 2] = 1
+        if cut:
+            rows[:, :width] = fields.reshape(cut, width)
+    else:  # gather the fields of the edges before the first bad count
+        good = (counts == 2) | (counts == 3)
+        cut = len(edges) if good.all() else int(np.argmin(good))
+        counts = counts[:cut]
+        first = np.cumsum(counts) - counts
+        rows = np.ones((cut, 3), dtype=fields.dtype)
+        rows[:, 0] = fields[first]
+        rows[:, 1] = fields[first + 1]
+        rows[counts == 3, 2] = fields[first[counts == 3] + 2]
+    if cut:
+        (u_low, v_low, m_low), (u_high, v_high, _) = (rows.min(axis=0).tolist(),
+                                                      rows.max(axis=0).tolist())
+        if min(u_low, v_low) < 0 or max(u_high, v_high) >= n or m_low < 1:
+            u, v, m = rows.T
+            i = int(np.argmax((m < 1) | (u < 0) | (u >= n) | (v < 0) | (v >= n)))
+            if m[i] < 1:
+                raise ContractViolation(f"edge multiplicity must be >= 1, got {m[i]}")
+            raise VertexRangeError(f"edge ({u[i]}, {v[i]}) outside 0..{n - 1}")
+    if cut < len(edges):
+        raise ContractViolation(f"edge must be (u, v) or (u, v, m), got {edges[cut]!r}")
+    return rows
+
+
+def _total(m: np.ndarray) -> int:
+    """The exact sum of the multiplicities m, past int64 too."""
+    if m.dtype == object or (len(m) and int(m.max()) > _INT64_MAX // len(m)):
+        return sum(m.tolist())
+    return int(m.sum())
+
+
+def _merged(n: int, rows: np.ndarray) -> np.ndarray:
+    """Distinct (min, max, summed m) rows of the int64 rows, sorted; rows
+    already so are taken as they are."""
+    lo = np.minimum(rows[:, 0], rows[:, 1])
+    hi = np.maximum(rows[:, 0], rows[:, 1])
+    m = rows[:, 2]
+    key = lo * n + hi if n * n <= _INT64_MAX else None
+    if len(lo) > 1 and (key is None or not (key[1:] > key[:-1]).all()):
+        order = _pair_order(lo, hi, n)
+        lo, hi, m = lo[order], hi[order], m[order]
+        first = np.ones(len(lo), dtype=bool)
+        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        starts = np.flatnonzero(first)
+        lo, hi, m = lo[starts], hi[starts], np.add.reduceat(m, starts)
+    merged = np.empty((len(lo), 3), dtype=np.int64)
+    merged[:, 0], merged[:, 1], merged[:, 2] = lo, hi, m
+    return merged
 
 
 class MultiGraph:
@@ -29,80 +146,91 @@ class MultiGraph:
     (a loop at v owns two ends, both of which keep the walk at v). Degrees
     are exact int64, so a graph whose degree sum exceeds 2^63 - 1 is
     rejected.
+
+    ``edges`` may be any iterable of (u, v) and (u, v, m) integer
+    sequences, or an integer array of such rows. The first bad edge in
+    input order raises, as a loop checking each edge in turn would, except
+    that a graph whose vertices alone are over the memory budget is refused
+    before its edges are read into arrays. ``edge_array`` holds the
+    distinct edges as read-only int64 rows (u, v, m), u <= v, sorted by
+    (u, v); ``edges`` is the same as a tuple of tuples.
     """
 
-    __slots__ = ("vertex_count", "edges", "degrees", "_adjacency", "_walk_np", "_walk_py",
-                 "_steps")
+    __slots__ = ("vertex_count", "edge_array", "edge_total", "degrees", "_edges",
+                 "_adjacency", "_walk_np", "_walk_py", "_steps")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
             raise ContractViolation("vertex_count must be a nonnegative integer")
         n = int(vertex_count)
-        merged: dict[tuple[int, int], int] = {}
-        for edge in edges:
-            if len(edge) == 2:
-                u, v = edge
-                m = 1
-            elif len(edge) == 3:
-                u, v, m = edge
-            else:
-                raise ContractViolation(f"edge must be (u, v) or (u, v, m), got {edge!r}")
-            u, v, m = int(u), int(v), int(m)
-            if m < 1:
-                raise ContractViolation(f"edge multiplicity must be >= 1, got {m}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
-            key = (u, v) if u <= v else (v, u)
-            merged[key] = merged.get(key, 0) + m
-        if 2 * sum(merged.values()) > _INT64_MAX:
+        if not isinstance(edges, (list, tuple, np.ndarray)):
+            edges = list(edges)
+        if graph_bytes(n, 0) > errors.MEMORY_BYTES and min(map(len, edges), default=2) >= 2:
+            # refused whatever the edges are: charged before they are read
+            # into arrays, at the count of distinct {u, v}
+            _charge(n, len(set(map(frozenset, map(operator.itemgetter(0, 1), edges)))))
+        rows = _edge_rows(n, edges)
+        total = _total(rows[:, 2])
+        if 2 * total > _INT64_MAX:
             raise ContractViolation("degree sum exceeds the int64 range")
-        require(graph_bytes(n, len(merged)), f"a graph of {n} vertices and {len(merged)} edges")
+        uvm = _merged(n, rows.astype(np.int64, copy=False))
+        _charge(n, len(uvm))
         self.vertex_count = n
-        self.edges: tuple[tuple[int, int, int], ...] = tuple(
-            (u, v, m) for (u, v), m in sorted(merged.items())
-        )
+        self.edge_array = uvm
+        self.edge_array.flags.writeable = False
+        self.edge_total = total
         # one exact int64 scatter: each edge adds m at both ends, so a loop
         # adds 2m at its vertex
-        uvm = np.fromiter(itertools.chain.from_iterable(self.edges), dtype=np.int64,
-                          count=3 * len(self.edges)).reshape(-1, 3)
         degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, uvm[:, :2].ravel(), np.repeat(uvm[:, 2], 2))
+        np.add.at(degrees, uvm[:, :2], uvm[:, 2:])
         self.degrees = degrees
         self.degrees.flags.writeable = False
+        self._edges: tuple[tuple[int, int, int], ...] | None = None
         self._adjacency: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._walk_np = None
         self._walk_py = None
         self._steps = None
 
     @property
-    def edge_total(self) -> int:
-        """Number of edges counted with multiplicity (a loop counts once)."""
-        return sum(m for _, _, m in self.edges)
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The distinct edges (u, v, m), u <= v, sorted by (u, v)."""
+        if self._edges is None:
+            self._edges = tuple(map(tuple, self.edge_array.tolist()))
+        return self._edges
 
     def degree(self, v: int) -> int:
         self._check_vertex(v)
         return int(self.degrees[v])
 
+    def _ends(self):
+        """(src, dst, m, reps) of every edge end sorted by (src, dst): a
+        non-loop edge gives an end at each endpoint, a loop one end that
+        stands for its 2m edge ends (reps)."""
+        u, v, m = self.edge_array.T
+        other = u != v
+        src = np.concatenate([u, v[other]])
+        dst = np.concatenate([v, u[other]])
+        m = np.concatenate([m, m[other]])
+        order = _pair_order(src, dst, self.vertex_count)
+        src, dst, m = src[order], dst[order], m[order]
+        return src, dst, m, np.where(src == dst, 2 * m, m)
+
     @property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per-vertex tuple of (neighbor, multiplicity), neighbors sorted."""
         if self._adjacency is None:
-            adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-            for u, v, m in self.edges:
-                adj[u].append((v, m))
-                if u != v:
-                    adj[v].append((u, m))
-            self._adjacency = tuple(tuple(sorted(a)) for a in adj)
+            src, dst, m, _ = self._ends()
+            pairs = list(zip(dst.tolist(), m.tolist()))
+            cuts = np.searchsorted(src, np.arange(self.vertex_count + 1)).tolist()
+            self._adjacency = tuple(tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:]))
         return self._adjacency
 
     def multiplicity(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
-        key = (u, v) if u <= v else (v, u)
-        for a, b, m in self.edges:
-            if (a, b) == key:
-                return m
-        return 0
+        a, b, m = self.edge_array.T
+        hit = m[(a == min(u, v)) & (b == max(u, v))]
+        return int(hit[0]) if len(hit) else 0
 
     def add_edge(self, u: int, v: int, multiplicity: int = 1) -> "MultiGraph":
         """New graph with multiplicity(u, v) incremented; u == v adds a loop."""
@@ -110,25 +238,23 @@ class MultiGraph:
         self._check_vertex(v)
         if multiplicity < 1:
             raise ContractViolation("multiplicity must be >= 1")
-        return MultiGraph(self.vertex_count, list(self.edges) + [(u, v, multiplicity)])
+        return MultiGraph(self.vertex_count, [*self.edge_array.tolist(), (u, v, multiplicity)])
 
     def walk_tables(self):
         """(offsets, flat, degrees) arrays for uniform edge-end stepping.
 
         flat[offsets[v]:offsets[v+1]] lists the other endpoint of every edge
-        end at v, with non-loop edges repeated by multiplicity and loops
-        contributing 2*multiplicity copies of v itself.
+        end at v in ascending order, with non-loop edges repeated by
+        multiplicity and loops contributing 2*multiplicity copies of v
+        itself.
         """
         if self._walk_np is None:
-            offsets = np.zeros(self.vertex_count + 1, dtype=np.int64)
-            offsets[1:] = np.cumsum(self.degrees)
-            flat = np.empty(int(offsets[-1]), dtype=np.int64)
-            cursor = offsets[:-1].copy()
-            for v, nbrs in enumerate(self.adjacency):
-                for w, m in nbrs:
-                    reps = 2 * m if w == v else m
-                    flat[cursor[v]:cursor[v] + reps] = w
-                    cursor[v] += reps
+            n, ends = self.vertex_count, 2 * self.edge_total
+            require(walk_bytes(n, ends), f"a walk table of {n} vertices and {ends} edge ends")
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(self.degrees, out=offsets[1:])
+            _, dst, _, reps = self._ends()
+            flat = np.repeat(dst, reps)
             flat.flags.writeable = False
             offsets.flags.writeable = False
             self._walk_np = (offsets, flat, self.degrees)
@@ -142,6 +268,8 @@ class MultiGraph:
         none): every degree divides it.
         """
         if self._walk_py is None:
+            n, ends = self.vertex_count, 2 * self.edge_total
+            require(walk_list_bytes(n, ends), f"a walk list of {n} vertices and {ends} edge ends")
             offsets, flat, degrees = self.walk_tables()
             ends, cuts = flat.tolist(), offsets.tolist()
             nbrs = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
@@ -160,14 +288,18 @@ class MultiGraph:
         stream value r takes from v. A vertex with no edge ends, which no
         walk steps from, has a row of itself.
         """
-        nbrs, _, lcm = self.walk_tables_py()
-        if self.vertex_count * lcm > limit:
+        _, _, lcm = self.walk_tables_py()
+        n = self.vertex_count
+        if n * lcm > limit:
             return None
         if self._steps is None:
-            rows = [nb * (lcm // len(nb)) if nb else [v] * lcm for v, nb in enumerate(nbrs)]
-            table = np.array(rows, dtype=np.int64).reshape(self.vertex_count, lcm)
+            require(step_table_bytes(n, n * lcm), f"a step table of {n} x {lcm} entries")
+            offsets, flat, degrees = self.walk_tables()
+            table = np.repeat(np.arange(n)[:, None], lcm, axis=1)
+            moves = np.flatnonzero(degrees)
+            table[moves] = flat[offsets[moves, None] + np.arange(lcm) % degrees[moves, None]]
             table.flags.writeable = False
-            self._steps = (table, rows)
+            self._steps = (table, table.tolist())
         return self._steps
 
     def _check_vertex(self, v: int) -> None:
@@ -178,7 +310,7 @@ class MultiGraph:
         return (
             isinstance(other, MultiGraph)
             and self.vertex_count == other.vertex_count
-            and self.edges == other.edges
+            and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __hash__(self) -> int:
@@ -257,13 +389,13 @@ class ComponentView:
             if self.size == self.parent.vertex_count:
                 self._graph = self.parent
             else:
-                idx = self._local
-                edges = [
-                    (idx[u], idx[v], m)
-                    for u, v, m in self.parent.edges
-                    if u in idx and v in idx
-                ]
-                self._graph = MultiGraph(self.size, edges)
+                # ids relabel in ascending order, so the parent's sorted rows stay sorted
+                local = np.full(self.parent.vertex_count, -1, dtype=np.int64)
+                local[np.sort(np.asarray(self._members, dtype=np.int64))] = np.arange(self.size)
+                u, v, m = self.parent.edge_array.T
+                u, v = local[u], local[v]
+                inside = (u >= 0) & (v >= 0)
+                self._graph = MultiGraph(self.size, np.stack([u[inside], v[inside], m[inside]], 1))
         return self._graph
 
     def __repr__(self) -> str:
@@ -273,9 +405,8 @@ class ComponentView:
 def _component_labels(g: MultiGraph) -> np.ndarray:
     """The smallest vertex id of each vertex's component."""
     labels = np.arange(g.vertex_count)
-    if g.edges:
-        ends = np.array(g.edges, dtype=np.int64)
-        while _label_round(labels, ends[:, 0], ends[:, 1]):
+    if len(g.edge_array):
+        while _label_round(labels, g.edge_array[:, 0], g.edge_array[:, 1]):
             pass
     return labels
 
@@ -387,13 +518,14 @@ def from_edge_list(data: str | bytes | IO) -> MultiGraph:
 
 
 def load_edge_list(path) -> MultiGraph:
-    with open(path, "rb") as fh:
-        return from_edge_list(fh)
+    with open(path, "rb", buffering=0) as fh:  # one read of the whole file, no buffer
+        data = fh.read()
+    return from_edge_list(data)
 
 
 def to_edge_list_text(g: MultiGraph) -> str:
     """Serialize in the same format from_edge_list reads (always with header)."""
     lines = [f"n {g.vertex_count}"]
-    for u, v, m in g.edges:
-        lines.append(f"{u} {v}" if m == 1 else f"{u} {v} {m}")
+    columns = g.edge_array.T.tolist()
+    lines += [f"{u} {v}" if m == 1 else f"{u} {v} {m}" for u, v, m in zip(*columns)]
     return "\n".join(lines) + "\n"

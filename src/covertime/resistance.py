@@ -460,7 +460,7 @@ def _kernel_inverse(g: MultiGraph, nk: int, kid: np.ndarray, ka: np.ndarray,
     conduct their multiplicity and a series path from ka to kb (kernel
     indices) conducts 1/r; a path back to its start conducts nothing."""
     inv = np.zeros((nk - 1, nk - 1), dtype=np.float64, order="F")
-    uvm = np.array(g.edges, dtype=np.intp).reshape(-1, 3)
+    uvm = g.edge_array.astype(np.intp)
     iu, iv = kid[uvm[:, 0]], kid[uvm[:, 1]]
     direct = (iu >= 0) & (iv >= 0) & (iu != iv)
     series = ka != kb

@@ -10,7 +10,10 @@ blanket times via one walk in plain Python with a heap push per step,
 batches of walks via a vector loop that steps every walk to its end,
 block stop rules by one rule per walk fed one position at a time, scalar
 stop rules that scan each chunk of positions as an ndarray,
-components with every view built eagerly, covering profiles via one
+components with every view built eagerly, graphs and their tables
+(merged edges, degrees, adjacency, walk tables, step tables, induced
+graphs) and the G(n, p), hypercube, torus and percolation samplers by one
+Python loop over the edges, covering profiles via one
 greedy pass per level with an adaptive depth, branching-process size laws
 via convolution, the path interpolation as a scipy CSR product, the
 Matthews bound from all candidate rows of a set at once, and forked
@@ -27,7 +30,9 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from covertime import ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, blas, walks
+from covertime import (
+    ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, VertexRangeError, blas, walks,
+)
 from covertime.bounds import (
     LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, _dedupe_sets, ball_radius, required_levels,
 )
@@ -419,9 +424,133 @@ def eager_components(g: MultiGraph) -> list[tuple[tuple[int, ...], dict[int, int
     for ms in comps:
         ids = tuple(sorted(ms))
         index = {v: i for i, v in enumerate(ids)}
-        edges = [(index[u], index[v], m) for u, v, m in g.edges if u in index and v in index]
-        out.append((ids, index, MultiGraph(len(ids), edges)))
+        out.append((ids, index, induced_graph(g, ids)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# graphs and samplers, one edge at a time
+
+
+def merged_edges(n: int, edges) -> tuple[tuple[tuple[int, int, int], ...], list[int], int]:
+    """(sorted distinct edges, degrees, edge total) of MultiGraph(n, edges),
+    or the error of the first bad edge: each edge is checked in turn and
+    merged into a dict."""
+    merged: dict[tuple[int, int], int] = {}
+    for edge in edges:
+        if len(edge) == 2:
+            u, v = edge
+            m = 1
+        elif len(edge) == 3:
+            u, v, m = edge
+        else:
+            raise ContractViolation(f"edge must be (u, v) or (u, v, m), got {edge!r}")
+        u, v, m = int(u), int(v), int(m)
+        if m < 1:
+            raise ContractViolation(f"edge multiplicity must be >= 1, got {m}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        key = (u, v) if u <= v else (v, u)
+        merged[key] = merged.get(key, 0) + m
+    if 2 * sum(merged.values()) > 2 ** 63 - 1:
+        raise ContractViolation("degree sum exceeds the int64 range")
+    degrees = [0] * n
+    for (u, v), m in merged.items():
+        degrees[u] += m
+        degrees[v] += m
+    return tuple((u, v, m) for (u, v), m in sorted(merged.items())), degrees, sum(merged.values())
+
+
+def adjacency(g: MultiGraph) -> list[list[tuple[int, int]]]:
+    """Per-vertex sorted (neighbor, multiplicity) lists, a loop listed once."""
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for u, v, m in g.edges:
+        adj[u].append((v, m))
+        if u != v:
+            adj[v].append((u, m))
+    return [sorted(a) for a in adj]
+
+
+def walk_tables(g: MultiGraph) -> tuple[list[int], list[int]]:
+    """(offsets, flat): each vertex's neighbours in ascending order, each
+    repeated by its multiplicity, twice for a loop."""
+    offsets, flat = [0], []
+    for v, nbrs in enumerate(adjacency(g)):
+        for w, m in nbrs:
+            flat += [w] * (2 * m if w == v else m)
+        offsets.append(len(flat))
+    return offsets, flat
+
+
+def step_rows(g: MultiGraph) -> list[list[int]]:
+    """Row v lists v's edge ends repeated lcm / degree(v) times, or lcm
+    copies of v when it has none."""
+    offsets, flat = walk_tables(g)
+    lcm = math.lcm(*{b - a for a, b in zip(offsets, offsets[1:]) if b > a})
+    rows = []
+    for v, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        rows.append(flat[a:b] * (lcm // (b - a)) if b > a else [v] * lcm)
+    return rows
+
+
+def induced_graph(g: MultiGraph, vertices) -> MultiGraph:
+    """The graph on the sorted vertices, relabelled 0.., with every edge of
+    g between two of them."""
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    edges = [(index[u], index[v], m) for u, v, m in g.edges if u in index and v in index]
+    return MultiGraph(len(index), edges)
+
+
+def gnp_edges(n: int, p: float, seed: int):
+    """The edges (v, w), w < v, of G(n, p) in pair-index order, by geometric
+    skipping with one scalar uniform and one Python int skip per edge."""
+    if p >= 1.0:
+        for v in range(n):
+            for w in range(v):
+                yield v, w
+        return
+    if p > 0.0:
+        rng = np.random.default_rng(seed)
+        lp = math.log1p(-p)
+        v, w = 1, -1
+        while v < n:
+            w += 1 + int(math.log(1.0 - rng.random()) / lp)
+            while w >= v and v < n:
+                w -= v
+                v += 1
+            if v < n:
+                yield v, w
+
+
+def hypercube_edges(m: int) -> list[tuple[int, int]]:
+    n = 1 << m
+    return [(v, v | (1 << b)) for v in range(n) for b in range(m) if not (v >> b) & 1]
+
+
+def torus_edges(m: int, d: int) -> list[tuple[int, int]]:
+    n = m ** d
+    strides = [m ** i for i in range(d)]
+    pairs = set()
+    for v in range(n):
+        for axis in range(d):
+            coord = (v // strides[axis]) % m
+            up = v + ((coord + 1) % m - coord) * strides[axis]
+            pairs.add((min(v, up), max(v, up)))
+    return sorted(pairs)
+
+
+def percolated_edges(base: MultiGraph, p: float, rng: np.random.Generator):
+    """Each edge of base in order: a unit edge kept if one uniform is below
+    p, a multi-edge kept with a binomial multiplicity."""
+    if p >= 1.0:
+        return list(base.edges)
+    kept = []
+    if p > 0.0:
+        for u, v, m in base.edges:
+            keep = int(rng.binomial(m, p)) if m > 1 else int(rng.random() < p)
+            if keep:
+                kept.append((u, v, keep))
+    return kept
 
 
 def minimal_cover_size(R: np.ndarray, radius: float, rtol: float = 1e-9) -> int:

@@ -289,12 +289,29 @@ class TestInputErrors:
         assert out.out == "" and out.err.count("\n") == 1
         assert out.err.startswith("error: a graph of 10000000000 vertices and 1 edges needs ")
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--edges", "{path}", "--quantity", "cover", "--start", "0"],
+        ["--trials", "10", "simulate", "--edges", "{path}", "--quantity", "cover", "--start", "0"],
+    ], ids=["vector", "scalar"])
+    def test_walk_tables_over_budget(self, tmp_path, capsys, argv):
+        # one edge of multiplicity 10**10: 2 * 10**10 edge ends to step through
+        path = tmp_path / "heavy.txt"
+        path.write_text("n 2\n0 1 10000000000\n")
+        t0 = time.perf_counter()
+        assert main([a.format(path=path) for a in argv]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.count("\n") == 1
+        assert out.err.startswith("error: a walk ") and "over the budget" in out.err
+
     @pytest.mark.parametrize("model", [
         ["--model", "tree", "--k", "10000000000"],
         ["--model", "gnp", "--n", "10000000000", "--p", "1e-10"],
         ["--model", "giant", "--n", "10000000000", "--epsilon", "0.3"],
         ["--model", "percolation", "--base", "torus", "--m", "100000", "--d", "3"],
-    ], ids=["tree", "gnp", "giant", "torus"])
+        ["--model", "percolation", "--base", "hypercube", "--m", "2000", "--p", "0.5"],
+        ["--model", "percolation", "--base", "torus", "--m", "10", "--d", "400", "--p", "0.5"],
+    ], ids=["tree", "gnp", "giant", "torus", "hypercube-past-float", "torus-past-float"])
     def test_generate_over_budget(self, model, capsys):
         # a tree array of 10**10 entries, or 10**10 skips of the G(n, p)
         # loop, would run out of memory or time; the size is refused first

@@ -1,25 +1,35 @@
 import hashlib
+import itertools
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 import oracles as oc
-from covertime import errors
+from covertime import errors, generators
 from covertime import (
     BaseGraphSpec,
     ContractViolation,
     GiantModelParams,
+    MultiGraph,
     complete_graph,
     connected_components,
     conjugate_mu,
+    cycle_graph,
+    from_edge_list,
     giant_model,
     gnp,
     hypercube_graph,
+    path_graph,
     percolate,
     pgw_tree,
+    random_regular_graph,
+    star_graph,
     to_edge_list_text,
     torus_graph,
     uniform_labeled_tree,
@@ -257,8 +267,10 @@ class TestPercolation:
     lambda: hypercube_graph(40),
     lambda: torus_graph(10 ** 5, 3),
     lambda: percolate(BaseGraphSpec.random_regular(10 ** 10, 3, 0.5), 0),
+    lambda: hypercube_graph(2000),  # 2^2000 vertices: past the float range
+    lambda: torus_graph(10, 400),
 ], ids=["tree", "gnp-sparse", "gnp-dense", "giant", "complete", "hypercube", "torus",
-        "regular"])
+        "regular", "hypercube-past-float", "torus-past-float"])
 def test_size_over_budget_refused_before_allocating(sample):
     tracemalloc.start()
     try:
@@ -278,3 +290,130 @@ def test_size_budget_is_the_stated_bytes(monkeypatch):
     monkeypatch.setattr(errors, "MEMORY_BYTES", need - 1)
     with pytest.raises(ContractViolation, match="^a tree of 1000 vertices needs 463600 bytes"):
         uniform_labeled_tree(1000, 1)
+
+
+# sha256 of the edge-list text of every sampler and structured graph: sparse
+# and dense G(n, p), a uniform tree, a random regular graph, percolated tori
+# and hypercubes (graph and largest component), complete, path, cycle, star
+PINNED_SAMPLES = "15232d27ef0da707b90f5316ad4eee7c1e282dbc4d66dfa92a61eeb61bc33494"
+
+
+def test_pinned_samples():
+    h = hashlib.sha256()
+    graphs = [gnp(3000, 1.0 / 3000, 0), gnp(3000, 1.5 / 3000, 1), gnp(200, 0.3, 2),
+              gnp(60, 0.9, 3), gnp(1000, 0.05, 13), gnp(10 ** 5, 1e-10, 14),
+              uniform_labeled_tree(2000, 4), uniform_labeled_tree(3, 5)]
+    graphs += [random_regular_graph(300, 3, 6), random_regular_graph(40, 5, 7)]
+    for spec, seed in [(BaseGraphSpec.torus(30, 2, 0.6), 8), (BaseGraphSpec.torus(7, 3, 0.3), 9),
+                       (BaseGraphSpec.hypercube(8, 0.5), 10),
+                       (BaseGraphSpec.hypercube(5, 1.0), 11),
+                       (BaseGraphSpec.random_regular(100, 4, 0.4), 12)]:
+        full, big = percolate(spec, seed)
+        graphs += [full, big.graph]
+    graphs += [complete_graph(12), path_graph(50), cycle_graph(17), star_graph(9),
+               torus_graph(3, 2), torus_graph(2, 3), hypercube_graph(0), complete_graph(1)]
+    for g in graphs:
+        h.update(to_edge_list_text(g).encode())
+    assert h.hexdigest() == PINNED_SAMPLES
+
+
+# ---------------------------------------------------------------------------
+# the array samplers against one Python loop over the edges (tests/oracles.py)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 50, 3000])
+@pytest.mark.parametrize("p", [0.0, 1e-17, 1e-10, "1/n", 0.5, 1.0])
+@given(seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=2, deadline=None)
+def test_gnp_matches_the_skip_loop(n, p, seed):
+    p = 1.0 / max(n, 1) if p == "1/n" else p
+    g = gnp(n, p, seed)
+    ref = np.fromiter(itertools.chain.from_iterable(oc.gnp_edges(n, p, seed)),
+                      dtype=np.int64).reshape(-1, 2)
+    ref = ref[np.lexsort((ref[:, 0], ref[:, 1]))]  # by (w, v): the graph's (u, v) order
+    assert g.vertex_count == n
+    assert np.array_equal(g.edge_array[:, 0], ref[:, 1])
+    assert np.array_equal(g.edge_array[:, 1], ref[:, 0])
+    assert (g.edge_array[:, 2] == 1).all()
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1, 1e-3, 1 / 3000, 1e-10, 1e-17, 1e-300])
+def test_skips_floor_as_math_log_does(p):
+    # uniforms, the uniforms whose quotient is an integer k, and the doubles
+    # beside them: numpy's log may be an ulp off math.log there
+    lp = math.log1p(-p)
+    k = np.unique(np.geomspace(1, 1e18, 4000).astype(np.int64))
+    edge = -np.expm1(k * lp)
+    r = np.concatenate([np.random.default_rng(7).random(50_000), edge,
+                        np.nextafter(edge, 0.0), np.nextafter(edge, 1.0),
+                        np.nextafter(np.nextafter(edge, 1.0), 1.0)])
+    r = r[(r >= 0.0) & (r < 1.0)]
+    cap = 10 ** 15
+    expect = [min(int(math.log(1.0 - x) / lp), cap) for x in r.tolist()]
+    assert generators._skips(r, lp, cap).tolist() == expect
+
+
+def test_pair_ends_decode_every_index_exactly():
+    # indices at and beside v(v-1)/2 for v up to 2^27, past the 6.7e7
+    # vertices that the memory budget admits: against the integer root
+    v = np.unique(np.geomspace(2, 2 ** 27, 20_000).astype(np.int64))
+    index = (v * (v - 1) // 2)[:, None] + np.arange(-2, 3)
+    index = index[index >= 0]
+    w, v = generators._pair_ends(index)
+    root = [(1 + math.isqrt(1 + 8 * i)) // 2 for i in index.tolist()]
+    assert v.tolist() == root
+    assert ((0 <= w) & (w < v) & (index == v * (v - 1) // 2 + w)).all()
+
+
+@pytest.mark.parametrize("m", range(8))
+def test_hypercube_matches_the_bit_loop(m):
+    assert hypercube_graph(m) == MultiGraph(1 << m, oc.hypercube_edges(m))
+
+
+@pytest.mark.parametrize("m, d", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (4, 3), (5, 2), (7, 1)])
+def test_torus_matches_the_axis_loop(m, d):
+    assert torus_graph(m, d) == MultiGraph(m ** d, oc.torus_edges(m, d))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 9])
+def test_structured_graphs_match_their_loops(n):
+    assert path_graph(n) == MultiGraph(n, [(i, i + 1) for i in range(n - 1)])
+    assert complete_graph(n) == MultiGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    assert star_graph(n) == MultiGraph(n + 1, [(0, i) for i in range(1, n + 1)])
+    if n >= 3:
+        assert cycle_graph(n) == MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+@st.composite
+def multigraph_texts(draw):
+    """Edge lists with runs of unit edges broken by multi-edges and loops."""
+    n = draw(st.integers(1, 12))
+    end = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(end, end, st.sampled_from([1, 1, 1, 2, 3, 7])), max_size=30))
+    return to_edge_list_text(MultiGraph(n, edges))
+
+
+@given(multigraph_texts(), st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_percolation_draws_as_the_edge_loop(text, p, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "base.txt"
+        path.write_text(text)
+        full, big = percolate(BaseGraphSpec.from_file(str(path), p), seed)
+    base = from_edge_list(text)
+    kept = oc.percolated_edges(base, p, np.random.default_rng(seed))
+    assert full == MultiGraph(base.vertex_count, kept)
+    assert big.vertices == connected_components(full)[0].vertices
+
+
+@pytest.mark.parametrize("spec", [
+    BaseGraphSpec.torus(6, 2, 0.5), BaseGraphSpec.hypercube(5, 0.4),
+    BaseGraphSpec.random_regular(40, 3, 0.6), BaseGraphSpec.complete(12, 0.3),
+], ids=["torus", "hypercube", "regular", "complete"])
+def test_percolated_bases_draw_as_the_edge_loop(spec):
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        base = generators._build_base(spec, rng)
+        kept = oc.percolated_edges(base, spec.percolation_p, rng)
+        assert percolate(spec, seed)[0] == MultiGraph(base.vertex_count, kept)

@@ -348,3 +348,126 @@ def test_step_table_picks_the_edge_end_of_every_value(seed, n):
 def test_step_table_of_a_loopless_single_vertex():
     table, rows = MultiGraph(1).step_tables(1)
     assert table.tolist() == rows == [[0]]
+
+
+# ---------------------------------------------------------------------------
+# the edge array against one Python loop over the edges (tests/oracles.py)
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): pairs and triples in either orientation, loops and
+    repeated edges, isolated vertices, no edges at all."""
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        return 0, []
+    end = st.integers(0, n - 1)
+    edge = st.one_of(st.tuples(end, end), st.tuples(end, end, st.integers(1, 4)))
+    return n, draw(st.lists(edge, max_size=24))
+
+
+@given(edge_lists(), st.sampled_from(["list", "iterator", "rows", "pairs"]))
+@settings(max_examples=150, deadline=None)
+def test_edge_array_matches_the_merge_loop(case, form):
+    n, edges = case
+    if form == "pairs":
+        edges = [e[:2] for e in edges]
+    ref_edges, ref_degrees, ref_total = oc.merged_edges(n, edges)
+    if form == "iterator":
+        g = MultiGraph(n, iter(edges))
+    elif form == "rows":
+        g = MultiGraph(n, np.array([(*e, 1)[:3] for e in edges], dtype=np.int32).reshape(-1, 3))
+    elif form == "pairs":
+        g = MultiGraph(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+    else:
+        g = MultiGraph(n, edges)
+    assert g.edges == ref_edges
+    assert g.edge_array.dtype == np.int64 and not g.edge_array.flags.writeable
+    assert g.edge_array.tolist() == [list(e) for e in ref_edges]
+    assert g.degrees.tolist() == ref_degrees
+    assert g.edge_total == ref_total and type(g.edge_total) is int
+    assert g == MultiGraph(n, ref_edges) and hash(g) == hash(MultiGraph(n, ref_edges))
+    for u in range(n):
+        for v in range(n):
+            assert g.multiplicity(u, v) == dict(((a, b), m) for a, b, m in ref_edges).get(
+                (min(u, v), max(u, v)), 0)
+
+
+@st.composite
+def bad_edge_lists(draw):
+    """(n, edges) where edges may have the wrong field count, a multiplicity
+    below 1, ends outside 0..n-1, or fields past the int64 range."""
+    n = draw(st.integers(1, 6))
+    end = st.one_of(st.integers(-2, n + 1), st.sampled_from([2 ** 63, -2 ** 63 - 1, 2 ** 70]))
+    mult = st.one_of(st.integers(-1, 3), st.sampled_from([2 ** 62, 2 ** 64]))
+    edge = st.one_of(st.tuples(end, end), st.tuples(end, end, mult), st.tuples(),
+                     st.tuples(end), st.tuples(end, end, mult, end))
+    return n, draw(st.lists(edge, max_size=8))
+
+
+@given(bad_edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_first_bad_edge_raises_as_the_loop_does(case):
+    n, edges = case
+    try:
+        ref_edges, ref_degrees, ref_total = oc.merged_edges(n, edges)
+    except (ContractViolation, VertexRangeError) as exc:
+        expected = exc
+    else:
+        g = MultiGraph(n, edges)
+        assert (g.edges, g.degrees.tolist(), g.edge_total) == (ref_edges, ref_degrees, ref_total)
+        return
+    with pytest.raises((ContractViolation, VertexRangeError)) as got:
+        MultiGraph(n, edges)
+    assert type(got.value) is type(expected) and str(got.value) == str(expected)
+
+
+@given(sparse_multigraphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_walk_tables_and_induced_graphs_match_the_loops(g, data):
+    offsets, flat, degrees = g.walk_tables()
+    ref_offsets, ref_flat = oc.walk_tables(g)
+    assert offsets.tolist() == ref_offsets and flat.tolist() == ref_flat
+    assert degrees is g.degrees and not flat.flags.writeable and not offsets.flags.writeable
+    assert [list(a) for a in g.adjacency] == oc.adjacency(g)
+    nbrs, degs, lcm = g.walk_tables_py()
+    assert nbrs == [ref_flat[a:b] for a, b in zip(ref_offsets, ref_offsets[1:])]
+    assert degs == g.degrees.tolist()
+    steps = g.step_tables(10 ** 5)
+    if steps is not None and g.vertex_count:
+        assert steps[1] == oc.step_rows(g) and steps[0].tolist() == steps[1]
+    if g.vertex_count:
+        subset = data.draw(st.sets(st.integers(0, g.vertex_count - 1), min_size=1))
+        order = data.draw(st.permutations(sorted(subset)))
+        induced = ComponentView(g, order).graph
+        assert induced == oc.induced_graph(g, subset)
+        assert induced.degrees.tolist() == oc.merged_edges(len(subset), induced.edges)[1]
+
+
+def test_walk_tables_over_budget_refused_before_allocating():
+    # two edge ends of multiplicity 10**10: a flat table of 160 GB
+    g = MultiGraph(2, [(0, 1, 10 ** 10)])
+    tracemalloc.start()
+    try:
+        for build in (g.walk_tables, g.walk_tables_py, lambda: g.step_tables(1 << 16)):
+            with pytest.raises(ContractViolation, match="over the budget"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 4, peak
+
+
+def test_walk_tables_charge_the_stated_bytes(monkeypatch):
+    # a 3-vertex path: 3 vertices, 4 edge ends, degrees 1, 2, 1 (lcm 2)
+    g = from_edge_list("0 1\n1 2")
+    for build, need, what in [
+        (g.walk_tables, 16 * 3 + 64 * 4, "a walk table of 3 vertices and 4 edge ends"),
+        (g.walk_tables_py, 80 * 3 + 64 * 4, "a walk list of 3 vertices and 4 edge ends"),
+        (lambda: g.step_tables(6), 80 * 3 + 72 * 6, "a step table of 3 x 2 entries"),
+    ]:
+        monkeypatch.setattr(errors, "MEMORY_BYTES", need - 1)
+        with pytest.raises(ContractViolation, match=f"^{what} needs {need} bytes"):
+            build()
+        monkeypatch.setattr(errors, "MEMORY_BYTES", need)
+        assert build() is not None
