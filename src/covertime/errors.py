@@ -1,5 +1,11 @@
 """Exception types shared across the package, and its one memory budget."""
 
+# A graph is charged 64 bytes a vertex (graphs.graph_bytes), so every graph
+# within this budget has n <= 2^26 vertices. Two things rely on it: the
+# vertex-pair keys u * n + v that sort edges (graphs._merged) stay below
+# 2^52, and the float decode of G(n, p) pair indices (generators._pair_ends)
+# is exact, which holds up to n = 2^27. A budget above 2^33 bytes breaks
+# the second.
 MEMORY_BYTES = 1 << 32
 
 

@@ -180,7 +180,7 @@ def _pair_ends(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, v), w < v, of each pair index v(v-1)/2 + w: v is the floor of
     (1 + sqrt(1 + 8 index)) / 2, which float64 gives exactly up to
     v = 2^27 (checked at every v(v-1)/2 and the index before it), past
-    the 2^26 vertices that the memory budget admits."""
+    the n <= 2^26 that the memory budget admits (see errors.MEMORY_BYTES)."""
     v = ((1.0 + np.sqrt(1.0 + 8.0 * index)) / 2.0).astype(np.int64)
     return index - v * (v - 1) // 2, v
 
@@ -332,7 +332,7 @@ class GiantSample:
     graph: MultiGraph
     lambda_value: float
     kernel_degrees: np.ndarray     # degrees >= 3 handed to the kernel
-    kernel_edges: list[tuple[int, int]]
+    kernel_edges: np.ndarray       # (K, 2) kernel edges (u, v), u < v, sorted
     path_lengths: np.ndarray       # one geometric length per kernel edge
     core_size: int                 # kernel vertices + internal path vertices
     tree_sizes: np.ndarray         # one attached tree per core vertex
@@ -374,8 +374,7 @@ def giant_model(
             kernel = _configuration_simple(big.tolist(), rng)
         except (DegenerateModelError, ContractViolation):
             continue
-        kernel_edges = [(u, v) for u, v, _ in kernel.edges]
-        lengths = rng.geometric(1.0 - mu, size=len(kernel_edges))
+        lengths = rng.geometric(1.0 - mu, size=len(kernel.edge_array))
         # kernel edge i, (a, b), becomes the path a, x, x + 1, ..., b through
         # lengths[i] - 1 new vertices, numbered from N on, path after path:
         # entry j of the paths laid end to end is N + j - 2i - 1 inside path i
@@ -403,7 +402,7 @@ def giant_model(
             graph=graph,
             lambda_value=lam,
             kernel_degrees=big.copy(),
-            kernel_edges=kernel_edges,
+            kernel_edges=kernel.edge_array[:, :2],
             path_lengths=lengths,
             core_size=core_size,
             tree_sizes=tree_sizes,

@@ -55,23 +55,15 @@ def _charge(vertices: int, edges: int) -> None:
     require(graph_bytes(vertices, edges), f"a graph of {vertices} vertices and {edges} edges")
 
 
-def _pair_order(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """An order that sorts the pairs (a, b) of ids below n, each pair
-    distinct or merged later, so that ties may fall in any order."""
-    if n * n <= _INT64_MAX:
-        return np.argsort(a * n + b)
-    return np.lexsort((b, a))
-
-
 def _edge_rows(n: int, edges) -> np.ndarray:
-    """The edges as (u, v, m) rows in input order, m = 1 where the edge
-    has two fields: an int64 array, or an object array when a field is
-    past the int64 range. Raises for the first bad edge in input order,
-    as a loop over the edges checking each in turn would: its field
-    count, then its multiplicity, then its ends."""
+    """The edges as (u, v) or (u, v, m) rows in input order, (u, v, m)
+    where any edge has three fields: an int64 array, or an object array
+    when a field is past the int64 range. Raises for the first bad edge
+    in input order, as a loop over the edges checking each in turn would:
+    its field count, then its multiplicity, then its ends."""
     if isinstance(edges, np.ndarray) and edges.ndim == 2 and edges.shape[1] in (2, 3) \
             and edges.dtype.kind == "i":
-        fields, width = edges, edges.shape[1]
+        rows = edges.astype(np.int64, copy=False)
     else:
         widths = set(map(len, edges)) or {2}
         width = widths.pop() if len(widths) == 1 else None  # None: the counts differ
@@ -81,32 +73,31 @@ def _edge_rows(n: int, edges) -> np.ndarray:
             fields = np.fromiter(itertools.chain.from_iterable(edges), np.int64, size)
         except OverflowError:
             fields = np.fromiter(itertools.chain.from_iterable(edges), object, size)
-    if width is not None:
-        cut = len(edges) if width in (2, 3) else 0
-        rows = np.empty((cut, 3), dtype=fields.dtype if fields.dtype == object else np.int64)
-        rows[:, 2] = 1
-        if cut:
-            rows[:, :width] = fields.reshape(cut, width)
-    else:  # gather the fields of the edges before the first bad count
-        good = (counts == 2) | (counts == 3)
-        cut = len(edges) if good.all() else int(np.argmin(good))
-        counts = counts[:cut]
-        first = np.cumsum(counts) - counts
-        rows = np.ones((cut, 3), dtype=fields.dtype)
-        rows[:, 0] = fields[first]
-        rows[:, 1] = fields[first + 1]
-        rows[counts == 3, 2] = fields[first[counts == 3] + 2]
-    if cut:
-        (u_low, v_low, m_low), (u_high, v_high, _) = (rows.min(axis=0).tolist(),
-                                                      rows.max(axis=0).tolist())
-        if min(u_low, v_low) < 0 or max(u_high, v_high) >= n or m_low < 1:
-            u, v, m = rows.T
-            i = int(np.argmax((m < 1) | (u < 0) | (u >= n) | (v < 0) | (v >= n)))
+        if width in (2, 3):
+            rows = fields.reshape(len(edges), width)
+        elif width is not None:
+            rows = fields[:0].reshape(0, 3)
+        else:  # gather the fields of the edges before the first bad count
+            good = (counts == 2) | (counts == 3)
+            counts = counts[:len(edges) if good.all() else int(np.argmin(good))]
+            first = np.cumsum(counts) - counts
+            rows = np.ones((len(counts), 3), dtype=fields.dtype)
+            rows[:, 0] = fields[first]
+            rows[:, 1] = fields[first + 1]
+            rows[counts == 3, 2] = fields[first[counts == 3] + 2]
+    # an int64 end below 0 is at least 2^63 as a uint64
+    if rows.dtype == object or np.count_nonzero(rows[:, :2].view(np.uint64) >= n) \
+            or rows.shape[1] == 3 and np.count_nonzero(rows[:, 2] < 1):
+        u, v = rows[:, 0], rows[:, 1]
+        m = rows[:, 2] if rows.shape[1] == 3 else np.ones_like(u)
+        bad = (m < 1) | (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        if bad.any():
+            i = int(np.argmax(bad))
             if m[i] < 1:
                 raise ContractViolation(f"edge multiplicity must be >= 1, got {m[i]}")
             raise VertexRangeError(f"edge ({u[i]}, {v[i]}) outside 0..{n - 1}")
-    if cut < len(edges):
-        raise ContractViolation(f"edge must be (u, v) or (u, v, m), got {edges[cut]!r}")
+    if len(rows) < len(edges):
+        raise ContractViolation(f"edge must be (u, v) or (u, v, m), got {edges[len(rows)]!r}")
     return rows
 
 
@@ -117,22 +108,26 @@ def _total(m: np.ndarray) -> int:
     return int(m.sum())
 
 
-def _merged(n: int, rows: np.ndarray) -> np.ndarray:
-    """Distinct (min, max, summed m) rows of the int64 rows, sorted; rows
-    already so are taken as they are."""
-    lo = np.minimum(rows[:, 0], rows[:, 1])
-    hi = np.maximum(rows[:, 0], rows[:, 1])
-    m = rows[:, 2]
-    key = lo * n + hi if n * n <= _INT64_MAX else None
-    if len(lo) > 1 and (key is None or not (key[1:] > key[:-1]).all()):
-        order = _pair_order(lo, hi, n)
-        lo, hi, m = lo[order], hi[order], m[order]
-        first = np.ones(len(lo), dtype=bool)
-        first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-        starts = np.flatnonzero(first)
-        lo, hi, m = lo[starts], hi[starts], np.add.reduceat(m, starts)
-    merged = np.empty((len(lo), 3), dtype=np.int64)
-    merged[:, 0], merged[:, 1], merged[:, 2] = lo, hi, m
+def _merged(n: int, u: np.ndarray, v: np.ndarray, m: np.ndarray | None) -> np.ndarray:
+    """Distinct (min, max, summed m) rows of the edges (u, v, m), m None
+    for all 1, sorted by the key min * n + max, which is exact: n <= 2^26
+    (see errors.MEMORY_BYTES). Edges already so are taken as they are."""
+    merged = np.empty((len(u), 3), dtype=np.int64)
+    lo, hi = np.minimum(u, v, out=merged[:, 0]), np.maximum(u, v, out=merged[:, 1])
+    merged[:, 2] = 1 if m is None else m
+    key = lo * n + hi
+    if np.count_nonzero(key[1:] <= key[:-1]):  # unsorted, or an edge given twice
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(len(key), dtype=bool)
+        new[0] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        if np.count_nonzero(new) == len(key):
+            merged = merged[order]
+        else:  # sum the multiplicities of each key
+            m = np.add.reduceat(merged[:, 2][order], new.nonzero()[0])
+            merged = merged[order[new]]
+            merged[:, 2] = m
     return merged
 
 
@@ -170,19 +165,24 @@ class MultiGraph:
             # into arrays, at the count of distinct {u, v}
             _charge(n, len(set(map(frozenset, map(operator.itemgetter(0, 1), edges)))))
         rows = _edge_rows(n, edges)
-        total = _total(rows[:, 2])
+        unit = rows.shape[1] == 2  # every multiplicity 1
+        total = len(rows) if unit else _total(rows[:, 2])
         if 2 * total > _INT64_MAX:
             raise ContractViolation("degree sum exceeds the int64 range")
-        uvm = _merged(n, rows.astype(np.int64, copy=False))
+        rows = rows.astype(np.int64, copy=False)
+        uvm = _merged(n, rows[:, 0], rows[:, 1], None if unit else rows[:, 2])
         _charge(n, len(uvm))
         self.vertex_count = n
         self.edge_array = uvm
         self.edge_array.flags.writeable = False
         self.edge_total = total
-        # one exact int64 scatter: each edge adds m at both ends, so a loop
-        # adds 2m at its vertex
-        degrees = np.zeros(n, dtype=np.int64)
-        np.add.at(degrees, uvm[:, :2], uvm[:, 2:])
+        # each edge adds m at both ends, so a loop adds 2m at its vertex:
+        # one exact int64 count
+        if unit:
+            degrees = np.bincount(rows.ravel(), minlength=n)
+        else:
+            degrees = np.zeros(n, dtype=np.int64)
+            np.add.at(degrees, uvm[:, :2], uvm[:, 2:])
         self.degrees = degrees
         self.degrees.flags.writeable = False
         self._edges: tuple[tuple[int, int, int], ...] | None = None
@@ -211,7 +211,7 @@ class MultiGraph:
         src = np.concatenate([u, v[other]])
         dst = np.concatenate([v, u[other]])
         m = np.concatenate([m, m[other]])
-        order = _pair_order(src, dst, self.vertex_count)
+        order = np.argsort(src * self.vertex_count + dst)  # exact: see _merged
         src, dst, m = src[order], dst[order], m[order]
         return src, dst, m, np.where(src == dst, 2 * m, m)
 
@@ -273,23 +273,28 @@ class MultiGraph:
             offsets, flat, degrees = self.walk_tables()
             ends, cuts = flat.tolist(), offsets.tolist()
             nbrs = [ends[a:b] for a, b in zip(cuts, cuts[1:])]
-            degs = degrees.tolist()
-            self._walk_py = (nbrs, degs, math.lcm(*{d for d in degs if d}))
+            self._walk_py = (nbrs, degrees.tolist(), self._degree_lcm())
         return self._walk_py
+
+    def _degree_lcm(self) -> int:
+        """The least common multiple of the positive degrees, 1 if there
+        are none."""
+        degrees = np.unique(self.degrees)
+        return math.lcm(*degrees[degrees > 0].tolist())
 
     def step_tables(self, limit: int):
         """(table, rows): the walk step by stream value, or None when the
         table would hold more than limit entries.
 
-        With L the lcm of walk_tables_py, table is the (vertex_count, L)
-        int64 array with table[v, r] == nbrs[v][r % degree(v)], and rows is
-        the same table as Python lists. Vertex v's row is its edge ends
+        With L the lcm of the positive degrees and (offsets, flat, _) the
+        walk tables, table is the (vertex_count, L) int64 array with
+        table[v, r] == flat[offsets[v] + r % degree(v)], and rows is the
+        same table as Python lists. Vertex v's row is its edge ends
         repeated L / degree(v) times, so row[r mod L] is the step that
         stream value r takes from v. A vertex with no edge ends, which no
         walk steps from, has a row of itself.
         """
-        _, _, lcm = self.walk_tables_py()
-        n = self.vertex_count
+        n, lcm = self.vertex_count, self._degree_lcm()
         if n * lcm > limit:
             return None
         if self._steps is None:

@@ -39,6 +39,14 @@ def test_graph_over_budget_refused_before_allocating(tmp_path):
     assert peak < 10 ** 4, peak
 
 
+def test_budget_admits_at_most_2_26_vertices():
+    # the exact pair keys of MultiGraph and the pair decode of gnp need it
+    assert graphs.graph_bytes(2 ** 26, 0) <= errors.MEMORY_BYTES
+    assert graphs.graph_bytes(2 ** 26 + 1, 0) > errors.MEMORY_BYTES
+    with pytest.raises(ContractViolation, match="^a graph of 67108865 vertices and 0 edges"):
+        MultiGraph(2 ** 26 + 1)
+
+
 def test_graph_charges_its_vertices_and_distinct_edges(monkeypatch):
     # 1000 vertices, 3 distinct edges among 5 lines: 64 * 1000 + 400 * 3 bytes
     edges = [(0, 1), (1, 0), (1, 2, 4), (2, 2), (2, 2)]
@@ -449,9 +457,11 @@ def test_walk_tables_over_budget_refused_before_allocating():
     g = MultiGraph(2, [(0, 1, 10 ** 10)])
     tracemalloc.start()
     try:
-        for build in (g.walk_tables, g.walk_tables_py, lambda: g.step_tables(1 << 16)):
+        for build in (g.walk_tables, g.walk_tables_py, lambda: g.step_tables(1 << 62)):
             with pytest.raises(ContractViolation, match="over the budget"):
                 build()
+        # past the entry limit: refused from the degrees alone, uncharged
+        assert g.step_tables(1 << 16) is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
