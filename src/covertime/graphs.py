@@ -152,7 +152,7 @@ class MultiGraph:
     """
 
     __slots__ = ("vertex_count", "edge_array", "edge_total", "degrees", "_edges",
-                 "_adjacency", "_walk_np", "_walk_py", "_steps")
+                 "_adjacency", "_walk_np", "_walk_py", "_lcm", "_steps")
 
     def __init__(self, vertex_count: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if not isinstance(vertex_count, (int, np.integer)) or vertex_count < 0:
@@ -189,6 +189,7 @@ class MultiGraph:
         self._adjacency: tuple[tuple[tuple[int, int], ...], ...] | None = None
         self._walk_np = None
         self._walk_py = None
+        self._lcm = None
         self._steps = None
 
     @property
@@ -279,8 +280,10 @@ class MultiGraph:
     def _degree_lcm(self) -> int:
         """The least common multiple of the positive degrees, 1 if there
         are none."""
-        degrees = np.unique(self.degrees)
-        return math.lcm(*degrees[degrees > 0].tolist())
+        if self._lcm is None:
+            degrees = np.sort(self.degrees[self.degrees > 0])
+            self._lcm = math.lcm(*degrees[np.diff(degrees, prepend=0) > 0].tolist())
+        return self._lcm
 
     def step_tables(self, limit: int):
         """(table, rows): the walk step by stream value, or None when the
