@@ -51,10 +51,6 @@ def step_table_bytes(vertices: float, entries: float) -> float:
     return 80 * vertices + 72 * entries
 
 
-def _charge(vertices: int, edges: int) -> None:
-    require(graph_bytes(vertices, edges), f"a graph of {vertices} vertices and {edges} edges")
-
-
 def _edge_rows(n: int, edges) -> np.ndarray:
     """The edges as (u, v) or (u, v, m) rows in input order, (u, v, m)
     where any edge has three fields: an int64 array, or an object array
@@ -162,8 +158,10 @@ class MultiGraph:
             edges = list(edges)
         if graph_bytes(n, 0) > errors.MEMORY_BYTES and min(map(len, edges), default=2) >= 2:
             # refused whatever the edges are: charged before they are read
-            # into arrays, at the count of distinct {u, v}
-            _charge(n, len(set(map(frozenset, map(operator.itemgetter(0, 1), edges)))))
+            # into arrays, at the count of distinct {u, v}; raised here, not
+            # in a helper, as each frame in its traceback is held with it
+            e = len(set(map(frozenset, map(operator.itemgetter(0, 1), edges))))
+            require(graph_bytes(n, e), f"a graph of {n} vertices and {e} edges")
         rows = _edge_rows(n, edges)
         unit = rows.shape[1] == 2  # every multiplicity 1
         total = len(rows) if unit else _total(rows[:, 2])
@@ -171,7 +169,7 @@ class MultiGraph:
             raise ContractViolation("degree sum exceeds the int64 range")
         rows = rows.astype(np.int64, copy=False)
         uvm = _merged(n, rows[:, 0], rows[:, 1], None if unit else rows[:, 2])
-        _charge(n, len(uvm))
+        require(graph_bytes(n, len(uvm)), f"a graph of {n} vertices and {len(uvm)} edges")
         self.vertex_count = n
         self.edge_array = uvm
         self.edge_array.flags.writeable = False

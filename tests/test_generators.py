@@ -1,9 +1,7 @@
 import hashlib
 import itertools
 import math
-import tempfile
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,6 @@ from covertime import (
     connected_components,
     conjugate_mu,
     cycle_graph,
-    from_edge_list,
     giant_model,
     gnp,
     hypercube_graph,
@@ -382,29 +379,6 @@ def test_structured_graphs_match_their_loops(n):
     assert star_graph(n) == MultiGraph(n + 1, [(0, i) for i in range(1, n + 1)])
     if n >= 3:
         assert cycle_graph(n) == MultiGraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-@st.composite
-def multigraph_texts(draw):
-    """Edge lists with runs of unit edges broken by multi-edges and loops."""
-    n = draw(st.integers(1, 12))
-    end = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(end, end, st.sampled_from([1, 1, 1, 2, 3, 7])), max_size=30))
-    return to_edge_list_text(MultiGraph(n, edges))
-
-
-@given(multigraph_texts(), st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]),
-       st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=80, deadline=None)
-def test_percolation_draws_as_the_edge_loop(text, p, seed):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "base.txt"
-        path.write_text(text)
-        full, big = percolate(BaseGraphSpec.from_file(str(path), p), seed)
-    base = from_edge_list(text)
-    kept = oc.percolated_edges(base, p, np.random.default_rng(seed))
-    assert full == MultiGraph(base.vertex_count, kept)
-    assert big.vertices == connected_components(full)[0].vertices
 
 
 @pytest.mark.parametrize("spec", [
