@@ -5,8 +5,10 @@ u <= v, sorted by (u, v). Numpy validates and merges the edges it is given
 and derives every other table from that array: degrees, adjacency, the
 walk tables, component labels and induced graphs. A graph is charged
 ``graph_bytes`` against the memory budget before it is built; its walk
-tables are charged ``walk_bytes``, ``walk_list_bytes`` and
-``step_table_bytes`` before they are built on first use.
+tables are charged ``walk_bytes`` and ``walk_list_bytes`` before they are
+built on first use. The step table is built only when it holds at most
+``STEP_TABLE_ENTRIES`` entries and is not charged: under tracemalloc a
+32768-cycle's 2^16 entries peak at 5.5 MB with their lists.
 """
 from __future__ import annotations
 
@@ -21,14 +23,16 @@ from . import errors
 from .errors import ContractViolation, EdgeListParseError, VertexRangeError, require
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+STEP_TABLE_ENTRIES = 1 << 16
 
 
 def graph_bytes(vertices: float, edges: float) -> float:
-    """Bytes to sample and build a graph: 64 a vertex and 400 an edge.
+    """Bytes to sample and build a graph: 64 a vertex and 140 an edge.
     Under tracemalloc, past 64 bytes a vertex, a 2*10^5-vertex uniform tree
-    peaks at 157 bytes an edge, G(3000, 0.3) at 137 and a 60^3 torus at 84
-    (316, 315 and 364 when every edge was a Python tuple)."""
-    return 64 * vertices + 400 * edges
+    peaks at 139.2 bytes an edge, G(3000, 0.3) at 113, a 60^3 torus at 45
+    and the union of 500 uniform trees of 2-400 vertices, built from their
+    shifted edge arrays, below 0."""
+    return 64 * vertices + 140 * edges
 
 
 def walk_bytes(vertices: float, ends: float) -> float:
@@ -42,13 +46,6 @@ def walk_list_bytes(vertices: float, ends: float) -> float:
     64 an edge end (under tracemalloc 80 and 64 on a 2*10^5-vertex tree, 80
     and 53 on a 60^3 torus)."""
     return 80 * vertices + 64 * ends
-
-
-def step_table_bytes(vertices: float, entries: float) -> float:
-    """Bytes to build ``step_tables`` from the walk tables: 80 a vertex and
-    72 an entry (under tracemalloc a 3*10^4-cycle's 6*10^4 entries take 84
-    bytes an entry with its rows, a 64-vertex tree's 768 take 37)."""
-    return 80 * vertices + 72 * entries
 
 
 def _edge_rows(n: int, edges) -> np.ndarray:
@@ -283,9 +280,9 @@ class MultiGraph:
             self._lcm = math.lcm(*degrees[np.diff(degrees, prepend=0) > 0].tolist())
         return self._lcm
 
-    def step_tables(self, limit: int):
+    def step_tables(self):
         """(table, rows): the walk step by stream value, or None when the
-        table would hold more than limit entries.
+        table would hold more than ``STEP_TABLE_ENTRIES`` entries.
 
         With L the lcm of the positive degrees and (offsets, flat, _) the
         walk tables, table is the (vertex_count, L) int64 array with
@@ -296,10 +293,9 @@ class MultiGraph:
         walk steps from, has a row of itself.
         """
         n, lcm = self.vertex_count, self._degree_lcm()
-        if n * lcm > limit:
+        if n * lcm > STEP_TABLE_ENTRIES:
             return None
         if self._steps is None:
-            require(step_table_bytes(n, n * lcm), f"a step table of {n} x {lcm} entries")
             offsets, flat, degrees = self.walk_tables()
             table = np.repeat(np.arange(n)[:, None], lcm, axis=1)
             moves = np.flatnonzero(degrees)

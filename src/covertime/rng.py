@@ -5,6 +5,9 @@ t = 0, 1, 2, ..., where ``key`` is a pure function of the master seed and
 the trial index. The stream at step t never depends on how many workers
 run, how trials are batched, or which engine (scalar or vectorized)
 executes the walk, so estimates are bit-reproducible by construction.
+Both engines draw the values from one function, ``stream_block``: the
+vectorized one a block of steps of many streams, the scalar one a chunk of
+steps of one stream.
 """
 from __future__ import annotations
 
@@ -68,12 +71,6 @@ def trial_keys(master_seed: int, count: int) -> np.ndarray:
 def trial_key(master_seed: int, trial: int) -> int:
     """Stream key of one trial: trial_keys(master_seed, trial + 1)[-1]."""
     return mix64_int(mix64_int(master_seed) + trial * GOLDEN)
-
-
-def stream_chunk(key: int, t0: int, count: int) -> np.ndarray:
-    """Values of one stream at steps t0..t0+count-1."""
-    t = np.arange(t0, t0 + count, dtype=np.uint64)
-    return mix64(np.uint64(key) + t * _U_GOLDEN)
 
 
 def stream_block(keys: np.ndarray, t: int, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:

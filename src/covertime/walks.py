@@ -11,13 +11,15 @@ of requests (k * trials walks for the worst start) in pooled batches:
 consecutive requests share one while their walks number at most
 ``_POOL_WALKS`` (``_BLOCK_VALUES``, where a block is down to one step, so
 a larger batch spreads the per-block cost no thinner) and fit the memory
-budget; a request with more walks is a batch of its own. A batch is
-charged its measured peak (``_batch_bytes``) before it allocates anything,
-so one over the budget fails its requests. A batch runs on the disjoint
-union of its components (``_Union``): vertex v of a component is its
-offset plus v, and each vertex keeps its edge ends in order, so a stream
-value takes the same step as on the component alone. Each walk has its
-own cap, and its rule state covers its own component only; a request
+budget together with the union of their components; a request with more
+walks is a batch of its own. A batch is charged its measured peak
+(``_batch_bytes``) before it allocates anything, so one over the budget
+fails its requests. A batch runs on the disjoint union of its components,
+a ``MultiGraph`` that charges itself and its tables before it builds
+them: vertex v of a component is its base plus v, and each vertex keeps
+its edge ends in order, so a stream value takes the same step as on the
+component alone. Each walk has its own cap, and its rule state covers its
+own component only; a request
 with a walk past its cap fails with StepLimitExceeded and leaves the
 other requests of the batch as they are. ``simulate`` is a one-request
 call, and each process of a scaling suite pools the walks of its cells.
@@ -29,13 +31,14 @@ most the walks on the scalar engine and at most walks // ``_SHARE_WALKS``
 (256) on the vector engine: a second process costs about 3 ms on a
 2-vCPU VM, the vector loop's time for 256 walks of about 600 steps.
 
-Both engines step through a one-component batch's step table
-(``step_tables``) when it holds at most ``STEP_TABLE_ENTRIES`` entries:
-with L the lcm of the degrees, row v lists v's edge ends repeated
-L / deg(v) times, so a stream value r steps from v to row_v[r mod L],
-which is the edge end r mod deg(v) of the walk without a table. A larger
-table is not built, and each step takes r mod the degree of its vertex,
-as on the union of several components; the choice is made once per call.
+Both engines step through the step table of the graph they walk on (the
+vector loop the batch's union, the scalar loop a walk's component) when
+``MultiGraph.step_tables`` builds it, at most
+``graphs.STEP_TABLE_ENTRIES`` entries: with L the lcm of the degrees, row
+v lists v's edge ends repeated L / deg(v) times, so a stream value r steps
+from v to row_v[r mod L], which is the edge end (r mod L) mod deg(v) =
+r mod deg(v) of the walk without a table. Otherwise each step takes r mod
+the degree of its vertex; the choice is made once per call.
 Each engine has one stepping loop, and each quantity is a stop rule that
 the loop consults:
 
@@ -98,8 +101,8 @@ import numpy as np
 
 from . import errors, forkmap
 from .errors import ContractViolation, StepLimitExceeded, require
-from .graphs import ComponentView
-from .rng import mix64, stream_block, stream_chunk, trial_key, trial_keys
+from .graphs import ComponentView, MultiGraph, graph_bytes, walk_bytes
+from .rng import mix64, stream_block, trial_key, trial_keys
 from .resistance import ResistanceOracle
 
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
@@ -108,7 +111,6 @@ _CHUNK = 4096
 _BLOCK_VALUES = 1 << 16
 _FIRST_BLOCK = 16
 _BLOCK_STEPS = 128
-STEP_TABLE_ENTRIES = 1 << 16
 MASK_VERTICES = 64
 _POOL_WALKS = _BLOCK_VALUES
 VECTOR_THRESHOLD = 32
@@ -153,36 +155,6 @@ def _default_cap(component: ComponentView) -> int:
 
 # ---------------------------------------------------------------------------
 # pooled batches: requests, the union of their components, their walks
-
-
-class _Union:
-    """Disjoint union of the graphs of one batch: vertex v of graphs[i] is
-    base[i] + v, and its edge ends keep their order, so a stream value takes
-    the same step from it as from v on graphs[i]. One graph is its own
-    union, with its own tables."""
-
-    def __init__(self, graphs):
-        self.graphs = graphs
-        sizes = [g.vertex_count for g in graphs]
-        self.base = np.cumsum([0] + sizes[:-1]).tolist()
-        self.vertex_count = sum(sizes)
-
-    def walk_tables(self):
-        """(offsets, flat, degrees) as ``MultiGraph.walk_tables`` gives them."""
-        if len(self.graphs) == 1:
-            return self.graphs[0].walk_tables()
-        parts = [g.walk_tables() for g in self.graphs]
-        ends = np.cumsum([0] + [len(flat) for _, flat, _ in parts])
-        return (np.concatenate([o[:-1] + e for (o, _, _), e in zip(parts, ends)] + [ends[-1:]]),
-                np.concatenate([flat + b for (_, flat, _), b in zip(parts, self.base)]),
-                np.concatenate([degrees for _, _, degrees in parts]))
-
-    def step_table(self, limit):
-        """The step table of ``MultiGraph.step_tables`` of one graph, or
-        None: a union of several takes each value mod the degree, as the lcm
-        of all their degrees makes a table of them large."""
-        steps = self.graphs[0].step_tables(limit) if len(self.graphs) == 1 else None
-        return None if steps is None else steps[0]
 
 
 @dataclass
@@ -330,8 +302,15 @@ class _Batch:
     def __init__(self, requests, cpus=1):
         self.requests = requests
         graphs = list({id(r.graph): r.graph for r in requests}.values())
-        self.union = _Union(graphs)
-        base_of = {id(g): b for g, b in zip(graphs, self.union.base)}
+        sizes = [g.vertex_count for g in graphs]
+        base = np.cumsum([0] + sizes[:-1]).tolist()
+        # the disjoint union, vertex v of graphs[i] at base[i] + v: each graph's
+        # sorted edge rows, shifted by its base, stay sorted, so each vertex
+        # keeps its edge ends in order; one graph is its own union
+        self.union = graphs[0] if len(graphs) == 1 else MultiGraph(sum(sizes), np.concatenate(
+            [g.edge_array + (b, b, 0) for g, b in zip(graphs, base)]))
+        self.local = np.arange(sum(sizes)) - np.repeat(base, sizes)  # each union vertex's local id
+        base_of = {id(g): b for g, b in zip(graphs, base)}
         self.base_r = np.array([base_of[id(r.graph)] for r in requests], dtype=np.int64)
         self.size_r = np.array([r.component.size for r in requests], dtype=np.int64)
         self.cap_r = np.array([r.cap for r in requests], dtype=np.int64)
@@ -449,16 +428,23 @@ def _pool(requests) -> list[np.ndarray]:
 
 def _pools(requests):
     """Consecutive runs of requests whose walks, together, number at most
-    ``_POOL_WALKS`` and fit the memory budget (``_batch_bytes``); a request
-    with more walks is a run of its own."""
-    run, walks, rows = [], 0, 0
+    ``_POOL_WALKS`` and fit the memory budget with the union of their
+    components: ``_batch_bytes``, and the union graph's ``graph_bytes`` and
+    ``walk_bytes``, so that a run is cut before a union the budget would
+    refuse. A request with more walks is a run of its own."""
+    run, graphs, size = [], set(), (0,) * 5
     for r in requests:
-        w, b = walks + r.walk_count, rows + r.row_bytes
-        if run and (w > _POOL_WALKS or _batch_bytes(w, b) > errors.MEMORY_BYTES):
+        g = r.graph
+        part = (g.vertex_count, len(g.edge_array), 2 * g.edge_total)  # its graph's, once a run
+        own = (r.walk_count, r.row_bytes, *(part if id(g) not in graphs else (0, 0, 0)))
+        w, b, n, e, x = grown = tuple(map(sum, zip(size, own)))
+        if run and (w > _POOL_WALKS or _batch_bytes(w, b) + graph_bytes(n, e) + walk_bytes(n, x)
+                    > errors.MEMORY_BYTES):
             yield run
-            run, w, b = [], r.walk_count, r.row_bytes
+            run, graphs, grown = [], set(), (r.walk_count, r.row_bytes, *part)
         run.append(r)
-        walks, rows = w, b
+        graphs.add(id(g))
+        size = grown
     if run:
         yield run
 
@@ -499,7 +485,8 @@ def _walk_vector(batch, lo, hi, shares=1):
     and they are dropped where a block ends.
     """
     offsets, flat, degrees = batch.union.walk_tables()
-    table = batch.union.step_table(STEP_TABLE_ENTRIES)
+    steps = batch.union.step_tables()
+    table = None if steps is None else steps[0]
     if table is None:
         degs_u = degrees.astype(np.uint64)
     else:
@@ -611,11 +598,9 @@ class _VisitedMask(_StopTimes):
     def __init__(self, batch, a, b, need_return):
         self.batch = batch
         req = batch.req[a:b]
-        # every bit but that of the vertex's local id (on graphs of at most 64 vertices)
-        self.others = ~np.concatenate([
-            np.left_shift(np.uint64(1), np.arange(g.vertex_count, dtype=np.uint64))
-            if g.vertex_count <= 64 else np.zeros(g.vertex_count, dtype=np.uint64)
-            for g in batch.union.graphs])
+        # every bit but that of the vertex's local id; read only on graphs of
+        # at most 64 vertices (a shift by 64 or more gives 0)
+        self.others = ~np.left_shift(np.uint64(1), batch.local.astype(np.uint64))
         full = [(1 << k) - 1 if k <= 64 else 0 for k in batch.size_r.tolist()]
         starts = batch.starts[a:b]
         self.missing = np.array(full, dtype=np.uint64)[req] & self.others[starts]
@@ -787,18 +772,24 @@ def _walk_scalar(graph, start, key, rule, cap, t0=0):
     Stream values are reduced mod the lcm of the degrees before they become
     Python ints, which keeps them small; (r mod lcm) mod d == r mod d for
     every degree d, so the walk is the same. With a step table each step
-    is one lookup, rows[pos][r]; without one it takes r mod the degree, and
-    an lcm of 2**63 or more leaves the values as they are.
+    is one lookup, rows[pos][r]; without one it takes r mod the degree from
+    the neighbour lists, and an lcm of 2**63 or more leaves the values as
+    they are. The values of a chunk come from ``stream_block`` into two
+    buffers the walk keeps.
     """
-    nbrs, degs, lcm = graph.walk_tables_py()
-    if degs[start] == 0:
+    if graph.degrees[start] == 0:
         raise ContractViolation("walk cannot move from an isolated vertex")
-    steps = graph.step_tables(STEP_TABLE_ENTRIES)
-    rows = None if steps is None else steps[1]
+    steps = graph.step_tables()
+    if steps is None:
+        rows, (nbrs, degs, lcm) = None, graph.walk_tables_py()
+    else:
+        rows, lcm = steps[1], steps[0].shape[1]
     mod = np.uint64(lcm) if lcm < 1 << 63 else None
+    keys = np.array([key], dtype=np.uint64)
+    values, scratch = np.empty((2, _CHUNK, 1), dtype=np.uint64)
     pos, t, n = start, t0, _FIRST_CHUNK
     while True:
-        vals = stream_chunk(key, t, n)
+        vals = stream_block(keys, t, values[:n], scratch[:n]).reshape(n)
         if mod is not None:
             vals %= mod
         if rows is None:
@@ -971,8 +962,7 @@ class _Checkpoints:
 
 
 def _stationary_starts(graph, keys) -> np.ndarray:
-    offsets, _, degrees = graph.walk_tables()
-    cum = np.cumsum(degrees)
+    cum = np.cumsum(graph.degrees)
     if cum[-1] == 0:  # a single loopless vertex: no degree mass to sample
         return np.zeros(len(keys), dtype=np.int64)
     r = mix64(keys ^ _STATIONARY_SALT) % np.uint64(int(cum[-1]))
@@ -1136,7 +1126,7 @@ def local_time_tail_check(
     else:
         cv = np.zeros(trials, dtype=np.int64)
     gap = target / d_u - cv / d_v
-    r_uv = ResistanceOracle(component).resistance(u, v)
+    r_uv = ResistanceOracle(component, dense_limit=0).resistance(u, v)  # one row, R not kept
     points = []
     for lam in lambdas:
         emp = float(np.mean(gap >= lam - 1e-12))

@@ -12,7 +12,7 @@ block stop rules by one rule per walk fed one position at a time, scalar
 stop rules that scan each chunk of positions as an ndarray,
 components with every view built eagerly, graphs and their tables
 (merged edges, degrees, adjacency, walk tables, step tables, induced
-graphs) and the G(n, p), hypercube, torus and percolation samplers by one
+graphs), the walk tables of a union of graphs by concatenating theirs, and the G(n, p), hypercube, torus and percolation samplers by one
 Python loop over the edges, covering profiles via one
 greedy pass per level with an adaptive depth, branching-process size laws
 via convolution, the path interpolation as a scipy CSR product, the
@@ -491,6 +491,19 @@ def step_rows(g: MultiGraph) -> list[list[int]]:
     for v, (a, b) in enumerate(zip(offsets, offsets[1:])):
         rows.append(flat[a:b] * (lcm // (b - a)) if b > a else [v] * lcm)
     return rows
+
+
+def union_walk_tables(graphs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(offsets, flat, degrees) of the disjoint union of the graphs, vertex v
+    of graphs[i] at base[i] + v with base[i] the vertex count of the graphs
+    before it: each graph's own tables concatenated, flat shifted by its
+    base and offsets by the edge ends before it."""
+    base = np.cumsum([0] + [g.vertex_count for g in graphs[:-1]])
+    parts = [g.walk_tables() for g in graphs]
+    ends = np.cumsum([0] + [len(flat) for _, flat, _ in parts])
+    return (np.concatenate([o[:-1] + e for (o, _, _), e in zip(parts, ends)] + [ends[-1:]]),
+            np.concatenate([flat + b for (_, flat, _), b in zip(parts, base)]),
+            np.concatenate([degrees for _, _, degrees in parts]))
 
 
 def induced_graph(g: MultiGraph, vertices) -> MultiGraph:

@@ -33,7 +33,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import blas, errors, experiments, forkmap, walks
+from covertime import blas, errors, experiments, forkmap, graphs, walks
 from covertime.cli import main as cli_main
 from covertime.rng import derive_seed
 
@@ -432,16 +432,19 @@ def test_suite_bytes_identical_in_one_and_two_processes(monkeypatch, case):
 
 
 def test_suite_cells_pool_under_the_batch_budget(monkeypatch):
-    # worst-start cells of 64, 128 and 256 walks; a budget of 256 walks fits
-    # each cell alone but no 256-walk cell together with another, so each
-    # process runs several batches, and the report stays that of one batch
+    # worst-start cells of 64, 128 and 256 walks on trees of 16, 32 and 64
+    # vertices; a budget of 256 walks with the union of two 32-vertex trees
+    # (64 vertices, 62 edges) fits each cell alone but no 256-walk cell
+    # together with another, so each process runs several batches, and the
+    # report stays that of one batch
     def suite():
         return json.dumps(gw_scaling_suite([16, 32, 64], seeds=3, trials=4,
                                            master_seed=2).to_dict(), indent=2)
 
     _workers(monkeypatch, 1)
     whole = suite()
-    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(256))
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(256) + graphs.graph_bytes(64, 62)
+                        + graphs.walk_bytes(64, 124))
     sizes = oc.pooled_sizes(monkeypatch)
     reports = {}
     for w in (1, 2):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,8 +26,9 @@ def test_graph_over_budget_refused_before_allocating(tmp_path):
     # a header of 10**10 vertices: a degree table of 80 GB
     path = tmp_path / "huge.txt"
     path.write_text("n 10000000000\n0 1\n")
-    need = ("^a graph of 10000000000 vertices and 1 edges needs 640000000400 bytes,"
-            f" over the budget of {errors.MEMORY_BYTES}$")
+    # compiled before tracing, so that the peak is the refusal's alone
+    need = re.compile("^a graph of 10000000000 vertices and 1 edges needs 640000000140 bytes,"
+                      f" over the budget of {errors.MEMORY_BYTES}$")
     tracemalloc.start()
     try:
         with pytest.raises(ContractViolation, match=need):
@@ -48,12 +50,12 @@ def test_budget_admits_at_most_2_26_vertices():
 
 
 def test_graph_charges_its_vertices_and_distinct_edges(monkeypatch):
-    # 1000 vertices, 3 distinct edges among 5 lines: 64 * 1000 + 400 * 3 bytes
+    # 1000 vertices, 3 distinct edges among 5 lines: 64 * 1000 + 140 * 3 bytes
     edges = [(0, 1), (1, 0), (1, 2, 4), (2, 2), (2, 2)]
-    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 400 * 3)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 140 * 3)
     assert MultiGraph(1000, edges).edge_total == 8
-    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 400 * 3 - 1)
-    need = "^a graph of 1000 vertices and 3 edges needs 65200 bytes"
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 64 * 1000 + 140 * 3 - 1)
+    need = "^a graph of 1000 vertices and 3 edges needs 64420 bytes"
     with pytest.raises(ContractViolation, match=need):
         MultiGraph(1000, edges)
 
@@ -339,13 +341,18 @@ def test_walk_tables_match_degrees():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
 @settings(max_examples=60, deadline=None)
 def test_step_table_picks_the_edge_end_of_every_value(seed, n):
-    # table[v, r] is the edge end r mod deg(v) of v, for every r mod lcm
+    # table[v, r] is the edge end r mod deg(v) of v, for every r mod lcm;
+    # built at a size of n * lcm entries, refused one entry below it
     rng = np.random.default_rng(seed)
     g = oc.random_connected_multigraph(rng, n, extra_edges=int(rng.integers(0, 8)),
                                        loops=int(rng.integers(0, 3)), max_multiplicity=3)
     nbrs, degs, lcm = g.walk_tables_py()
-    steps = g.step_tables(n * lcm)
-    assert steps is not None and g.step_tables(n * lcm - 1) is None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", n * lcm - 1)
+        assert g.step_tables() is None
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", n * lcm)
+        steps = g.step_tables()
+        assert steps is not None
     table, rows = steps
     assert table.shape == (n, lcm) and table.tolist() == rows
     for v in range(n):
@@ -353,9 +360,25 @@ def test_step_table_picks_the_edge_end_of_every_value(seed, n):
             assert rows[v] == [nbrs[v][r % degs[v]] for r in range(lcm)]
 
 
-def test_step_table_of_a_loopless_single_vertex():
-    table, rows = MultiGraph(1).step_tables(1)
+def test_step_table_of_a_loopless_single_vertex(monkeypatch):
+    monkeypatch.setattr(graphs, "STEP_TABLE_ENTRIES", 1)
+    table, rows = MultiGraph(1).step_tables()
     assert table.tolist() == rows == [[0]]
+
+
+def test_step_table_past_its_size_allocates_nothing(monkeypatch):
+    # a 2-vertex graph with lcm 10**10: 2 * 10**10 entries; returned None
+    # from the degrees alone, with no charge and no array
+    g = MultiGraph(2, [(0, 1, 10 ** 10)])
+    g.step_tables()  # the lcm, read from the degrees once and kept
+    monkeypatch.setattr(errors, "MEMORY_BYTES", 0)
+    tracemalloc.start()
+    try:
+        assert g.step_tables() is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200, peak
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +464,9 @@ def test_walk_tables_and_induced_graphs_match_the_loops(g, data):
     nbrs, degs, lcm = g.walk_tables_py()
     assert nbrs == [ref_flat[a:b] for a, b in zip(ref_offsets, ref_offsets[1:])]
     assert degs == g.degrees.tolist()
-    steps = g.step_tables(10 ** 5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", 10 ** 5)
+        steps = g.step_tables()
     if steps is not None and g.vertex_count:
         assert steps[1] == oc.step_rows(g) and steps[0].tolist() == steps[1]
     if g.vertex_count:
@@ -455,13 +480,14 @@ def test_walk_tables_and_induced_graphs_match_the_loops(g, data):
 def test_walk_tables_over_budget_refused_before_allocating():
     # two edge ends of multiplicity 10**10: a flat table of 160 GB
     g = MultiGraph(2, [(0, 1, 10 ** 10)])
+    over = re.compile("over the budget")  # compiled before tracing
     tracemalloc.start()
     try:
-        for build in (g.walk_tables, g.walk_tables_py, lambda: g.step_tables(1 << 62)):
-            with pytest.raises(ContractViolation, match="over the budget"):
+        for build in (g.walk_tables, g.walk_tables_py):
+            with pytest.raises(ContractViolation, match=over):
                 build()
-        # past the entry limit: refused from the degrees alone, uncharged
-        assert g.step_tables(1 << 16) is None
+        # past the table's size: None from the degrees alone, uncharged
+        assert g.step_tables() is None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,7 +500,6 @@ def test_walk_tables_charge_the_stated_bytes(monkeypatch):
     for build, need, what in [
         (g.walk_tables, 16 * 3 + 64 * 4, "a walk table of 3 vertices and 4 edge ends"),
         (g.walk_tables_py, 80 * 3 + 64 * 4, "a walk list of 3 vertices and 4 edge ends"),
-        (lambda: g.step_tables(6), 80 * 3 + 72 * 6, "a step table of 3 x 2 entries"),
     ]:
         monkeypatch.setattr(errors, "MEMORY_BYTES", need - 1)
         with pytest.raises(ContractViolation, match=f"^{what} needs {need} bytes"):

@@ -1,11 +1,4 @@
-"""Percolation of edge-list bases against the per-edge loop of the oracles.
-
-Kept apart from test_generators.py so that it runs after test_graphs.py:
-its hypothesis examples leave the interpreter in a state that varies from
-run to run, and the tracemalloc peak that
-test_graph_over_budget_refused_before_allocating reads includes the
-compile of its own match pattern, which that state moves by over a kB.
-"""
+"""Percolation of edge-list bases against the per-edge loop of the oracles."""
 import tempfile
 from pathlib import Path
 

@@ -17,7 +17,7 @@ from covertime import (
     simulate,
     uniform_labeled_tree,
 )
-from covertime import errors, forkmap, walks
+from covertime import errors, forkmap, graphs, walks
 
 
 def comp(g: MultiGraph) -> ComponentView:
@@ -34,36 +34,141 @@ _WIDE = comp(oc.random_connected_multigraph(np.random.default_rng(4), 26, extra_
 
 def test_wide_graph_is_above_the_table_gate():
     g = _WIDE.graph
-    assert g.vertex_count * g.walk_tables_py()[2] > walks.STEP_TABLE_ENTRIES
-    assert g.step_tables(walks.STEP_TABLE_ENTRIES) is None
+    assert g.vertex_count * g.walk_tables_py()[2] > graphs.STEP_TABLE_ENTRIES
+    assert g.step_tables() is None
 
 
 # ---------------------------------------------------------------------------
 # the union of the components of a batch
 
 
+def _batch_union(parts):
+    """The union graph of a batch with one cover request on each graph."""
+    requests = [walks._request(comp(g), "cover", start=0, trials=1) for g in parts]
+    return walks._Batch(requests).union
+
+
 def test_union_tables_are_each_components_rows_shifted():
-    graphs = [_LOOPY.graph, cycle_graph(5), MultiGraph(1, [(0, 0)]), path_graph(4)]
-    union = walks._Union(graphs)
+    parts = [_LOOPY.graph, cycle_graph(5), MultiGraph(1, [(0, 0)]), path_graph(4)]
+    union = _batch_union(parts)
+    assert isinstance(union, MultiGraph) and union.vertex_count == 17
     offsets, flat, degrees = union.walk_tables()
-    assert union.base == [0, 7, 12, 13] and union.vertex_count == 17
     assert len(offsets) == 18 and offsets[-1] == len(flat)
-    for g, base in zip(graphs, union.base):
+    for g, base in zip(parts, [0, 7, 12, 13]):
         o, f, d = g.walk_tables()
         k = g.vertex_count
         assert np.array_equal(degrees[base:base + k], d)
         for v in range(k):  # each vertex keeps its edge ends, in order
             assert np.array_equal(flat[offsets[base + v]:offsets[base + v + 1]],
                                   f[o[v]:o[v + 1]] + base)
-    # several graphs take each value mod the degree, however small
-    assert union.step_table(walks.STEP_TABLE_ENTRIES) is None
+    for got, want in zip(union.walk_tables(), oc.union_walk_tables(parts)):
+        assert np.array_equal(got, want)
+    # the union takes a step table as any graph does: its lcm is 12
+    assert union.step_tables()[1] == oc.step_rows(union) and len(oc.step_rows(union)[0]) == 12
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", 17 * 12 - 1)
+        assert union.step_tables() is None
 
 
 def test_one_graph_is_its_own_union():
     g = _LOOPY.graph
-    union = walks._Union([g])
-    assert union.walk_tables() is g.walk_tables()
-    assert union.step_table(walks.STEP_TABLE_ENTRIES) is g.step_tables(walks.STEP_TABLE_ENTRIES)[0]
+    assert _batch_union([g]) is g and _batch_union([g, g]) is g
+
+
+@st.composite
+def graph_lists(draw):
+    """A few connected multigraphs of 1-8 vertices with loops and parallel
+    edges, one-vertex graphs with and without a loop among them, and the
+    same graph more than once."""
+    parts = []
+    for _ in range(draw(st.integers(1, 5))):
+        if parts and draw(st.integers(0, 4)) == 0:
+            parts.append(parts[draw(st.integers(0, len(parts) - 1))])
+            continue
+        n = draw(st.integers(1, 8))
+        end, m = st.integers(0, n - 1), st.integers(1, 3)
+        tree = [(draw(st.integers(0, v - 1)), v, draw(m)) for v in range(1, n)]
+        parts.append(MultiGraph(n, tree + draw(st.lists(st.tuples(end, end, m), max_size=2 * n))))
+    return parts
+
+
+@given(graph_lists())
+@settings(max_examples=150, deadline=None)
+def test_union_walk_tables_are_the_shifted_concatenation(parts):
+    union = _batch_union(parts)
+    parts = list({id(g): g for g in parts}.values())  # a graph given twice is in it once
+    assert union.vertex_count == sum(g.vertex_count for g in parts)
+    assert union.edge_total == sum(g.edge_total for g in parts)
+    for got, want in zip(union.walk_tables(), oc.union_walk_tables(parts)):
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_a_union_under_the_table_size_steps_through_it(monkeypatch):
+    # a 5-cycle and two paths (degrees 1 and 2): a union of 15 vertices
+    # whose table holds 30 entries; the vector loop steps through it and
+    # each request gets the samples it gets alone, and on the modulo path
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 1)
+    cs = [comp(cycle_graph(5)), comp(path_graph(3)), comp(path_graph(7))]
+    cases = [(cs[0], _kwargs(cs[0], "cover", "fixed", 40, 1)),
+             (cs[1], _kwargs(cs[1], "commute", "fixed", 40, 2)),
+             (cs[2], _kwargs(cs[2], "cover_return", "stationary", 40, 3)),
+             (cs[0], _kwargs(cs[0], "hitting", "fixed", 40, 4))]
+    built = []
+    step_tables = MultiGraph.step_tables
+    monkeypatch.setattr(MultiGraph, "step_tables",
+                        lambda g: built.append((g.vertex_count, step_tables(g))) or built[-1][1])
+    requests = [walks._request(c, **kw) for c, kw in cases]
+    assert walks._Batch(requests).vectorize
+    pooled = walks._estimates(requests, keep_samples=True)
+    assert [(n, steps[0].shape) for n, steps in built if n == 15] == [(15, (15, 2))]
+    monkeypatch.setattr(MultiGraph, "step_tables", step_tables)
+    alone = [simulate(c, **kw).samples for c, kw in cases]
+    monkeypatch.setattr(graphs, "STEP_TABLE_ENTRIES", 0)
+    modulo = [simulate(c, **kw).samples for c, kw in cases]
+    for (ok, est), own, mod in zip(pooled, alone, modulo):
+        assert ok and est.samples.tobytes() == own.tobytes() == mod.tobytes()
+
+
+def test_pools_cut_before_a_union_over_the_budget(monkeypatch):
+    # two 13000-vertex paths: each alone fits a budget of a batch of 10
+    # walks (4 MiB and 1.6 kB), their union graph (26000 vertices, 25998
+    # edges, 5.3 MB) does not; the requests run as two batches, neither fails
+    monkeypatch.setattr(forkmap, "usable_cpus", lambda: 1)
+    cs = [comp(path_graph(13000)), comp(path_graph(13000))]
+    cases = [(c, _kwargs(c, "hitting", "fixed", 5, j)) for j, c in enumerate(cs)]
+    cases = [(c, dict(kw, u=0, v=1)) for c, kw in cases]
+    alone = [simulate(c, **kw).samples for c, kw in cases]
+    requests = lambda: [walks._request(c, **kw) for c, kw in cases]
+    assert walks._Batch(requests()).union.vertex_count == 26000  # within the real budget
+    monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(10))
+    with pytest.raises(ContractViolation, match="^a graph of 26000 vertices and 25998 edges"):
+        walks._Batch(requests())
+    sizes = oc.pooled_sizes(monkeypatch)
+    got = walks._estimates(requests(), keep_samples=True)
+    assert sizes == [5, 5]
+    for (ok, est), own in zip(got, alone):
+        assert ok and est.samples.tobytes() == own.tobytes()
+    # with the batch, the union graph and its walk tables (4 * 12999 edge
+    # ends) under the budget, the two pool into one batch
+    need = walks._batch_bytes(10) + graphs.graph_bytes(26000, 25998) + graphs.walk_bytes(
+        26000, 4 * 12999)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", need)
+    sizes.clear()
+    got = walks._estimates(requests(), keep_samples=True)
+    assert sizes == [10]
+    for (ok, est), own in zip(got, alone):
+        assert ok and est.samples.tobytes() == own.tobytes()
+    monkeypatch.setattr(errors, "MEMORY_BYTES", need - 1)
+    sizes.clear()
+    walks._estimates(requests())
+    assert sizes == [5, 5]
+    # two requests on one path: its graph is counted once
+    one = walks._batch_bytes(10) + graphs.graph_bytes(13000, 12999) + graphs.walk_bytes(
+        13000, 2 * 12999)
+    monkeypatch.setattr(errors, "MEMORY_BYTES", one)
+    sizes.clear()
+    walks._estimates([walks._request(cs[0], **dict(cases[0][1], master_seed=j)) for j in (0, 1)])
+    assert sizes == [10]
 
 
 # ---------------------------------------------------------------------------

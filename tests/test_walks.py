@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from covertime import (
     trace_local_times,
     uniform_labeled_tree,
 )
-from covertime import errors, forkmap, walks
+from covertime import errors, forkmap, graphs, walks
 from covertime.rng import trial_key, trial_keys
 
 
@@ -325,6 +326,24 @@ class TestLocalTimeTail:
             local_time_tail_check(comp(path_graph(3)), 0, 2, 4.0, [0.0],
                                   trials=0, master_seed=1)
 
+    def test_reads_r_uv_without_a_k2_array(self):
+        # on a 1000-vertex path R would take 8 MB; the check reads R(u, v)
+        # from one row, with the bits of the materialized R
+        k, lambdas = 1000, [0.5, 1.0, 30.0]
+        c = comp(path_graph(k))
+        run = lambda: local_time_tail_check(c, 10, 500, 2.0, lambdas, trials=100, master_seed=4)
+        run()  # first-call imports and the graph's tables
+        tracemalloc.start()
+        try:
+            pts = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < k * k * 8 / 8, peak
+        r_uv = ResistanceOracle(c).resistance(10, 500)
+        assert [p.bound for p in pts] == [math.exp(-lam * lam / (4.0 * 2.0 * r_uv))
+                                          for lam in lambdas]
+
 
 class TestLocalTimeTrace:
     def test_visits_sum_to_time_plus_one(self):
@@ -573,15 +592,20 @@ class TestHandOff:
 _GATES = [oc.random_connected_multigraph(np.random.default_rng(seed), k, extra_edges=6, loops=2,
                                          max_multiplicity=2)
           for k, seed in ((63, 2), (64, 9), (65, 3))]
-_PATHS = {"table+mask": {}, "table+rows": {"MASK_VERTICES": 0},
-          "modulo+mask": {"STEP_TABLE_ENTRIES": 0},
-          "modulo+rows": {"STEP_TABLE_ENTRIES": 0, "MASK_VERTICES": 0}}
+_PATHS = {"table+mask": {}, "table+rows": {(walks, "MASK_VERTICES"): 0},
+          "modulo+mask": {(graphs, "STEP_TABLE_ENTRIES"): 0},
+          "modulo+rows": {(graphs, "STEP_TABLE_ENTRIES"): 0, (walks, "MASK_VERTICES"): 0}}
+
+
+def _take_path(mp, path):
+    for (module, name), value in _PATHS[path].items():
+        mp.setattr(module, name, value)
 
 
 def test_gate_graphs_take_the_table():
     for g in _GATES:
-        assert g.vertex_count * g.walk_tables_py()[2] <= walks.STEP_TABLE_ENTRIES
-        assert g.step_tables(walks.STEP_TABLE_ENTRIES) is not None
+        assert g.vertex_count * g.walk_tables_py()[2] <= graphs.STEP_TABLE_ENTRIES
+        assert g.step_tables() is not None
 
 
 @pytest.mark.parametrize("quantity", ["cover", "cover_return"])
@@ -591,8 +615,7 @@ def test_every_path_gives_the_same_bits(quantity, gi, path):
     c = comp(_GATES[gi])
     want = _reference_samples(c, quantity, 300, 21 + gi, start=5)[0]
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _PATHS[path].items():
-            mp.setattr(walks, name, value)
+        _take_path(mp, path)
         vector = _sim(c, quantity, 300, 21 + gi, start=5)
         scalar = _sim(c, quantity, 40, 21 + gi, start=5)
     assert np.array_equal(vector, want) and np.array_equal(scalar, want[:40])
@@ -602,7 +625,7 @@ def test_scalar_paths_step_alike():
     # one long walk on each scalar path, its chunks compared position by position
     g = _GATES[1]
     paths = {}
-    for entries in (walks.STEP_TABLE_ENTRIES, 0):
+    for entries in (graphs.STEP_TABLE_ENTRIES, 0):
         seen = []
 
         def rule(path):
@@ -610,10 +633,10 @@ def test_scalar_paths_step_alike():
             return len(path) - 1 if len(seen) == 3 else None
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+            mp.setattr(graphs, "STEP_TABLE_ENTRIES", entries)
             t = walks._walk_scalar(g, 7, trial_key(5, 3), rule, 10 ** 6)
         paths[entries] = (t, seen)
-    assert paths[0] == paths[walks.STEP_TABLE_ENTRIES]
+    assert paths[0] == paths[graphs.STEP_TABLE_ENTRIES]
     assert paths[0][0] == 256 + 512 + 1024
 
 
@@ -647,8 +670,7 @@ def test_blocks_end_mid_compaction(block_steps, path):
     compactions = []
     rules = walks._Batch.rules
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _PATHS[path].items():
-            mp.setattr(walks, name, value)
+        _take_path(mp, path)
         mp.setattr(forkmap, "usable_cpus", lambda: 1)  # the spy sees this process only
         mp.setattr(walks, "_BLOCK_STEPS", block_steps)
         mp.setattr(walks, "_FIRST_BLOCK", block_steps)
@@ -669,8 +691,7 @@ def test_step_cap_at_a_block_boundary(path):
     # `longest - 1` steps at the step before it
     c = comp(_GATES[0])
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _PATHS[path].items():
-            mp.setattr(walks, name, value)
+        _take_path(mp, path)
         mp.setattr(forkmap, "usable_cpus", lambda: 1)
         mp.setattr(walks, "VECTOR_THRESHOLD", 1)
         longest = int(_sim(c, "cover", 300, 41, start=0).max())
@@ -683,13 +704,13 @@ def test_step_cap_at_a_block_boundary(path):
                 _sim(c, "cover", 300, 41, start=0, step_cap=longest - 1)
 
 
-@pytest.mark.parametrize("entries", [walks.STEP_TABLE_ENTRIES, 0])
+@pytest.mark.parametrize("entries", [graphs.STEP_TABLE_ENTRIES, 0])
 def test_scalar_step_cap_at_a_chunk_boundary(entries):
     # the first chunk holds 256 steps: a walk stopped at its last step
     # meets a cap of 256 and exceeds one of 255
     stop_at_end = lambda path: len(path) - 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", entries)
         assert walks._walk_scalar(_GATES[2], 0, 99, stop_at_end, 256) == 256
         with pytest.raises(StepLimitExceeded, match="exceeded 255 steps"):
             walks._walk_scalar(_GATES[2], 0, 99, stop_at_end, 255)
@@ -699,8 +720,7 @@ def test_scalar_step_cap_at_a_chunk_boundary(entries):
 def test_mask_state_handed_off_between_cover_and_return(path):
     c = comp(_GATES[1])
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in _PATHS[path].items():
-            mp.setattr(walks, name, value)
+        _take_path(mp, path)
         mp.setattr(walks, "VECTOR_THRESHOLD", 150)
         seen = _recording_scalar(mp)
         got = _sim(c, "cover_return", 300, 51, start=3)
@@ -710,11 +730,11 @@ def test_mask_state_handed_off_between_cover_and_return(path):
     assert np.array_equal(got, _reference_samples(c, "cover_return", 300, 51, start=3)[0])
 
 
-@pytest.mark.parametrize("entries", [walks.STEP_TABLE_ENTRIES, 0])
+@pytest.mark.parametrize("entries", [graphs.STEP_TABLE_ENTRIES, 0])
 def test_commute_handed_off_after_reaching_v_on_each_path(entries):
     c = comp(_GATES[2])
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walks, "STEP_TABLE_ENTRIES", entries)
+        mp.setattr(graphs, "STEP_TABLE_ENTRIES", entries)
         mp.setattr(walks, "VECTOR_THRESHOLD", 150)
         seen = _recording_scalar(mp)
         got = _sim(c, "commute", 300, 61, u=1, v=60)
@@ -741,14 +761,15 @@ def test_batch_over_budget_rejected_before_allocating(monkeypatch):
     c = comp(cycle_graph(5))
     simulate(c, "cover", start=0, trials=300, master_seed=1)  # first-call imports and tables
     monkeypatch.setattr(errors, "MEMORY_BYTES", walks._batch_bytes(10 ** 5) - 1)
+    need = re.compile("batch of 100000 walks")  # compiled before tracing
     tracemalloc.start()
     try:
-        with pytest.raises(ContractViolation, match="batch of 100000 walks"):
+        with pytest.raises(ContractViolation, match=need):
             simulate(c, "cover", start=0, trials=10 ** 5, master_seed=1)
-        with pytest.raises(ContractViolation, match="batch of 100000 walks"):  # k walks a trial
+        with pytest.raises(ContractViolation, match=need):  # k walks a trial
             simulate(c, "cover", start_policy="worst_over_all_starts", trials=2 * 10 ** 4,
                      master_seed=1)
-        with pytest.raises(ContractViolation, match="batch of 100000 walks"):
+        with pytest.raises(ContractViolation, match=need):
             local_time_tail_check(c, 0, 2, 3.0, [1.0], trials=10 ** 5, master_seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -802,10 +823,11 @@ def test_trace_over_budget_rejected_before_allocating(monkeypatch):
     c = comp(path_graph(100))
     trace_local_times(c, 0, [5], master_seed=1)  # first-call imports and tables
     monkeypatch.setattr(errors, "MEMORY_BYTES", 8000 - 1)
+    # compiled before tracing
+    need = re.compile("^a trace of 10 checkpoints on 100 vertices needs 8000 bytes")
     tracemalloc.start()
     try:
-        with pytest.raises(ContractViolation,
-                           match="^a trace of 10 checkpoints on 100 vertices needs 8000 bytes"):
+        with pytest.raises(ContractViolation, match=need):
             trace_local_times(c, 0, range(0, 100, 10), master_seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
