@@ -14,7 +14,8 @@ between two vertices.
 
 From the level sizes the module derives an explicit upper bound on the
 worst-start expected cover time, a certified covering-number lower bound,
-and the Matthews hitting-time lower bound.
+and the Matthews hitting-time lower bound. ``compute_bound_report`` runs
+these stages on one component.
 """
 from __future__ import annotations
 
@@ -26,7 +27,14 @@ import numpy as np
 
 from . import blas
 from .errors import ContractViolation
-from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle
+from .graphs import ComponentView
+from .resistance import (
+    BALL_ATOL,
+    BALL_RTOL,
+    DENSE_LIMIT,
+    ResistanceOracle,
+    resistance_diameter,
+)
 
 LEVEL_HARD_CAP = 40
 # largest packing level offered to Matthews as a candidate set; each
@@ -281,3 +289,23 @@ def default_matthews_sets(
     if diameter_pair is not None and diameter_pair[0] != diameter_pair[1]:
         sets.append(tuple(diameter_pair))
     return sets
+
+
+def compute_bound_report(
+    component: ComponentView,
+    *,
+    dense_limit: int = DENSE_LIMIT,
+    i_max: int | None = None,
+) -> BoundReport:
+    """Full bound pipeline: oracle, diameter, packing, bounds, Matthews."""
+    oracle = ResistanceOracle(component, dense_limit=dense_limit)
+    diam = resistance_diameter(oracle)
+    profile = greedy_packing(oracle, diam.value, i_max=i_max)
+    report = psi_bound(profile, component.graph.edge_total)
+    report.diameter_pair = diam.pair
+    if component.size >= 2:
+        sets = default_matthews_sets(profile, diam.pair)
+        report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
+    else:
+        report.matthews_lower = 0.0
+    return report

@@ -8,7 +8,8 @@ input contract violation (including a missing or unreadable file), 3
 assertion failure in exact mode. --threads is accepted for compatibility
 and ignored: suites run their cells, and simulate the trials of an
 estimate, on the CPUs of the affinity mask, one process each (``taskset -c
-0`` runs them in one).
+0`` runs them in one). Each handler imports the layers it runs when it is
+called, so a command loads no other layer.
 """
 from __future__ import annotations
 
@@ -17,41 +18,21 @@ import csv
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import CovertimeError
-from .experiments import (
-    compute_bound_report,
-    edge_addition_suite,
-    evolution_suite,
-    gw_scaling_suite,
-)
-from .generators import (
-    BaseGraphSpec,
-    GiantModelParams,
-    giant_model,
-    gnp,
-    percolate,
-    pgw_tree,
-    uniform_labeled_tree,
-)
-from .graphs import (
-    ComponentView,
-    MultiGraph,
-    connected_components,
-    load_edge_list,
-    to_edge_list_text,
-)
-from .resistance import DENSE_LIMIT
-from .walks import simulate
 
+if TYPE_CHECKING:
+    from .generators import BaseGraphSpec
+    from .graphs import ComponentView, MultiGraph
 
-# percolation base -> (spec constructor, the argparse dests it takes before p)
+# percolation base -> (BaseGraphSpec constructor, the argparse dests it takes before p)
 _BASES = {
-    "complete": (BaseGraphSpec.complete, ("base_n",)),
-    "hypercube": (BaseGraphSpec.hypercube, ("m",)),
-    "torus": (BaseGraphSpec.torus, ("m", "d")),
-    "random-regular": (BaseGraphSpec.random_regular, ("base_n", "d")),
-    "file": (BaseGraphSpec.from_file, ("base_file",)),
+    "complete": ("complete", ("base_n",)),
+    "hypercube": ("hypercube", ("m",)),
+    "torus": ("torus", ("m", "d")),
+    "random-regular": ("random_regular", ("base_n", "d")),
+    "file": ("from_file", ("base_file",)),
 }
 
 
@@ -73,6 +54,8 @@ def _add_graph_source(p: argparse.ArgumentParser) -> None:
 
 
 def _base_spec(args) -> BaseGraphSpec:
+    from .generators import BaseGraphSpec
+
     if args.base is None:
         raise CovertimeError("percolation requires --base")
     make, dests = _BASES[args.base]
@@ -80,12 +63,23 @@ def _base_spec(args) -> BaseGraphSpec:
     if missing:
         raise CovertimeError(f"--base {args.base} requires {' and '.join(missing)}")
     p = args.p if args.p is not None else 1.0
-    return make(*(getattr(args, d) for d in dests), p)
+    return getattr(BaseGraphSpec, make)(*(getattr(args, d) for d in dests), p)
 
 
 def _build_graph(args) -> MultiGraph:
     if args.edges:
+        from .graphs import load_edge_list
+
         return load_edge_list(args.edges)
+    from .generators import (
+        GiantModelParams,
+        giant_model,
+        gnp,
+        percolate,
+        pgw_tree,
+        uniform_labeled_tree,
+    )
+
     if args.model == "gnp":
         if args.n is None or args.p is None:
             raise CovertimeError("gnp requires --n and --p")
@@ -108,6 +102,8 @@ def _build_graph(args) -> MultiGraph:
 
 
 def _component(args) -> ComponentView:
+    from .graphs import connected_components
+
     g = _build_graph(args)
     comps = connected_components(g)
     if not comps:
@@ -134,9 +130,11 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 
 def _cmd_bound(args) -> int:
-    report = compute_bound_report(
-        _component(args), dense_limit=args.dense_limit, i_max=args.i_max
-    )
+    from .bounds import compute_bound_report
+    from .resistance import DENSE_LIMIT
+
+    dense_limit = DENSE_LIMIT if args.dense_limit is None else args.dense_limit
+    report = compute_bound_report(_component(args), dense_limit=dense_limit, i_max=args.i_max)
     payload = report.to_dict()
     rows = [[lvl["i"], lvl["radius"], lvl["size"], lvl["alpha"]] for lvl in payload["levels"]]
     _emit(args, payload, rows, ["i", "radius", "size", "alpha"])
@@ -144,6 +142,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .walks import simulate
+
     comp = _component(args)
     est = simulate(
         comp,
@@ -164,6 +164,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evolution(args) -> int:
+    from .experiments import evolution_suite
+
     report = evolution_suite(
         args.regime,
         args.n_grid,
@@ -185,6 +187,8 @@ def _cmd_evolution(args) -> int:
 
 
 def _cmd_gw_scaling(args) -> int:
+    from .experiments import gw_scaling_suite
+
     report = gw_scaling_suite(
         args.k_grid,
         args.seeds,
@@ -203,6 +207,8 @@ def _cmd_gw_scaling(args) -> int:
 
 
 def _cmd_edge_add(args) -> int:
+    from .experiments import edge_addition_suite
+
     report = edge_addition_suite(
         args.mode,
         args.k_edges,
@@ -226,6 +232,8 @@ def _cmd_edge_add(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .graphs import connected_components, to_edge_list_text
+
     g = _build_graph(args)
     comps = connected_components(g)
     if args.dump:
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_global_flags(p_bound, suppress=True)
     p_bound.add_argument("--i-max", type=int, default=None)
     p_bound.add_argument(
-        "--dense-limit", type=int, default=DENSE_LIMIT,
+        "--dense-limit", type=int, default=None,
         help="largest component whose R is materialized; larger ones read rows "
         "on demand, with the same bits",
     )

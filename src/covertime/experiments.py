@@ -1,4 +1,7 @@
-"""Experiment orchestration: bound reports, scaling suites, edge addition.
+"""Experiment orchestration: scaling suites and edge addition.
+
+Each cell's bound report comes from ``bounds.compute_bound_report``, which
+this module re-exports.
 
 Scaling suites spread their (size, seed) cells over the CPUs of the
 affinity mask with ``forkmap.fork_shares``, cell i in process i mod W, each
@@ -17,17 +20,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import forkmap
-from .bounds import (
-    BoundReport,
-    default_matthews_sets,
-    greedy_packing,
-    matthews_from_oracle,
-    psi_bound,
-)
+from .bounds import BoundReport, compute_bound_report
 from .errors import ContractViolation, DegenerateModelError
 from .generators import gnp, uniform_labeled_tree
 from .graphs import ComponentView, MultiGraph, largest_component
-from .resistance import DENSE_LIMIT, ResistanceOracle, resistance_diameter
 from .rng import derive_seed
 from .walks import (
     EXACT_DP_LIMIT,
@@ -37,26 +33,6 @@ from .walks import (
     exact_cover_time_worst,
     simulate,
 )
-
-
-def compute_bound_report(
-    component: ComponentView,
-    *,
-    dense_limit: int = DENSE_LIMIT,
-    i_max: int | None = None,
-) -> BoundReport:
-    """Full bound pipeline: oracle, diameter, packing, bounds, Matthews."""
-    oracle = ResistanceOracle(component, dense_limit=dense_limit)
-    diam = resistance_diameter(oracle)
-    profile = greedy_packing(oracle, diam.value, i_max=i_max)
-    report = psi_bound(profile, component.graph.edge_total)
-    report.diameter_pair = diam.pair
-    if component.size >= 2:
-        sets = default_matthews_sets(profile, diam.pair)
-        report.matthews_lower = matthews_from_oracle(oracle, sets)[0]
-    else:
-        report.matthews_lower = 0.0
-    return report
 
 
 @dataclass

@@ -15,7 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from typing import IO, Iterable, Sequence
+from collections.abc import Sequence
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -435,7 +436,46 @@ def _label_round(labels: np.ndarray, u: np.ndarray, v: np.ndarray) -> bool:
     return True
 
 
-def connected_components(g: MultiGraph) -> list[ComponentView]:
+class Components(Sequence):
+    """The components of a graph, largest first, ties broken by smallest
+    contained vertex id: a read-only sequence that builds each component's
+    ``ComponentView`` when it is first read and keeps it. Indices, negative
+    indices and slices read as a list of the views would; a slice is a
+    list. A near-critical G(n, 1/n) has about n/2 components, most of
+    which are never read."""
+
+    __slots__ = ("_graph", "_ids", "_cuts", "_views")
+
+    def __init__(self, g: MultiGraph, ids: np.ndarray, cuts: np.ndarray) -> None:
+        # component i holds ids[cuts[i]:cuts[i + 1]], ascending
+        self._graph, self._ids, self._cuts = g, ids, cuts
+        self._views: dict[int, ComponentView] = {}
+
+    def __len__(self) -> int:
+        return len(self._cuts) - 1
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = operator.index(i)
+        k = len(self)
+        if not -k <= i < k:
+            raise IndexError("component index out of range")
+        i %= k
+        view = self._views.get(i)
+        if view is None:  # each view holds a slice of ids, not a copy
+            view = ComponentView(self._graph, self._ids[self._cuts[i]:self._cuts[i + 1]])
+            self._views[i] = view
+        return view
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __repr__(self) -> str:
+        return f"Components(count={len(self)})"
+
+
+def connected_components(g: MultiGraph) -> Components:
     """Components largest first; ties broken by smallest contained vertex id."""
     n = g.vertex_count
     labels = _component_labels(g)
@@ -445,14 +485,15 @@ def connected_components(g: MultiGraph) -> list[ComponentView]:
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(len(order))
     ids = np.argsort(rank[labels], kind="stable")  # ascending within each component
-    cuts = np.cumsum(sizes[order]).tolist()
-    # each view holds a slice of ids, not a copy
-    return [ComponentView(g, ids[a:b]) for a, b in zip([0] + cuts, cuts)]
+    cuts = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sizes[order], out=cuts[1:])
+    return Components(g, ids, cuts)
 
 
 def largest_component(g: MultiGraph) -> ComponentView:
-    """``connected_components(g)[0]`` without the views of the other
-    components: a near-critical G(n, 1/n) has thousands of them."""
+    """``connected_components(g)[0]`` from the component labels alone,
+    without ordering the other components: a near-critical G(n, 1/n) has
+    thousands of them."""
     if g.vertex_count == 0:
         raise ContractViolation("graph has no vertices")
     labels = _component_labels(g)

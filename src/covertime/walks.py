@@ -103,7 +103,6 @@ from . import errors, forkmap
 from .errors import ContractViolation, StepLimitExceeded, require
 from .graphs import ComponentView, MultiGraph, graph_bytes, walk_bytes
 from .rng import mix64, stream_block, trial_key, trial_keys
-from .resistance import ResistanceOracle
 
 _STATIONARY_SALT = np.uint64(0xD1342543DE82EF95)
 _FIRST_CHUNK = 256
@@ -1126,6 +1125,8 @@ def local_time_tail_check(
     else:
         cv = np.zeros(trials, dtype=np.int64)
     gap = target / d_u - cv / d_v
+    from .resistance import ResistanceOracle  # imported on use: walks alone load no resistance
+
     r_uv = ResistanceOracle(component, dense_limit=0).resistance(u, v)  # one row, R not kept
     points = []
     for lam in lambdas:

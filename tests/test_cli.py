@@ -407,6 +407,40 @@ class TestLazyScipy:
                                 "--dense-limit", "16")
 
 
+# the covertime layers loaded by `import covertime`, then by one command run
+# through main, in a fresh process; the last stderr line is their JSON
+_LAYER_PROBE = (
+    "import json, sys; import covertime; "
+    "layers = lambda: sorted(m for m in sys.modules if m.startswith('covertime.')); "
+    "root = layers(); from covertime.cli import main; rc = main(sys.argv[1:]); "
+    "print(json.dumps([rc, root, layers()]), file=sys.stderr)"
+)
+
+
+def _layers_loaded(*argv) -> tuple[list[str], set[str]]:
+    proc = subprocess.run([sys.executable, "-c", _LAYER_PROBE, *argv],
+                          capture_output=True, text=True, timeout=300)
+    rc, root, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert rc == 0, proc.stderr
+    return root, set(loaded)
+
+
+class TestLazyLayers:
+    def test_each_command_loads_only_its_layers(self, tmp_path):
+        edges = tmp_path / "tree.txt"
+        edges.write_text(to_edge_list_text(uniform_labeled_tree(40, 3)))
+        root, bound = _layers_loaded("bound", "--edges", str(edges))
+        assert root == []  # the package root imports no layer
+        assert "covertime.bounds" in bound
+        assert not bound & {"covertime.walks", "covertime.experiments",
+                            "covertime.forkmap", "covertime.rng"}
+        _, walk = _layers_loaded("--trials", "40", "simulate", "--edges", str(edges),
+                                 "--start", "0")
+        assert "covertime.walks" in walk
+        assert not walk & {"covertime.resistance", "covertime.bounds",
+                           "covertime.blas", "covertime.experiments"}
+
+
 # OPENBLAS_NUM_THREADS is read when the library loads, so each count runs in
 # its own process; --threads is parsed and ignored
 class TestThreadDeterminism:

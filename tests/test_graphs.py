@@ -1,10 +1,11 @@
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
 from covertime import errors, graphs
@@ -238,11 +239,37 @@ def sparse_multigraphs(draw):
 
 
 @given(sparse_multigraphs())
+@example(MultiGraph(100_000))  # 100,000 singletons, of which one is read
 @settings(max_examples=80, deadline=None)
 def test_components_match_eager_views(g):
-    comps = connected_components(g)
-    ref = oc.eager_components(g)
-    assert [c.size for c in comps] == [len(ids) for ids, _, _ in ref]
+    built = []  # every ComponentView constructed
+    init = ComponentView.__init__
+
+    def counted(view, *args):
+        built.append(view)
+        init(view, *args)
+
+    with mock.patch.object(ComponentView, "__init__", counted):
+        comps = connected_components(g)
+        k = len(comps)
+        assert not built  # a view is built when it is read, and kept
+        if k > 14:
+            assert comps[0].vertices == (0,) and comps[0] is comps[0] and len(built) == 1
+            return
+        ref = oc.eager_components(g)
+        assert k == len(ref)
+        with pytest.raises(IndexError):
+            comps[k]
+        with pytest.raises(IndexError):
+            comps[-k - 1]
+        # negative indices and slices read as the list did, and build only the views read
+        back = comps[-1:-k - 1:-2]  # every other view from the last
+        assert [c.vertices for c in back] == [ids for ids, _, _ in ref[::-2]]
+        assert back == [comps[i] for i in range(k - 1, -1, -2)] == comps[k - 1::-2]
+        assert len(built) == len(back) == len(ref[::-2])
+        assert comps[1:1] == [] and len(built) == len(back)
+        assert [c.size for c in comps] == [len(ids) for ids, _, _ in ref]
+        assert len(built) == k
     # read the lazy parts in a different order on every other view
     for j, (c, (ids, index, graph)) in enumerate(zip(comps, ref)):
         if j % 2:
