@@ -28,13 +28,7 @@ import numpy as np
 from . import blas
 from .errors import ContractViolation
 from .graphs import ComponentView
-from .resistance import (
-    BALL_ATOL,
-    BALL_RTOL,
-    DENSE_LIMIT,
-    ResistanceOracle,
-    resistance_diameter,
-)
+from .resistance import BALL_ATOL, BALL_RTOL, ResistanceOracle, resistance_diameter
 
 LEVEL_HARD_CAP = 40
 # largest packing level offered to Matthews as a candidate set; each
@@ -294,11 +288,10 @@ def default_matthews_sets(
 def compute_bound_report(
     component: ComponentView,
     *,
-    dense_limit: int = DENSE_LIMIT,
     i_max: int | None = None,
 ) -> BoundReport:
     """Full bound pipeline: oracle, diameter, packing, bounds, Matthews."""
-    oracle = ResistanceOracle(component, dense_limit=dense_limit)
+    oracle = ResistanceOracle(component)
     diam = resistance_diameter(oracle)
     profile = greedy_packing(oracle, diam.value, i_max=i_max)
     report = psi_bound(profile, component.graph.edge_total)

@@ -5,11 +5,13 @@ Global flags: --seed, --trials, --json PATH, --csv PATH, --threads N.
 Exit codes: 0 success, 1 stdout closed before the report was written (as
 in ``covertime generate ... | head -2``; nothing is printed to stderr), 2
 input contract violation (including a missing or unreadable file), 3
-assertion failure in exact mode. --threads is accepted for compatibility
-and ignored: suites run their cells, and simulate the trials of an
-estimate, on the CPUs of the affinity mask, one process each (``taskset -c
-0`` runs them in one). Each handler imports the layers it runs when it is
-called, so a command loads no other layer.
+assertion failure in exact mode. --threads, and bound's --dense-limit N,
+are accepted for compatibility and ignored: suites run their cells, and
+simulate the trials of an estimate, on the CPUs of the affinity mask, one
+process each (``taskset -c 0`` runs them in one), and the resistance
+oracle keeps R when it fits the memory budget. --csv writes a command's
+rows, or its report as one row. Each handler imports the layers it runs
+when it is called, so a command loads no other layer.
 """
 from __future__ import annotations
 
@@ -121,7 +123,9 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(text + "\n")
-    if args.csv and csv_rows is not None:
+    if args.csv:
+        if csv_rows is None:   # a one-row table of the payload
+            csv_header, csv_rows = list(payload), [list(payload.values())]
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(csv_header)
@@ -131,10 +135,8 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None) -> None:
 
 def _cmd_bound(args) -> int:
     from .bounds import compute_bound_report
-    from .resistance import DENSE_LIMIT
 
-    dense_limit = DENSE_LIMIT if args.dense_limit is None else args.dense_limit
-    report = compute_bound_report(_component(args), dense_limit=dense_limit, i_max=args.i_max)
+    report = compute_bound_report(_component(args), i_max=args.i_max)
     payload = report.to_dict()
     rows = [[lvl["i"], lvl["radius"], lvl["size"], lvl["alpha"]] for lvl in payload["levels"]]
     _emit(args, payload, rows, ["i", "radius", "size", "alpha"])
@@ -292,8 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--i-max", type=int, default=None)
     p_bound.add_argument(
         "--dense-limit", type=int, default=None,
-        help="largest component whose R is materialized; larger ones read rows "
-        "on demand, with the same bits",
+        help="ignored; R is kept when it fits the memory budget, with the same bits either way",
     )
     p_bound.set_defaults(fn=_cmd_bound)
 

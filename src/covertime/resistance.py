@@ -16,30 +16,32 @@ bit for bit and a row has the same bits however and whenever it is read. On
 a tree the kernel is one vertex and R is the hop distance (times 1/m along
 an m-fold edge).
 
-The constructor forms every row once, in one pass down the hanging trees in
-preorder (``ResistanceOracle._sweep``), and takes each vertex's resistance
-eccentricity (its largest resistance to any vertex) and the separation (the
-smallest between two distinct vertices) as it goes; the exact resistance
-diameter is read from the eccentricities. A component of at most
-``dense_limit`` vertices keeps those rows as its matrix R. A larger one
-keeps only the kernel's inverse, (nk - 1)^2 doubles, and a few length-k
-tables, and ``ResistanceOracle._rows`` forms each row read later, in any
-order. A kernel whose inverse would exceed ``DENSE_LIMIT``^2 doubles is
-rejected before anything is allocated.
+The first read of ``eccentricity`` or ``separation`` forms every row once,
+in one pass down the hanging trees in preorder (``ResistanceOracle._sweep``),
+and takes each vertex's resistance eccentricity (its largest resistance to
+any vertex) and the separation (the smallest between two distinct vertices)
+as it goes; the exact resistance diameter is read from the eccentricities.
+When R, 8 k^2 bytes, fits a 32nd of ``errors.MEMORY_BYTES`` (k <= 4096 at
+the default budget), the pass keeps those rows as the matrix R and later
+rows are read from it. A row read before the pass, or on a larger
+component, is formed by ``ResistanceOracle._rows``, in any order, from the
+kernel's inverse, (nk - 1)^2 doubles, and a few length-k tables. A kernel
+whose inverse would exceed ``DENSE_LIMIT``^2 doubles is rejected before
+anything is allocated.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import blas
+from . import blas, errors
 from .errors import ContractViolation
 from .graphs import ComponentView, MultiGraph
 
 DENSE_LIMIT = 4096
-# core rows per block of the constructor's pass, and rows per block read
-# on demand
+# core rows per block of the sweep, and rows per block formed by _rows
 _BLOCK = 64
 
 # Closed-ball membership tolerance: exact boundary cases (integer radii on
@@ -64,32 +66,27 @@ class ResistanceOracle:
     """Pairwise effective-resistance queries on one connected component.
 
     Public methods take original (parent-graph) vertex ids; local ids are
-    positions in ``component.vertices``. The oracle is immutable once built.
-    The constructor forms every row in one pass, ``_sweep``, and keeps
-    ``eccentricity``, each vertex's largest resistance to any vertex, and
-    ``separation``, the smallest between two distinct vertices (inf on one
-    vertex). With at most ``dense_limit`` vertices (``dense`` true) the
-    pass fills R, read-only, and every row query reads R. Above, each row
-    read calls ``_rows`` and nothing is cached, so the oracle keeps the
-    kernel's inverse and O(k) tables however many rows are read. Both
-    functions give every entry the same bits, so both modes do too.
+    positions in ``component.vertices``. The first read of ``eccentricity``,
+    each vertex's largest resistance to any vertex, or ``separation``, the
+    smallest between two distinct vertices (inf on one vertex), forms every
+    row in one pass, ``_sweep``. When R fits its share of the memory budget
+    (``dense`` true) the pass fills R, read-only, and every later row query
+    reads R. Otherwise, and before the pass, each row read calls ``_rows``
+    and nothing is cached, so the oracle keeps the kernel's inverse and O(k)
+    tables however many rows are read. Both functions give every entry the
+    same bits, so every row does too, whenever it is read.
 
-    A ``dense_limit`` below 0 or above ``DENSE_LIMIT``, and a kernel of more
-    than ``DENSE_LIMIT`` + 1 vertices, are rejected before anything is
-    allocated.
+    A kernel of more than ``DENSE_LIMIT`` + 1 vertices is rejected before
+    anything is allocated.
     """
 
-    def __init__(self, component: ComponentView, dense_limit: int = DENSE_LIMIT) -> None:
-        if not 0 <= dense_limit <= DENSE_LIMIT:
-            raise ContractViolation(
-                f"dense_limit {dense_limit} is outside 0 to DENSE_LIMIT {DENSE_LIMIT}"
-            )
+    def __init__(self, component: ComponentView) -> None:
         self.component = component
         g = component.graph
         self.size = k = g.vertex_count
         self.edge_total = g.edge_total
         self._degrees = g.degrees.astype(np.float64)
-        self.dense = k <= dense_limit
+        self.dense = 8 * k * k <= errors.MEMORY_BYTES // 32
         core, pre, subtree, parent, height, links = _hanging_forest(g)
         kernel, paths = _series_paths(g, core, links)
         nk = kernel.size
@@ -142,11 +139,18 @@ class ResistanceOracle:
         self._subtree, self._parent = subtree, parent
         self._h = height
         self._h2 = 2.0 * height
+        self._R = None
 
-        self._R, self.eccentricity, self.separation = self._sweep()
-        if self._R is not None:
-            self._R.flags.writeable = False
-            self._inv = None   # every row is in R
+    @cached_property
+    def _extremes(self) -> tuple[np.ndarray, float]:
+        R, ecc, separation = self._sweep()
+        if R is not None:
+            R.flags.writeable = False
+            self._R, self._inv = R, None   # every row is in R
+        return ecc, separation
+
+    eccentricity = property(lambda self: self._extremes[0])
+    separation = property(lambda self: self._extremes[1])
 
     # -- the row function ----------------------------------------------------
 
@@ -234,7 +238,7 @@ class ResistanceOracle:
 
     def _rows(self, ids: np.ndarray) -> np.ndarray:
         """R(x, .) for the local ids x in ``ids``, in any order, shape
-        (len(ids), k): the rows read after construction on demand.
+        (len(ids), k): every row read while R is not kept.
 
         With h the height of a vertex above its host and core(x, y) the core
         rows' entry between the hosts of x and y (0 for one host), each entry
@@ -261,9 +265,9 @@ class ResistanceOracle:
         rows is expanded to the hosts' trees in preorder, updating one buffer
         of 2 h(lca) as the preorder moves, so that a tree row costs O(k) and
         the buffer holds exact copies of the values ``_ancestry`` builds. A
-        row goes into R when it is materialized, else into one scratch row,
+        row goes into R when R is kept, else into one scratch row,
         and leaves its maximum and its smallest off-diagonal entry. Returns
-        R (None on demand), the row maxima and the separation."""
+        R (None when not kept), the row maxima and the separation."""
         k, nc = self.size, self._nc
         pre = self._pre
         pos, subtree, parent = self._pos.tolist(), self._subtree.tolist(), self._parent
@@ -316,8 +320,8 @@ class ResistanceOracle:
         return self._rows(np.array([a], dtype=np.intp))[0]
 
     def rows_from_locals(self, locals_: Sequence[int]) -> np.ndarray:
-        """Stacked resistance rows, shape (len(locals_), k); read on demand
-        ``_BLOCK`` rows at a time above the dense limit."""
+        """Stacked resistance rows, shape (len(locals_), k); formed
+        ``_BLOCK`` rows at a time while R is not kept."""
         idx = np.asarray(locals_, dtype=np.intp)
         if self._R is not None:
             return self._R[idx]

@@ -1127,7 +1127,7 @@ def local_time_tail_check(
     gap = target / d_u - cv / d_v
     from .resistance import ResistanceOracle  # imported on use: walks alone load no resistance
 
-    r_uv = ResistanceOracle(component, dense_limit=0).resistance(u, v)  # one row, R not kept
+    r_uv = ResistanceOracle(component).resistance(u, v)  # one row: no sweep, no R
     points = []
     for lam in lambdas:
         emp = float(np.mean(gap >= lam - 1e-12))

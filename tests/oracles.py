@@ -21,6 +21,7 @@ children left behind via ``os.waitpid``.
 """
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import os
@@ -31,7 +32,8 @@ import numpy as np
 import pytest
 
 from covertime import (
-    ComponentView, ContractViolation, MultiGraph, StepLimitExceeded, VertexRangeError, blas, walks,
+    ComponentView, ContractViolation, MultiGraph, ResistanceOracle, StepLimitExceeded,
+    VertexRangeError, blas, errors, walks,
 )
 from covertime.bounds import (
     LEVEL_HARD_CAP, CoveringLevel, CoveringProfile, _dedupe_sets, ball_radius, required_levels,
@@ -725,3 +727,35 @@ def assert_no_child_left() -> None:
     """Every child this process forked has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def r_kept_up_to(limit: int | None):
+    """A memory budget under which a resistance oracle keeps R on at most
+    ``limit`` vertices, its 8 limit^2 bytes being a 32nd of the budget, and
+    forms every row of a larger component on demand; the default budget
+    when ``limit`` is None."""
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(errors, "MEMORY_BYTES", 32 * 8 * limit * limit)
+        yield
+
+
+def oracle_modes(monkeypatch) -> list[bool]:
+    """Record whether each resistance oracle built from now on keeps R."""
+    modes: list[bool] = []
+    init = ResistanceOracle.__init__
+    monkeypatch.setattr(ResistanceOracle, "__init__",
+                        lambda self, component: init(self, component) or modes.append(self.dense))
+    return modes
+
+
+def swept_oracle(component: ComponentView, limit: int | None = None) -> ResistanceOracle:
+    """An oracle on ``component`` with its sweep run, so that a kept R
+    serves every row read from it; built under ``r_kept_up_to(limit)``,
+    after the component's graph is built."""
+    component.graph
+    with r_kept_up_to(limit):
+        oracle = ResistanceOracle(component)
+    oracle.eccentricity
+    return oracle

@@ -122,15 +122,15 @@ class TestGreedyPacking:
             assert true_sum <= pack_sum + 1e-9
 
 
-def _profiles(g: MultiGraph, dense_limit: int, i_max: int | None):
+def _profiles(g: MultiGraph, limit: int, i_max: int | None):
     """The one-pass profile and the per-level reference on one oracle."""
-    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    oracle = oc.swept_oracle(ComponentView.whole(g), limit)
     R = resistance_diameter(oracle).value
     return greedy_packing(oracle, R, i_max), oc.greedy_packing_per_level(oracle, R, i_max)
 
 
-def _assert_matches_reference(g: MultiGraph, dense_limit: int, i_max: int | None):
-    got, want = _profiles(g, dense_limit, i_max)
+def _assert_matches_reference(g: MultiGraph, limit: int, i_max: int | None):
+    got, want = _profiles(g, limit, i_max)
     # levels (index, radius, centers, size, alpha) and the truncation level
     assert got == want
     if i_max is None and got.truncation_level < LEVEL_HARD_CAP:
@@ -149,27 +149,27 @@ def connected_multigraphs(draw):
 @given(connected_multigraphs(), st.sampled_from([DENSE_LIMIT, 1]),
        st.sampled_from([None, 1, 2, 6]))
 @settings(max_examples=80, deadline=None)
-def test_one_pass_matches_per_level_reference(g, dense_limit, i_max):
-    _assert_matches_reference(g, dense_limit, i_max)
+def test_one_pass_matches_per_level_reference(g, limit, i_max):
+    _assert_matches_reference(g, limit, i_max)
 
 
 @pytest.mark.parametrize("g", [path_graph(n) for n in (2, 3, 5, 9, 17, 33, 64)]
                          + [cycle_graph(n) for n in (3, 4, 6, 8, 12, 16, 24)],
                          ids=lambda g: f"{g.vertex_count}v{g.edge_total}e")
-@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
+@pytest.mark.parametrize("limit", [DENSE_LIMIT, 1])
 @pytest.mark.parametrize("i_max", [None, 7])
-def test_one_pass_matches_reference_at_ties(g, dense_limit, i_max):
+def test_one_pass_matches_reference_at_ties(g, limit, i_max):
     # path radii hit integers and cycle radii rationals at the ball boundary
-    _assert_matches_reference(g, dense_limit, i_max)
+    _assert_matches_reference(g, limit, i_max)
 
 
-@pytest.mark.parametrize("dense_limit,want_reads", [(DENSE_LIMIT, []), (1, [])])
-def test_full_levels_skip_the_ball_test(monkeypatch, dense_limit, want_reads):
+@pytest.mark.parametrize("limit,want_reads", [(DENSE_LIMIT, []), (1, [])])
+def test_full_levels_skip_the_ball_test(monkeypatch, limit, want_reads):
     # in K8 every pair is 1/4 apart, above every level's ball radius (at most
     # R/2 = 1/8), so each level holds every vertex; in either mode no row is
     # read for them, as every row carries the bits of the separation
     g = MultiGraph(8, [(u, v) for u in range(8) for v in range(u + 1, 8)])
-    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    oracle = oc.swept_oracle(ComponentView.whole(g), limit)
     R = resistance_diameter(oracle).value
     want = oc.greedy_packing_per_level(oracle, R, 3)
     reads = []
@@ -215,9 +215,9 @@ def _rows_requested(monkeypatch, oracle: ResistanceOracle) -> list[int]:
     return reads
 
 
-@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
-def test_packing_reads_each_row_at_most_once(monkeypatch, dense_limit):
-    oracle = ResistanceOracle(ComponentView.whole(path_graph(64)), dense_limit=dense_limit)
+@pytest.mark.parametrize("limit", [DENSE_LIMIT, 1])
+def test_packing_reads_each_row_at_most_once(monkeypatch, limit):
+    oracle = oc.swept_oracle(ComponentView.whole(path_graph(64)), limit)
     R = resistance_diameter(oracle).value
     reads = _rows_requested(monkeypatch, oracle)
     oc.greedy_packing_per_level(oracle, R)
@@ -365,17 +365,17 @@ def matthews_cases(draw):
 
 @given(matthews_cases(), st.sampled_from([DENSE_LIMIT, 1]))
 @settings(max_examples=60, deadline=None)
-def test_blocked_matthews_matches_unblocked(case, dense_limit):
+def test_blocked_matthews_matches_unblocked(case, limit):
     g, sets = case
-    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    oracle = oc.swept_oracle(ComponentView.whole(g), limit)
     assert matthews_from_oracle(oracle, sets) == oc.matthews_from_oracle_unblocked(oracle, sets)
 
 
-@pytest.mark.parametrize("dense_limit", [DENSE_LIMIT, 1])
-def test_blocked_matthews_at_block_edges(dense_limit):
+@pytest.mark.parametrize("limit", [DENSE_LIMIT, 1])
+def test_blocked_matthews_at_block_edges(limit):
     rng = np.random.default_rng(41)
     g = oc.random_connected_multigraph(rng, 300, extra_edges=150, loops=6, max_multiplicity=3)
-    oracle = ResistanceOracle(ComponentView.whole(g), dense_limit=dense_limit)
+    oracle = oc.swept_oracle(ComponentView.whole(g), limit)
     sets = [tuple(rng.choice(300, size, replace=False).tolist())
             for size in (2, 63, 64, 65, 128, 129, 300)]
     for cand in sets:

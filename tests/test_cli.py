@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -6,11 +7,11 @@ import time
 
 import pytest
 
+import oracles as oc
 from covertime import (
     compute_bound_report,
     connected_components,
     from_edge_list,
-    path_graph,
     to_edge_list_text,
     uniform_labeled_tree,
 )
@@ -67,8 +68,9 @@ class TestBoundCommand:
         assert payload["upper_theorem"] == 0.0
         assert payload["kklv_lower"] == 0.0
 
-    @pytest.mark.parametrize("flags, kwargs", [([], {}),
-                                               (["--dense-limit", "16"], {"dense_limit": 16})])
+    # --dense-limit is parsed and ignored: it changes no byte
+    @pytest.mark.parametrize("flags, kwargs", [([], {}), (["--dense-limit", "16"], {}),
+                                               (["--i-max", "3"], {"i_max": 3})])
     def test_stdout_is_the_library_report(self, flags, kwargs, capsys):
         rc = main(["--seed", "3", "bound", "--model", "tree", "--k", "40", *flags])
         assert rc == 0
@@ -76,14 +78,24 @@ class TestBoundCommand:
         report = compute_bound_report(comp, **kwargs)
         assert capsys.readouterr().out == json.dumps(report.to_dict(), indent=2) + "\n"
 
-    @pytest.mark.parametrize("dense_limit", ["50000", "-1"])
-    def test_dense_limit_above_cap_exit_2(self, tmp_path, capsys, dense_limit):
-        # a limit above DENSE_LIMIT or below 0 is rejected before the oracle
-        # allocates anything
-        edges = tmp_path / "p3.txt"
-        edges.write_text(to_edge_list_text(path_graph(3)))
-        assert main(["bound", "--edges", str(edges), "--dense-limit", dense_limit]) == 2
-        assert "dense_limit" in capsys.readouterr().err
+    @pytest.mark.parametrize("model", [
+        pytest.param("percolation --base torus --m 30 --d 2 --p 0.6 --largest-component",
+                     id="torus30"),
+        pytest.param("tree --k 3000", id="tree3000"),   # a one-vertex core
+        pytest.param("giant --n 9000 --epsilon 0.3 --largest-component", id="giant9000"),
+    ])
+    def test_same_bytes_with_r_kept_and_rows_on_demand(self, monkeypatch, capsys, model):
+        # components of 875, 3000 and 3878 vertices: R is kept at the default
+        # budget, and each row is formed on demand when R may take only
+        # 100^2 doubles (the budget still fits each graph)
+        argv = ["--seed", "5", "bound", "--model", *model.split()]
+        assert main(argv) == 0
+        kept = capsys.readouterr().out
+        modes = oc.oracle_modes(monkeypatch)
+        with oc.r_kept_up_to(100):
+            assert main(argv) == 0
+        assert modes == [False]
+        assert capsys.readouterr().out == kept
 
     def test_disconnected_exit_2(self, tmp_path, capsys):
         edges = tmp_path / "two.txt"
@@ -343,6 +355,23 @@ class TestInputErrors:
 
 
 class TestReportSchemas:
+    @pytest.mark.parametrize("argv", [
+        ["--trials", "10", "simulate", "--model", "tree", "--k", "5", "--start", "0"],
+        ["--seed", "9", "generate", "--model", "gnp", "--n", "50", "--p", "0.1"],
+    ], ids=["simulate", "generate"])
+    def test_csv_without_rows_is_the_report_as_one_row(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.csv"
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert main(["--csv", str(out), *argv]) == 0
+        assert capsys.readouterr().out == stdout
+        payload = json.loads(stdout)
+        with open(out, newline="") as fh:
+            header, row = csv.reader(fh)
+        assert header == list(payload)
+        # csv writes None (generate's "dump") as an empty field
+        assert row == ["" if v is None else str(v) for v in payload.values()]
+
     def test_evolution_report_keys(self, capsys):
         rc = main(["--seed", "21", "evolution", "--regime", "c",
                    "--n-grid", "400,800,1600", "--seeds", "2", "--trials", "4"])
@@ -398,13 +427,12 @@ class TestLazyScipy:
                                 "--n-grid", "300,600,1200", "--seeds", "2", "--trials", "2")
 
     def test_on_demand_bound_never_loads_scipy(self):
-        # a 200-vertex tree at --dense-limit 64, as the benchmark's warm-up
-        # runs it, and a kernel's inverse under rows read on demand
-        assert not _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "200",
-                                "--dense-limit", "64")
-        assert not _loads_scipy("--seed", "3", "bound", "--model", "percolation",
-                                "--base", "random-regular", "--base-n", "60", "--d", "3",
-                                "--dense-limit", "16")
+        # components above 4096 vertices read rows on demand: a 4200-vertex
+        # tree, and a giant of 5440 vertices whose kernel's inverse (227
+        # vertices) runs
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "tree", "--k", "4200")
+        assert not _loads_scipy("--seed", "3", "bound", "--model", "giant", "--n", "10000",
+                                "--epsilon", "0.3", "--largest-component")
 
 
 # the covertime layers loaded by `import covertime`, then by one command run

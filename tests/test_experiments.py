@@ -226,8 +226,8 @@ class TestEdgeAddition:
 
 # sha256 of the JSON reports as the CLI prints them: the oracle's memory
 # layout and the suites' shared loop may change, these bytes may not. The
-# default-limit reports materialize R, the dense_limit=64 ones read rows on
-# demand, and both print the same bytes.
+# reports at the default budget keep R, those under oracles.r_kept_up_to(64)
+# read rows on demand, and both print the same bytes.
 PINNED_GRAPHS = {
     "tree200": lambda: ComponentView.whole(uniform_labeled_tree(200, 11)),
     "gnp600": lambda: connected_components(gnp(600, 1.5 / 600, 3))[0],
@@ -266,13 +266,16 @@ def _report_sha(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, indent=2).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("graph,dense_limit", sorted(PINNED_BOUNDS, key=str))
-def test_pinned_bound_report(graph, dense_limit):
+@pytest.mark.parametrize("graph,limit", sorted(PINNED_BOUNDS, key=str))
+def test_pinned_bound_report(monkeypatch, graph, limit):
     comp = PINNED_GRAPHS[graph]()
-    kw = {} if dense_limit is None else {"dense_limit": dense_limit}
-    assert comp.size > 64  # dense_limit=64 takes the sparse path
-    report = compute_bound_report(comp, **kw)
-    assert _report_sha(report.to_dict()) == PINNED_BOUNDS[graph, dense_limit]
+    comp.graph   # built at the default budget
+    assert comp.size > 64  # a limit of 64 reads rows on demand
+    modes = oc.oracle_modes(monkeypatch)
+    with oc.r_kept_up_to(limit):
+        report = compute_bound_report(comp)
+    assert modes == [limit is None]
+    assert _report_sha(report.to_dict()) == PINNED_BOUNDS[graph, limit]
 
 
 # gnp600 (a 401-vertex component) and a random 3-regular graph that is its
@@ -314,7 +317,8 @@ def test_pinned_suite_report(case):
 def test_dense_and_sparse_reports_agree(graph):
     comp = PINNED_GRAPHS[graph]()
     dense = compute_bound_report(comp)
-    sparse = compute_bound_report(comp, dense_limit=64)
+    with oc.r_kept_up_to(64):
+        sparse = compute_bound_report(comp)
     assert dense.diameter_pair == sparse.diameter_pair
     assert [lvl.centers for lvl in dense.levels] == [lvl.centers for lvl in sparse.levels]
     assert json.dumps(dense.to_dict(), indent=2) == json.dumps(sparse.to_dict(), indent=2)

@@ -19,6 +19,7 @@ from covertime import (
     connected_components,
     cycle_graph,
     hitting_time,
+    local_time_tail_check,
     path_graph,
     percolate,
     random_regular_graph,
@@ -27,8 +28,10 @@ from covertime import (
 )
 
 
-def oracle_for(g: MultiGraph, **kw) -> ResistanceOracle:
-    return ResistanceOracle(ComponentView.whole(g), **kw)
+def oracle_for(g: MultiGraph, limit: int | None = None) -> ResistanceOracle:
+    """An oracle on the whole of g, swept; with ``limit``, R is kept only on
+    at most ``limit`` vertices."""
+    return oc.swept_oracle(ComponentView.whole(g), limit)
 
 
 class TestResistanceValues:
@@ -225,7 +228,7 @@ def test_rows_symmetric_and_mode_independent(g, seed):
     # agrees with the pseudoinverse
     n = g.vertex_count
     dense = oracle_for(g)
-    on_demand = oracle_for(g, dense_limit=1)
+    on_demand = oracle_for(g, limit=1)
     assert dense.dense and (n == 1 or not on_demand.dense)
     rng = np.random.default_rng(seed)
     read = []
@@ -246,11 +249,11 @@ def test_rows_symmetric_and_mode_independent(g, seed):
     assert np.allclose(R, oc.resistance_matrix_pinv(g), rtol=1e-9, atol=1e-12)
 
 
-@pytest.mark.parametrize("dense_limit", [resistance.DENSE_LIMIT, 1])
-def test_constructor_builds_each_core_row_once(monkeypatch, dense_limit):
+@pytest.mark.parametrize("limit", [resistance.DENSE_LIMIT, 1])
+def test_constructor_builds_each_core_row_once(monkeypatch, limit):
     # one in-order sweep forms every row in both modes: the constructor
-    # reads no row through _rows or _ancestry and builds each block of
-    # core rows once
+    # forms no row, and the first eccentricity read reads none through
+    # _rows or _ancestry and builds each block of core rows once
     g = oc.random_connected_multigraph(np.random.default_rng(2), 300, extra_edges=30,
                                        loops=5, max_multiplicity=3)
     calls = dict.fromkeys(["_rows", "_ancestry", "_core_rows"], 0)
@@ -259,19 +262,48 @@ def test_constructor_builds_each_core_row_once(monkeypatch, dense_limit):
             calls[_name] += 1
             return _real(self, *args)
         monkeypatch.setattr(ResistanceOracle, name, spy)
-    o = oracle_for(g, dense_limit=dense_limit)
-    assert o.dense == (dense_limit > 1)
+    with oc.r_kept_up_to(limit):
+        o = ResistanceOracle(ComponentView.whole(g))
+    assert o.dense == (limit > 1)
+    assert calls == {"_rows": 0, "_ancestry": 0, "_core_rows": 0}
     # hanging trees, series paths and more than one block of core rows
     assert o._h.max() > 0 and o._nk < o._nc and o._nc > resistance._BLOCK
     blocks = -(-o._nc // resistance._BLOCK)
+    o.eccentricity, o.separation
     assert calls == {"_rows": 0, "_ancestry": 0, "_core_rows": blocks}
+
+
+def test_r_kept_up_to_4096_vertices_at_the_default_budget():
+    # 8 k^2 bytes against a 32nd of the 4 GiB budget; neither oracle sweeps
+    # here, so no R is formed
+    assert ResistanceOracle(ComponentView.whole(path_graph(4096))).dense
+    assert not ResistanceOracle(ComponentView.whole(path_graph(4097))).dense
+
+
+def test_fresh_oracle_reads_rows_without_the_sweep(monkeypatch):
+    # a few rows read from a fresh oracle never pay the O(k^2) sweep, and
+    # carry the bits of the R it keeps once the sweep has run
+    sweeps = []
+    sweep = ResistanceOracle._sweep
+    monkeypatch.setattr(ResistanceOracle, "_sweep", lambda self: sweeps.append(self) or sweep(self))
+    g = oc.random_connected_multigraph(np.random.default_rng(6), 200, extra_edges=40,
+                                       loops=4, max_multiplicity=3)
+    comp = ComponentView.whole(g)
+    o = ResistanceOracle(comp)
+    r = o.resistance(3, 150)
+    h = hitting_time(o, 3, 150)
+    local_time_tail_check(comp, 3, 150, 2.0, [1.0], trials=20, master_seed=1)
+    assert sweeps == [] and o.dense
+    o.eccentricity
+    assert sweeps == [o]
+    assert o.resistance(3, 150) == r and hitting_time(o, 3, 150) == h
 
 
 _FALLBACK_R = (
     "import sys, numpy as np; from covertime import blas; "
     "blas._LAPACKE = ('no_such_dpotrf', 'no_such_dpotri'); "
     "from covertime import ComponentView, ResistanceOracle, random_regular_graph; "
-    "o = ResistanceOracle(ComponentView.whole(random_regular_graph(120, 3, 4))); "
+    "o = ResistanceOracle(ComponentView.whole(random_regular_graph(120, 3, 4))); o.eccentricity; "
     "np.save(sys.argv[1], o.rows_from_locals(range(o.size))); "
     "print(blas.describe()); print('scipy' in sys.modules)"
 )
@@ -320,7 +352,7 @@ class TestDiameter:
         assert d.pair == (0, 7)
 
     def test_sparse_diameter_is_exact(self):
-        d = resistance_diameter(oracle_for(path_graph(40), dense_limit=8))
+        d = resistance_diameter(oracle_for(path_graph(40), limit=8))
         assert d.exact
         assert d.value == pytest.approx(39.0, abs=1e-9)
         assert d.pair == (0, 39)
@@ -330,29 +362,28 @@ class TestDiameter:
         rng = np.random.default_rng(5)
         g = oc.random_connected_multigraph(rng, 40, extra_edges=20, loops=3, max_multiplicity=2)
         dense = oracle_for(g)
-        sparse = oracle_for(g, dense_limit=8)
+        sparse = oracle_for(g, limit=8)
         assert dense.dense and not sparse.dense
         n = g.vertex_count
         for u in range(n):
             assert np.array_equal(sparse.resistances_from(u), dense.resistances_from(u))
         assert np.array_equal(sparse.rows_from_locals(range(n)), dense.rows_from_locals(range(n)))
 
-    @pytest.mark.parametrize("k,dense_limit", [
+    @pytest.mark.parametrize("k,limit", [
         pytest.param(k, limit, id=str(k) if limit is None else f"{k}-sparse")
         for limit in (None, 8) for k in (64, 128, 256)
     ])
-    def test_tree_tie_break_is_smallest_bfs_pair(self, k, dense_limit):
+    def test_tree_tie_break_is_smallest_bfs_pair(self, k, limit):
         # on a tree R is the hop distance, so in either mode the diameter pair
         # must be the lexicographically smallest pair at maximal BFS distance
-        kw = {} if dense_limit is None else {"dense_limit": dense_limit}
         for s in range(10):
             g = uniform_labeled_tree(k, s)
             hops = np.array([oc.bfs_distances(g, u) for u in range(k)])
             top = hops.max()
             want = min((u, v) for u in range(k) for v in range(u + 1, k)
                        if hops[u, v] == top)
-            o = oracle_for(g, **kw)
-            assert o.dense == (dense_limit is None)
+            o = oracle_for(g, limit)
+            assert o.dense == (limit is None)
             d = resistance_diameter(o)
             assert d.exact
             assert d.value == pytest.approx(top, abs=1e-9)
@@ -413,7 +444,7 @@ class TestHitting:
         rng = np.random.default_rng(12)
         g = oc.random_connected_multigraph(rng, 20, extra_edges=12, loops=2,
                                            max_multiplicity=2)
-        o = oracle_for(g, dense_limit=8)
+        o = oracle_for(g, limit=8)
         assert not o.dense
         calls = []
         rows = o._rows
@@ -485,7 +516,7 @@ def test_matches_pinv_oracle(g):
 @given(connected_graphs())
 @settings(max_examples=40, deadline=None)
 def test_sparse_diameter_matches_pinv(g):
-    sparse = resistance_diameter(oracle_for(g, dense_limit=1))
+    sparse = resistance_diameter(oracle_for(g, limit=1))
     dense = resistance_diameter(oracle_for(g))
     assert sparse.value == pytest.approx(oc.resistance_matrix_pinv(g).max(), rel=1e-9)
     assert sparse.pair == dense.pair
@@ -493,8 +524,8 @@ def test_sparse_diameter_matches_pinv(g):
 
 @given(connected_graphs(), st.sampled_from([None, 1]))
 @settings(max_examples=40, deadline=None)
-def test_separation_matches_pinv(g, dense_limit):
-    o = oracle_for(g) if dense_limit is None else oracle_for(g, dense_limit=dense_limit)
+def test_separation_matches_pinv(g, limit):
+    o = oracle_for(g, limit)
     R = oc.resistance_matrix_pinv(g)
     np.fill_diagonal(R, np.inf)
     assert o.separation == pytest.approx(R.min(), rel=1e-9)
@@ -523,7 +554,7 @@ def test_dense_oracle_memory():
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
-        o.resistances_from(0)
+        o.eccentricity, o.resistances_from(0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -542,7 +573,7 @@ def test_dense_oracle_memory_without_hanging_trees():
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
-        o.resistances_from(0)
+        o.eccentricity, o.resistances_from(0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -563,7 +594,7 @@ def test_dense_oracle_memory_with_series_paths():
     tracemalloc.start()
     try:
         o = ResistanceOracle(comp)
-        o.resistances_from(0)
+        o.eccentricity, o.resistances_from(0)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -577,7 +608,9 @@ def _sparse_torus_oracle(comp: ComponentView | None = None) -> ResistanceOracle:
     # a percolated 40x40 torus component, k = 1510, read on demand
     if comp is None:
         comp = percolate(BaseGraphSpec.torus(40, 2, 0.6), 3)[1]
-    o = ResistanceOracle(comp, dense_limit=16)
+    comp.graph   # built at the default budget
+    with oc.r_kept_up_to(16):
+        o = ResistanceOracle(comp)
     assert not o.dense and o.size == 1510
     return o
 
@@ -594,7 +627,7 @@ def test_sparse_oracle_keeps_no_rows():
         before = tracemalloc.get_traced_memory()[0]
         o = _sparse_torus_oracle(comp)
         k = o.size
-        o.rows_from_locals(range(k))
+        o.eccentricity, o.rows_from_locals(range(k))
         for a in range(0, k, 7):
             o.resistances_from_local(a)
         retained = tracemalloc.get_traced_memory()[0] - before
@@ -610,7 +643,7 @@ def test_sparse_row_reads_agree_bitwise():
     # resistance carries the bits of the materialized R whatever the order
     o = _sparse_torus_oracle()
     k = o.size
-    R = ResistanceOracle(o.component).rows_from_locals(range(k))
+    R = oc.swept_oracle(o.component).rows_from_locals(range(k))
     ids = o.component.vertices
     rng = np.random.default_rng(0)
     order = rng.permutation(k)
@@ -633,8 +666,8 @@ def test_kernel_over_budget_rejected_before_allocating(monkeypatch):
     monkeypatch.setattr(resistance, "DENSE_LIMIT", 64)
     tracemalloc.start()
     try:
-        with pytest.raises(ContractViolation, match="kernel of 600 vertices"):
-            ResistanceOracle(comp, dense_limit=8)
+        with oc.r_kept_up_to(8), pytest.raises(ContractViolation, match="kernel of 600 vertices"):
+            ResistanceOracle(comp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -328,7 +328,7 @@ class TestLocalTimeTail:
 
     def test_reads_r_uv_without_a_k2_array(self):
         # on a 1000-vertex path R would take 8 MB; the check reads R(u, v)
-        # from one row, with the bits of the materialized R
+        # from one row, with the bits of the R that the sweep keeps
         k, lambdas = 1000, [0.5, 1.0, 30.0]
         c = comp(path_graph(k))
         run = lambda: local_time_tail_check(c, 10, 500, 2.0, lambdas, trials=100, master_seed=4)
@@ -340,7 +340,10 @@ class TestLocalTimeTail:
         finally:
             tracemalloc.stop()
         assert peak < k * k * 8 / 8, peak
-        r_uv = ResistanceOracle(c).resistance(10, 500)
+        oracle = ResistanceOracle(c)
+        oracle.eccentricity   # the sweep, which keeps R
+        assert oracle.dense and oracle._R is not None
+        r_uv = oracle.resistance(10, 500)
         assert [p.bound for p in pts] == [math.exp(-lam * lam / (4.0 * 2.0 * r_uv))
                                           for lam in lambdas]
 
